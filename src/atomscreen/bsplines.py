@@ -9,11 +9,11 @@ so integrands singular at r = 0 are never sampled there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 __all__ = [
     "GridSpec",
@@ -32,6 +32,8 @@ __all__ = [
 #: Fraction of the intervals a pure geometric progression would need to reach
 #: r_max; fixes the growth ratio of the exp-linear grid (see make_knots).
 _GEOMETRIC_BUDGET_FRACTION = 2.0 / 3.0
+#: Largest exponent ln(q**steps) the geometric sum evaluates directly.
+_LOG_POWER_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,10 @@ def _geometric_ratio(r_first: float, r_max: float, steps: int) -> float:
     """Ratio q > 1 with r_first * (q^steps - 1)/(q - 1) = r_max (bisection)."""
 
     def total(q: float) -> float:
+        # q**steps overflows a float once steps * ln q passes ~709; any such
+        # sum lies far beyond a real box, so report it as infinite.
+        if steps * math.log(q) > _LOG_POWER_LIMIT:
+            return math.inf
         return r_first * (q**steps - 1.0) / (q - 1.0)
 
     lo, hi = 1.0 + 1e-12, 2.0
@@ -208,47 +214,62 @@ def make_knots(
     )
 
 
-def _nonzero_values(t: np.ndarray, k: int, span: int, x: np.ndarray) -> np.ndarray:
-    """Values of the k splines that are nonzero on knot span ``span``.
+def _nonzero_values(t: np.ndarray, k: int, spans: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Values of the k splines that are nonzero on each knot span.
 
-    Cox-de Boor triangular recursion, vectorised over the points x (which
-    must all lie inside the span). Column a holds spline span - k + 1 + a.
+    Cox-de Boor triangular recursion, vectorised over the spans (shape
+    (n,)) and over the points x (shape (n, m), row i inside span spans[i]).
+    Entry [i, q, a] holds spline spans[i] - k + 1 + a at x[i, q].
     """
-    values = np.ones((x.shape[0], 1))
-    for j in range(1, k):
-        d_right = t[span + 1 : span + j + 1][None, :] - x[:, None]
-        d_left = x[:, None] - t[span - j + 1 : span + 1][None, ::-1]
-        step = np.zeros((x.shape[0], j + 1))
-        carry = np.zeros(x.shape[0])
-        for i in range(j):
-            term = values[:, i] / (d_right[:, i] + d_left[:, j - 1 - i])
-            step[:, i] = carry + d_right[:, i] * term
-            carry = d_left[:, j - 1 - i] * term
-        step[:, j] = carry
-        values = step
+    values = np.ones(x.shape + (1,))
+    for _ in range(k - 1):
+        values = _raise_order(t, values, spans, x)
     return values
 
 
+def _raise_order(
+    t: np.ndarray, values: np.ndarray, spans: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """One Cox-de Boor step: order-j nonzero values to order j + 1."""
+    j = values.shape[-1]
+    offsets = np.arange(j)
+    d_right = t[spans[:, None] + 1 + offsets][:, None, :] - x[..., None]
+    d_left = x[..., None] - t[spans[:, None] - offsets][:, None, :]
+    step = np.zeros(x.shape + (j + 1,))
+    carry = np.zeros(x.shape)
+    for i in range(j):
+        term = values[..., i] / (d_right[..., i] + d_left[..., j - 1 - i])
+        step[..., i] = carry + d_right[..., i] * term
+        carry = d_left[..., j - 1 - i] * term
+    step[..., j] = carry
+    return step
+
+
 def _values_and_derivs(
-    t: np.ndarray, k: int, span: int, x: np.ndarray
+    t: np.ndarray, k: int, spans: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and first derivatives of the nonzero splines on one span."""
-    values = _nonzero_values(t, k, span, x)
-    derivs = np.zeros_like(values)
+    """Values and first derivatives of the nonzero splines on each span."""
     if k == 1:
-        return values, derivs
-    lower = _nonzero_values(t, k - 1, span, x)
+        values = _nonzero_values(t, k, spans, x)
+        return values, np.zeros_like(values)
+    lower = _nonzero_values(t, k - 1, spans, x)
+    values = _raise_order(t, lower, spans, x)
+    derivs = np.zeros_like(values)
     for a in range(k):
-        p = span - k + 1 + a
-        acc = np.zeros(x.shape[0])
-        width = t[p + k - 1] - t[p]
-        if a >= 1 and width > 0:
-            acc += lower[:, a - 1] / width
-        width = t[p + k] - t[p + 1]
-        if a <= k - 2 and width > 0:
-            acc -= lower[:, a] / width
-        derivs[:, a] = (k - 1) * acc
+        p = spans - k + 1 + a
+        acc = np.zeros(x.shape)
+        if a >= 1:
+            acc += _divide_where_wide(lower[..., a - 1], t[p + k - 1] - t[p])
+        if a <= k - 2:
+            acc -= _divide_where_wide(lower[..., a], t[p + k] - t[p + 1])
+        derivs[..., a] = (k - 1) * acc
     return values, derivs
+
+
+def _divide_where_wide(column: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """column / width per span, and 0 on spans whose knot width is 0."""
+    widths = widths[:, None]
+    return np.divide(column, widths, out=np.zeros_like(column), where=widths > 0)
 
 
 def _find_interval(basis: KnotBasis, r: float) -> int:
@@ -269,18 +290,17 @@ def eval_bspline(basis: KnotBasis, index: int, r: float, derivative_order: int =
     first = span - k + 1
     if not first <= index <= span:
         return 0.0
-    x = np.array([float(r)])
+    spans, x = np.array([span]), np.array([[float(r)]])
     if derivative_order == 0:
-        row = _nonzero_values(basis.knots, k, span, x)
+        row = _nonzero_values(basis.knots, k, spans, x)
     else:
-        row = _values_and_derivs(basis.knots, k, span, x)[1]
-    return float(row[0, index - first])
+        row = _values_and_derivs(basis.knots, k, spans, x)[1]
+    return float(row[0, 0, index - first])
 
 
 @lru_cache(maxsize=32)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
 def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule:
@@ -303,12 +323,8 @@ def design_tables(basis: KnotBasis, quad: QuadratureRule) -> DesignTables:
     if quad.nodes.shape[0] != basis.n_intervals:
         raise ValueError("quadrature rule does not match the basis intervals")
     k = basis.order_k
-    n_iv, nq = quad.nodes.shape
-    values = np.empty((n_iv, nq, k))
-    derivs = np.empty((n_iv, nq, k))
-    for iv in range(n_iv):
-        span = k - 1 + iv
-        values[iv], derivs[iv] = _values_and_derivs(basis.knots, k, span, quad.nodes[iv])
+    spans = k - 1 + np.arange(basis.n_intervals)
+    values, derivs = _values_and_derivs(basis.knots, k, spans, quad.nodes)
     return DesignTables(values=values, derivs=derivs)
 
 

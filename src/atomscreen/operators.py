@@ -14,6 +14,7 @@ the same convention scipy's banded routines use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TextIO
 
 import numpy as np
@@ -45,26 +46,85 @@ class OperatorPair:
     atom: AtomSpec
 
 
-def _scatter_band(local: np.ndarray, n_splines: int, order_k: int) -> np.ndarray:
-    """Accumulate per-interval k-by-k blocks into the trimmed upper band.
+@dataclass(frozen=True, eq=False)
+class _BandScatter:
+    """Precomputed map from per-interval k-by-k blocks to the trimmed band.
 
     Local block (iv, a, b) couples global splines iv+a and iv+b; active
     (trimmed) indices are the global ones shifted down by one, with the
-    first and last spline discarded.
+    first and last spline discarded. Entries run over a, then the offset
+    d = b - a, then iv, so each band cell sums its terms in ascending a.
     """
-    n_iv = local.shape[0]
-    dim = n_splines - 2
-    bw = order_k - 1
-    band = np.zeros((order_k, dim))
-    for a in range(order_k):
-        for d in range(order_k - a):
-            b = a + d
-            lo = max(0, 1 - a)
-            hi = min(n_iv - 1, n_splines - 2 - b)
-            if hi < lo:
-                continue
-            band[bw - d, lo + b - 1 : hi + b] += local[lo : hi + 1, a, b]
-    return band
+
+    band_index: np.ndarray
+    local_index: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def for_basis(cls, basis: KnotBasis) -> "_BandScatter":
+        k, n_iv = basis.order_k, basis.n_intervals
+        dim, bw = basis.n_active, basis.order_k - 1
+        band_index, local_index = [], []
+        for a in range(k):
+            for d in range(k - a):
+                b = a + d
+                iv = np.arange(max(0, 1 - a), min(n_iv - 1, basis.n_splines - 2 - b) + 1)
+                band_index.append((bw - d) * dim + iv + b - 1)
+                local_index.append((iv * k + a) * k + b)
+        return cls(np.concatenate(band_index), np.concatenate(local_index), (k, dim))
+
+    def __call__(self, local: np.ndarray) -> np.ndarray:
+        """Accumulate blocks of shape (n_intervals, k, k) into the upper band."""
+        band = np.bincount(
+            self.band_index,
+            weights=local.ravel()[self.local_index],
+            minlength=self.shape[0] * self.shape[1],
+        )
+        return band.reshape(self.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class _GridBands:
+    """Channel-independent parts of the pair for one (basis, quad, tables).
+
+    ``s_band``, ``t_band`` (1/2 <B'|B'>) and ``r2_band`` (<B|1/r^2|B>) are
+    shared by every channel on the grid and therefore read-only.
+    """
+
+    values: np.ndarray
+    scatter: _BandScatter
+    s_band: np.ndarray
+    t_band: np.ndarray
+    r2_band: np.ndarray
+
+
+def _gram(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-interval blocks sum_q weights[iv, q] table[iv, q, a] table[iv, q, b]."""
+    return np.matmul(table.transpose(0, 2, 1) * weights[:, None, :], table)
+
+
+@lru_cache(maxsize=16)
+def _grid_bands(
+    basis: KnotBasis, quad: QuadratureRule, tables: DesignTables | None
+) -> _GridBands:
+    """Build (and memoise) the grid-only bands; the key objects hash by identity."""
+    if tables is None:
+        tables = design_tables(basis, quad)
+    scatter = _BandScatter.for_basis(basis)
+
+    def shared(local: np.ndarray) -> np.ndarray:
+        band = scatter(local)
+        band.setflags(write=False)
+        return band
+
+    w, r = quad.weights, quad.nodes
+    return _GridBands(
+        values=tables.values,
+        scatter=scatter,
+        s_band=shared(_gram(w, tables.values)),
+        t_band=shared(_gram(0.5 * w, tables.derivs)),
+        r2_band=shared(_gram(w / (r * r), tables.values)),
+    )
 
 
 def assemble(
@@ -75,31 +135,28 @@ def assemble(
     model: Pseudopotential,
     tables: DesignTables | None = None,
 ) -> OperatorPair:
-    """Assemble the banded (H, S) pair for one angular-momentum channel."""
+    """Assemble the banded (H, S) pair for one angular-momentum channel.
+
+    H = T + <V> + l(l+1)/2 R2: only the potential term is integrated per
+    channel; S, T and R2 are built once per grid and shared (read-only).
+    """
     if l < 0:
         raise ValueError("l must be non-negative")
     if quad.nodes.shape[0] != basis.n_intervals:
         raise ValueError("quadrature rule does not match the basis")
-    if tables is None:
-        tables = design_tables(basis, quad)
-    if tables.values.shape != (basis.n_intervals, quad.nodes.shape[1], basis.order_k):
+    expected = (basis.n_intervals, quad.nodes.shape[1], basis.order_k)
+    if tables is not None and tables.values.shape != expected:
         raise ValueError("design tables do not match basis and quadrature")
 
-    r = quad.nodes
-    w = quad.weights
-    v = potential_value(model, r, atom, l)
+    grid = _grid_bands(basis, quad, tables)
+    wv = quad.weights * potential_value(model, quad.nodes, atom, l)
+    h_band = grid.t_band + grid.scatter(_gram(wv, grid.values))
     if l > 0:
-        v = v + l * (l + 1) / (2.0 * r * r)
-    wv = w * v
-
-    vals, ders = tables.values, tables.derivs
-    h_local = 0.5 * np.einsum("xq,xqa,xqb->xab", w, ders, ders)
-    h_local += np.einsum("xq,xqa,xqb->xab", wv, vals, vals)
-    s_local = np.einsum("xq,xqa,xqb->xab", w, vals, vals)
+        h_band += 0.5 * l * (l + 1) * grid.r2_band
 
     return OperatorPair(
-        h_band=_scatter_band(h_local, basis.n_splines, basis.order_k),
-        s_band=_scatter_band(s_local, basis.n_splines, basis.order_k),
+        h_band=h_band,
+        s_band=grid.s_band,
         dimension=basis.n_splines - 2,
         bandwidth=basis.order_k - 1,
         channel_l=l,

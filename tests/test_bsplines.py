@@ -57,6 +57,15 @@ class TestMakeKnots:
         assert list(paper_basis.active_range)[:2] == [1, 2]
         assert paper_basis.n_active == 598
 
+    @pytest.mark.parametrize("n_splines", [1550, 3000])
+    def test_large_exp_linear_grids_do_not_overflow(self, n_splines):
+        # the geometric ratio is bracketed past the point where 2**steps
+        # would overflow a float (about 1540 splines at order 10)
+        basis = make_knots(200.0, n_splines, 10)
+        assert np.all(np.diff(basis.breakpoints) > 0)
+        assert basis.breakpoints[-1] == 200.0
+        assert basis.n_intervals == n_splines - 9
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             make_knots(200.0, 600, 1)
@@ -198,3 +207,72 @@ class TestDesignTables:
         grid = GridSpec(n_splines=40, order_k=4, r_max=10.0)
         assert build_workspace(grid) is build_workspace(grid)
         assert build_workspace(PAPER_GRID).basis.n_splines == 600
+
+
+def _span_values(t, k, span, x):
+    """Single-span Cox-de Boor recursion, one point vector at a time."""
+    values = np.ones((x.shape[0], 1))
+    for j in range(1, k):
+        d_right = t[span + 1 : span + j + 1][None, :] - x[:, None]
+        d_left = x[:, None] - t[span - j + 1 : span + 1][None, ::-1]
+        step = np.zeros((x.shape[0], j + 1))
+        carry = np.zeros(x.shape[0])
+        for i in range(j):
+            term = values[:, i] / (d_right[:, i] + d_left[:, j - 1 - i])
+            step[:, i] = carry + d_right[:, i] * term
+            carry = d_left[:, j - 1 - i] * term
+        step[:, j] = carry
+        values = step
+    return values
+
+
+def _span_values_and_derivs(t, k, span, x):
+    values = _span_values(t, k, span, x)
+    derivs = np.zeros_like(values)
+    lower = _span_values(t, k - 1, span, x)
+    for a in range(k):
+        p = span - k + 1 + a
+        acc = np.zeros(x.shape[0])
+        width = t[p + k - 1] - t[p]
+        if a >= 1 and width > 0:
+            acc += lower[:, a - 1] / width
+        width = t[p + k] - t[p + 1]
+        if a <= k - 2 and width > 0:
+            acc -= lower[:, a] / width
+        derivs[:, a] = (k - 1) * acc
+    return values, derivs
+
+
+class TestVectorisedTables:
+    """design_tables runs the recursion over all spans at once; it must
+    reproduce the per-span loop bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["linear", "exp-linear"])
+    @pytest.mark.parametrize("order_k", [2, 4, 10, 15])
+    def test_bit_identical_to_per_span_loop(self, kind, order_k):
+        basis = make_knots(60.0, 80, order_k, kind, 1e-3)
+        quad = make_quadrature(basis, 9)
+        tables = design_tables(basis, quad)
+        for iv in range(basis.n_intervals):
+            values, derivs = _span_values_and_derivs(
+                basis.knots, order_k, order_k - 1 + iv, quad.nodes[iv]
+            )
+            assert np.array_equal(tables.values[iv], values)
+            assert np.array_equal(tables.derivs[iv], derivs)
+
+    def test_paper_grid_bit_identical_to_per_span_loop(self):
+        ws = build_workspace(PAPER_GRID)
+        k = ws.basis.order_k
+        for iv in range(ws.basis.n_intervals):
+            values, derivs = _span_values_and_derivs(
+                ws.basis.knots, k, k - 1 + iv, ws.quad.nodes[iv]
+            )
+            assert np.array_equal(ws.tables.values[iv], values)
+            assert np.array_equal(ws.tables.derivs[iv], derivs)
+
+    def test_legendre_rule_matches_known_three_point_rule(self):
+        # unit intervals: nodes 0.5 + 0.5 x and weights 0.5 w on [0, 1]
+        quad = make_quadrature(make_knots(6.0, 7, 2, "linear"), 3)
+        x = math.sqrt(0.6)
+        assert quad.nodes[0] == pytest.approx([0.5 - 0.5 * x, 0.5, 0.5 + 0.5 * x], abs=1e-15)
+        assert quad.weights[0] == pytest.approx([5 / 18, 8 / 18, 5 / 18], abs=1e-15)

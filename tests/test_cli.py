@@ -7,8 +7,12 @@ from pathlib import Path
 import pytest
 
 from atomscreen.cli import MODEL_A_TOLERANCES, main, parse_config_file, resolve_config
+from atomscreen.model import effective_charge, hydrogenic_energy
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+#: Table CSVs recorded byte for byte from the reference implementation.
+EXPECTED = ROOT / "perfbench" / "expected"
 
 
 def run_cli(args, tmp_path, out_name="out.txt"):
@@ -116,6 +120,33 @@ class TestSolveCommand:
     def test_rejects_unphysical_input(self, tmp_path):
         code, _ = run_cli(["solve", "0", "1", "0"], tmp_path)
         assert code == 2
+
+    def test_grid_above_1540_splines_solves(self):
+        result = run_subprocess(
+            ["solve", "3", "3", "0", "--splines", "1550", "--kstates", "1",
+             "--format", "json"])
+        assert result.returncode == 0, result.stderr
+        ground = json.loads(result.stdout)["states"][0]["raw_hartree"]
+        exact = hydrogenic_energy(effective_charge(3, 3, 0), 1)
+        assert ground == pytest.approx(exact, abs=1e-8)
+
+
+class TestRecordedOutput:
+    @pytest.mark.parametrize("command", ["table1", "table2", "table3"])
+    def test_table_csv_matches_recorded_bytes(self, command):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        result = subprocess.run([sys.executable, "-m", "atomscreen", command, "--format", "csv"],
+                                capture_output=True, env=env)
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout == (EXPECTED / f"{command}.csv").read_bytes()
+
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        probe = "import sys, atomscreen.cli; print('scipy.special' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestConvergeCommand:

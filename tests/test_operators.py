@@ -13,6 +13,7 @@ from atomscreen.model import (
     catalog_atom,
     effective_charge,
     hydrogenic_energy,
+    potential_value,
 )
 from atomscreen.operators import (
     assemble,
@@ -29,6 +30,12 @@ HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1, ((1, 0, 1),))
 @pytest.fixture(scope="module")
 def paper_ws():
     return build_workspace()
+
+
+@pytest.fixture(scope="module")
+def coarse_k4_ws():
+    return build_workspace(GridSpec(n_splines=60, order_k=4, r_max=40.0, r_first=1e-3,
+                                    nodes_per_interval=8))
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +146,73 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(coarse_ws.basis, coarse_ws.quad, HYDROGEN, -1,
                      Pseudopotential.BARE_COULOMB)
+
+
+def _per_channel_pair(ws, atom, l, model):
+    """(H, S) bands built per channel with three einsums and a looped scatter."""
+    r, w = ws.quad.nodes, ws.quad.weights
+    v = potential_value(model, r, atom, l)
+    if l > 0:
+        v = v + l * (l + 1) / (2.0 * r * r)
+    vals, ders = ws.tables.values, ws.tables.derivs
+    h_local = 0.5 * np.einsum("xq,xqa,xqb->xab", w, ders, ders)
+    h_local += np.einsum("xq,xqa,xqb->xab", w * v, vals, vals)
+    s_local = np.einsum("xq,xqa,xqb->xab", w, vals, vals)
+
+    n_splines, k = ws.basis.n_splines, ws.basis.order_k
+    n_iv, bw = h_local.shape[0], k - 1
+
+    def scatter(local):
+        band = np.zeros((k, n_splines - 2))
+        for a in range(k):
+            for d in range(k - a):
+                b = a + d
+                lo, hi = max(0, 1 - a), min(n_iv - 1, n_splines - 2 - b)
+                band[bw - d, lo + b - 1 : hi + b] += local[lo : hi + 1, a, b]
+        return band
+
+    return scatter(h_local), scatter(s_local)
+
+
+def _assert_band_close(band, reference, rel):
+    # scale each stored column by its largest reference entry, so entries
+    # that cancel between the kinetic and potential terms are still bounded
+    scale = np.abs(reference).max(axis=0)
+    assert np.all(np.abs(band - reference) <= rel * scale)
+
+
+class TestSharedGridBands:
+    """assemble builds S, T and <1/r^2> once per grid and adds the
+    channel's potential; it must agree with the per-channel formula."""
+
+    @pytest.mark.parametrize("ws_name", ["paper_ws", "coarse_k4_ws"])
+    @pytest.mark.parametrize("model", list(Pseudopotential))
+    @pytest.mark.parametrize("pass_tables", [True, False])
+    def test_matches_per_channel_formula(self, request, ws_name, model, pass_tables):
+        ws = request.getfixturevalue(ws_name)
+        tables = ws.tables if pass_tables else None
+        for atom in (catalog_atom("He"), catalog_atom("Li"), catalog_atom("Na")):
+            for l in range(4):
+                pair = assemble(ws.basis, ws.quad, atom, l, model, tables)
+                h_ref, s_ref = _per_channel_pair(ws, atom, l, model)
+                _assert_band_close(pair.h_band, h_ref, 1e-13)
+                _assert_band_close(pair.s_band, s_ref, 1e-13)
+
+    def test_shared_bands_are_read_only(self, coarse_ws):
+        first = assemble(coarse_ws.basis, coarse_ws.quad, HYDROGEN, 0,
+                         Pseudopotential.BARE_COULOMB, coarse_ws.tables)
+        with pytest.raises(ValueError):
+            first.s_band[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            first.s_band *= 2.0
+        second = assemble(coarse_ws.basis, coarse_ws.quad, HYDROGEN, 1,
+                          Pseudopotential.BARE_COULOMB, coarse_ws.tables)
+        assert second.s_band is first.s_band
+        # each channel's H is its own array, so writing one leaves the next alone
+        first.h_band[:] = 0.0
+        third = assemble(coarse_ws.basis, coarse_ws.quad, HYDROGEN, 0,
+                         Pseudopotential.BARE_COULOMB, coarse_ws.tables)
+        assert np.any(third.h_band != 0.0)
 
 
 class TestBandHelpers:
