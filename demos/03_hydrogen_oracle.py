@@ -17,15 +17,14 @@ from atomscreen import (
     hydrogenic_energy,
 )
 
-HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1, ((1, 0, 1),))
+HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
 
 def hydrogen_levels():
     ws = build_workspace()
     print("bare hydrogen, l = 0")
     print(f"  {'nu':>3} {'numerical':>20} {'analytic':>20} {'error':>10}")
-    pair = assemble(ws.basis, ws.quad, HYDROGEN, 0, Pseudopotential.BARE_COULOMB,
-                    ws.tables)
+    pair = assemble(ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
     solution = solve_lowest(pair, 6)
     for i, value in enumerate(solution.eigenvalues):
         nu = i + 1
@@ -40,8 +39,7 @@ def screened_channels():
     for name, l, count in (("He", 0, 3), ("Li", 1, 3), ("Li", 3, 2)):
         atom = catalog_atom(name)
         z_eff = effective_charge(atom.Z, atom.n_electrons, l)
-        pair = assemble(ws.basis, ws.quad, atom, l,
-                        Pseudopotential.SYMMETRY_DEPENDENT, ws.tables)
+        pair = assemble(ws, atom, l, Pseudopotential.SYMMETRY_DEPENDENT)
         solution = solve_lowest(pair, count)
         for i, value in enumerate(solution.eigenvalues):
             nu = l + 1 + i

@@ -24,7 +24,6 @@ from .eigensolve import (
     DegenerateSpectrumError,
     EigenSolution,
     EigensolverError,
-    radial_expectation,
     solve_lowest,
 )
 from .model import (
@@ -38,10 +37,8 @@ from .model import (
     atom_catalog,
     catalog_atom,
     central_screening_amplitude,
-    classical_alpha,
     effective_charge,
     hydrogenic_energy,
-    pair_potential,
     partition_alpha,
     potential_value,
     screening_factor,
@@ -50,10 +47,7 @@ from .operators import (
     OperatorPair,
     assemble,
     band_matvec,
-    band_profile,
     band_to_dense,
-    dump_banded,
-    load_banded_dump,
 )
 from .spectra import (
     ComparisonReport,
@@ -61,7 +55,6 @@ from .spectra import (
     LabeledState,
     ReferenceRecord,
     compare,
-    format_reference_records,
     helium_binding_table,
     ionization_potential,
     ionization_table,

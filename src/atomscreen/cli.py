@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .bsplines import GridSpec
+from .bsplines import PAPER_GRID, GridSpec
 from .eigensolve import EigensolverError
 from .model import (
     AtomSpec,
@@ -64,27 +64,12 @@ class ConfigError(ValueError):
 class RunConfig:
     """Resolved numerical and output options for one CLI invocation."""
 
-    splines: int = 600
-    order: int = 10
-    rmax: float = 200.0
-    knots: str = "exp-linear"
-    rfirst: float = 1e-4
-    quad_nodes: int = 20
+    grid: GridSpec = PAPER_GRID
     units: str = "paper"
     model: str = "symmetry"
     format: str = "text"
     out: str | None = None
     mg_mn: int = 3
-
-    def grid_spec(self) -> GridSpec:
-        return GridSpec(
-            n_splines=self.splines,
-            order_k=self.order,
-            r_max=self.rmax,
-            knot_kind=self.knots,
-            r_first=self.rfirst,
-            nodes_per_interval=self.quad_nodes,
-        )
 
     def unit_system(self) -> UnitSystem:
         return PAPER_UNITS if self.units == "paper" else CODATA_UNITS
@@ -105,6 +90,15 @@ _FIELD_PARSERS = {
     "format": str,
     "out": str,
     "mg_mn": int,
+}
+#: Flag names (and config keys) of the grid options, with the GridSpec field each sets.
+_GRID_FLAGS = {
+    "splines": "n_splines",
+    "order": "order_k",
+    "rmax": "r_max",
+    "knots": "knot_kind",
+    "rfirst": "r_first",
+    "quad_nodes": "nodes_per_interval",
 }
 _FIELD_CHOICES = {
     "knots": ("exp-linear", "linear"),
@@ -157,14 +151,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, field, None)
         if flag_value is not None:
             merged[field] = flag_value
-    config = RunConfig(**merged)
-    if config.splines <= 2 * config.order:
+    grid_values = {_GRID_FLAGS[f]: merged.pop(f) for f in _GRID_FLAGS if f in merged}
+    return RunConfig(grid=_checked_grid(replace(PAPER_GRID, **grid_values)), **merged)
+
+
+def _checked_grid(grid: GridSpec) -> GridSpec:
+    """Reject a grid the solver cannot build, as a usage error."""
+    if grid.n_splines <= 2 * grid.order_k:
         raise ConfigError("splines must exceed 2 * order")
-    if not 0 < config.rfirst < config.rmax:
+    if not 0 < grid.r_first < grid.r_max:
         raise ConfigError("rfirst must lie in (0, rmax)")
-    if config.quad_nodes < 1:
+    if grid.nodes_per_interval < 1:
         raise ConfigError("quad-nodes must be >= 1")
-    return config
+    if not 2 <= grid.order_k <= 15:
+        raise ConfigError("order must lie in [2, 15]")
+    return grid
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -238,7 +239,7 @@ _TABLE_BUILDERS = {
 def run_table(command: str, config: RunConfig) -> tuple[int, str]:
     """Compute both model columns of one table and compare against golden."""
     table_id, label_key, title = _TABLE_BUILDERS[command]
-    grid = config.grid_spec()
+    grid = config.grid
     units = config.unit_system()
     if command == "table1":
         rows_a = ionization_table(Pseudopotential.SYMMETRY_DEPENDENT, units, grid, config.mg_mn)
@@ -358,7 +359,6 @@ def _resolve_solve_atom(z: int, n_electrons: int, l: int, mg_m: int) -> tuple[At
         valence_nu=l + 1,
         valence_l=l,
         m_permutations=n_electrons,
-        ground_config=((l + 1, l, n_electrons),),
     )
     return adhoc, False
 
@@ -368,10 +368,12 @@ def run_solve(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]:
         raise ConfigError("solve requires Z >= 1, n_electrons >= 1, l >= 0")
     if args.kstates < 1:
         raise ConfigError("kstates must be >= 1")
+    if args.kstates > config.grid.n_splines - 2:
+        raise ConfigError(f"kstates must lie in [1, {config.grid.n_splines - 2}]")
     model = config.pseudopotential()
     units = config.unit_system()
     atom, in_catalog = _resolve_solve_atom(args.Z, args.n_electrons, args.l, config.mg_mn)
-    states = solve_channel(atom, model, args.l, args.kstates, config.grid_spec())
+    states = solve_channel(atom, model, args.l, args.kstates, config.grid)
 
     meta = {
         "Z": args.Z,
@@ -446,27 +448,23 @@ def _parse_sweep(text: str, what: str) -> list[int]:
 
 def run_converge(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]:
     nu, l = _parse_state_label(args.state)
-    atom = catalog_atom(args.atom, mg_m=config.mg_mn)
+    try:
+        atom = catalog_atom(args.atom, mg_m=config.mg_mn)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     model = config.pseudopotential()
-    base = config.grid_spec()
     if args.sweep_splines is not None:
         points = _parse_sweep(args.sweep_splines, "splines")
-        grids = [(p, GridSpec(n_splines=p, order_k=base.order_k, r_max=base.r_max,
-                              knot_kind=base.knot_kind, r_first=base.r_first,
-                              nodes_per_interval=base.nodes_per_interval))
-                 for p in points]
+        grids = [_checked_grid(replace(config.grid, n_splines=p)) for p in points]
         sweep_name = "splines"
     else:
         points = _parse_sweep(args.sweep_nodes, "nodes")
-        grids = [(p, GridSpec(n_splines=base.n_splines, order_k=base.order_k,
-                              r_max=base.r_max, knot_kind=base.knot_kind,
-                              r_first=base.r_first, nodes_per_interval=p))
-                 for p in points]
+        grids = [_checked_grid(replace(config.grid, nodes_per_interval=p)) for p in points]
         sweep_name = "quad_nodes"
 
     rows = []
     previous = None
-    for point, grid in grids:
+    for point, grid in zip(points, grids):
         states = solve_channel(atom, model, l, nu - l, grid)
         value = states[nu - l - 1].raw_energy
         delta = None if previous is None else abs(value - previous)

@@ -29,7 +29,6 @@ __all__ = [
     "DegenerateSpectrumError",
     "EigenSolution",
     "solve_lowest",
-    "radial_expectation",
     "RESIDUAL_TOL",
     "DEGENERACY_TOL",
 ]
@@ -59,12 +58,7 @@ class EigenSolution:
     count: int
 
 
-def solve_lowest(
-    pair: OperatorPair,
-    k_states: int,
-    residual_tol: float = RESIDUAL_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> EigenSolution:
+def solve_lowest(pair: OperatorPair, k_states: int) -> EigenSolution:
     """Compute the k_states algebraically smallest eigenpairs of (H, S)."""
     dim = pair.dimension
     if not 1 <= k_states <= dim:
@@ -104,14 +98,14 @@ def solve_lowest(
 
     if k_states > 1:
         min_gap = np.diff(eigenvalues).min()
-        if min_gap < degeneracy_tol:
+        if min_gap < DEGENERACY_TOL:
             raise DegenerateSpectrumError(
                 f"eigenvalues not simple/ascending: min gap {min_gap:.3e}"
             )
     worst = residuals.max()
-    if worst > residual_tol:
+    if worst > RESIDUAL_TOL:
         raise EigensolverError(
-            f"eigenpair residual {worst:.3e} exceeds tolerance {residual_tol:.1e}"
+            f"eigenpair residual {worst:.3e} exceeds tolerance {RESIDUAL_TOL:.1e}"
         )
     return EigenSolution(
         eigenvalues=eigenvalues,
@@ -119,13 +113,3 @@ def solve_lowest(
         residual_norms=residuals,
         count=k_states,
     )
-
-
-def radial_expectation(solution: EigenSolution, pair: OperatorPair, state: int) -> float:
-    """Rayleigh quotient c^T H c / c^T S c of one converged state."""
-    if not 0 <= state < solution.count:
-        raise IndexError(f"state {state} out of range [0, {solution.count})")
-    c = solution.vectors[:, state]
-    hc = band_matvec(pair.h_band, c)
-    sc = band_matvec(pair.s_band, c)
-    return float((c @ hc) / (c @ sc))

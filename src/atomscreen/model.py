@@ -11,7 +11,6 @@ to convert to eV. All functions are pure and thread-safe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,8 +25,6 @@ __all__ = [
     "SymmetryChannel",
     "AtomSpec",
     "partition_alpha",
-    "classical_alpha",
-    "pair_potential",
     "effective_charge",
     "hydrogenic_energy",
     "screening_factor",
@@ -95,7 +92,6 @@ class AtomSpec:
 
     ``m_permutations`` is the integer numerator of the m/n factor that scales
     single-particle expectation values into physical state energies.
-    ``ground_config`` lists (nu, l, occupancy) shells, innermost first.
     """
 
     name: str
@@ -104,7 +100,6 @@ class AtomSpec:
     valence_nu: int
     valence_l: int
     m_permutations: int
-    ground_config: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
         if self.Z < 1:
@@ -115,11 +110,6 @@ class AtomSpec:
             raise ValueError("m_permutations must lie in [1, n_electrons]")
         if self.valence_nu < self.valence_l + 1:
             raise ValueError("valence_nu must be >= valence_l + 1")
-        occ = sum(occupancy for _, _, occupancy in self.ground_config)
-        if occ != self.n_electrons:
-            raise ValueError(
-                f"ground_config occupancies sum to {occ}, expected {self.n_electrons}"
-            )
 
     @property
     def m_over_n(self) -> float:
@@ -146,28 +136,6 @@ def partition_alpha(channel: SymmetryChannel) -> float:
     lt_i = l / (n - 1)
     lt_j = (l - 1) / (n + 2)
     return (2.0 * lt_i + 1.0) / (2.0 * lt_i + 2.0 * lt_j + 2.0)
-
-
-def classical_alpha(r_i: float, r_j: float) -> float:
-    """Radial partition fraction r_i^2 / (r_i^2 + r_j^2).
-
-    Reference operation only; the solvers use :func:`partition_alpha`.
-    """
-    if r_i < 0 or r_j < 0:
-        raise ValueError("radii must be non-negative")
-    if r_i == 0 and r_j == 0:
-        raise ValueError("classical_alpha is undefined at r_i = r_j = 0")
-    return r_i * r_i / (r_i * r_i + r_j * r_j)
-
-
-def pair_potential(r_i: float, r_j: float, z: float, alpha: float) -> float:
-    """Single pair term -Z/r_i + alpha / sqrt(r_i^2 + r_j^2).
-
-    Reference operation only; not used by the solvers.
-    """
-    if r_i <= 0:
-        raise ValueError("r_i must be positive")
-    return -z / r_i + alpha / math.hypot(r_i, r_j)
 
 
 def effective_charge(z: float, n_electrons: int, l: int) -> float:
@@ -261,23 +229,19 @@ def potential_value(model: Pseudopotential, r, atom: AtomSpec, l: int = 0):
     return value
 
 
-# Shell-by-shell ground configurations, (nu, l, occupancy) innermost first.
-_HE_CORE = ((1, 0, 2),)
-_NE_CORE = ((1, 0, 2), (2, 0, 2), (2, 1, 6))
-
 _CATALOG_ROWS = (
-    # name, Z, m, valence (nu, l), ground configuration
-    ("He", 2, 2, (1, 0), _HE_CORE),
-    ("Li", 3, 2, (2, 0), _HE_CORE + ((2, 0, 1),)),
-    ("Be", 4, 3, (2, 0), _HE_CORE + ((2, 0, 2),)),
-    ("B", 5, 3, (2, 1), _HE_CORE + ((2, 0, 2), (2, 1, 1))),
-    ("C", 6, 4, (2, 1), _HE_CORE + ((2, 0, 2), (2, 1, 2))),
-    ("N", 7, 4, (2, 1), _HE_CORE + ((2, 0, 2), (2, 1, 3))),
-    ("O", 8, 4, (2, 1), _HE_CORE + ((2, 0, 2), (2, 1, 4))),
-    ("F", 9, 5, (2, 1), _HE_CORE + ((2, 0, 2), (2, 1, 5))),
-    ("Ne", 10, 5, (2, 1), _HE_CORE + ((2, 0, 2), (2, 1, 6))),
-    ("Na", 11, 2, (3, 0), _NE_CORE + ((3, 0, 1),)),
-    ("Mg", 12, 3, (3, 0), _NE_CORE + ((3, 0, 2),)),
+    # name, Z, m, valence (nu, l)
+    ("He", 2, 2, (1, 0)),
+    ("Li", 3, 2, (2, 0)),
+    ("Be", 4, 3, (2, 0)),
+    ("B", 5, 3, (2, 1)),
+    ("C", 6, 4, (2, 1)),
+    ("N", 7, 4, (2, 1)),
+    ("O", 8, 4, (2, 1)),
+    ("F", 9, 5, (2, 1)),
+    ("Ne", 10, 5, (2, 1)),
+    ("Na", 11, 2, (3, 0)),
+    ("Mg", 12, 3, (3, 0)),
 )
 
 
@@ -293,7 +257,7 @@ def atom_catalog(mg_m: int = 3) -> tuple[AtomSpec, ...]:
     if mg_m not in (2, 3):
         raise ValueError("mg_m must be 2 or 3")
     atoms = []
-    for name, z, m, (valence_nu, valence_l), config in _CATALOG_ROWS:
+    for name, z, m, (valence_nu, valence_l) in _CATALOG_ROWS:
         if name == "Mg":
             m = mg_m
         atoms.append(
@@ -304,7 +268,6 @@ def atom_catalog(mg_m: int = 3) -> tuple[AtomSpec, ...]:
                 valence_nu=valence_nu,
                 valence_l=valence_l,
                 m_permutations=m,
-                ground_config=config,
             )
         )
     return tuple(atoms)

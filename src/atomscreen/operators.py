@@ -15,21 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TextIO
 
 import numpy as np
 
-from .bsplines import DesignTables, KnotBasis, QuadratureRule, design_tables
+from .bsplines import KnotBasis, Workspace
 from .model import AtomSpec, Pseudopotential, potential_value
 
 __all__ = [
     "OperatorPair",
     "assemble",
-    "band_profile",
     "band_to_dense",
     "band_matvec",
-    "dump_banded",
-    "load_banded_dump",
 ]
 
 
@@ -39,11 +35,10 @@ class OperatorPair:
 
     h_band: np.ndarray
     s_band: np.ndarray
-    dimension: int
-    bandwidth: int
-    channel_l: int
-    model: Pseudopotential
-    atom: AtomSpec
+
+    @property
+    def dimension(self) -> int:
+        return self.s_band.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,13 +80,12 @@ class _BandScatter:
 
 @dataclass(frozen=True, eq=False)
 class _GridBands:
-    """Channel-independent parts of the pair for one (basis, quad, tables).
+    """Channel-independent parts of the pair for one workspace.
 
     ``s_band``, ``t_band`` (1/2 <B'|B'>) and ``r2_band`` (<B|1/r^2|B>) are
     shared by every channel on the grid and therefore read-only.
     """
 
-    values: np.ndarray
     scatter: _BandScatter
     s_band: np.ndarray
     t_band: np.ndarray
@@ -104,22 +98,18 @@ def _gram(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _grid_bands(
-    basis: KnotBasis, quad: QuadratureRule, tables: DesignTables | None
-) -> _GridBands:
-    """Build (and memoise) the grid-only bands; the key objects hash by identity."""
-    if tables is None:
-        tables = design_tables(basis, quad)
-    scatter = _BandScatter.for_basis(basis)
+def _grid_bands(ws: Workspace) -> _GridBands:
+    """Build (and memoise) the grid-only bands; the workspace hashes by identity."""
+    scatter = _BandScatter.for_basis(ws.basis)
 
     def shared(local: np.ndarray) -> np.ndarray:
         band = scatter(local)
         band.setflags(write=False)
         return band
 
-    w, r = quad.weights, quad.nodes
+    tables = ws.tables
+    w, r = ws.quad.weights, ws.quad.nodes
     return _GridBands(
-        values=tables.values,
         scatter=scatter,
         s_band=shared(_gram(w, tables.values)),
         t_band=shared(_gram(0.5 * w, tables.derivs)),
@@ -128,46 +118,22 @@ def _grid_bands(
 
 
 def assemble(
-    basis: KnotBasis,
-    quad: QuadratureRule,
-    atom: AtomSpec,
-    l: int,
-    model: Pseudopotential,
-    tables: DesignTables | None = None,
+    ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential
 ) -> OperatorPair:
     """Assemble the banded (H, S) pair for one angular-momentum channel.
 
     H = T + <V> + l(l+1)/2 R2: only the potential term is integrated per
-    channel; S, T and R2 are built once per grid and shared (read-only).
+    channel; S, T and R2 are built once per workspace and shared (read-only).
     """
     if l < 0:
         raise ValueError("l must be non-negative")
-    if quad.nodes.shape[0] != basis.n_intervals:
-        raise ValueError("quadrature rule does not match the basis")
-    expected = (basis.n_intervals, quad.nodes.shape[1], basis.order_k)
-    if tables is not None and tables.values.shape != expected:
-        raise ValueError("design tables do not match basis and quadrature")
 
-    grid = _grid_bands(basis, quad, tables)
-    wv = quad.weights * potential_value(model, quad.nodes, atom, l)
-    h_band = grid.t_band + grid.scatter(_gram(wv, grid.values))
+    grid = _grid_bands(ws)
+    wv = ws.quad.weights * potential_value(model, ws.quad.nodes, atom, l)
+    h_band = grid.t_band + grid.scatter(_gram(wv, ws.tables.values))
     if l > 0:
         h_band += 0.5 * l * (l + 1) * grid.r2_band
-
-    return OperatorPair(
-        h_band=h_band,
-        s_band=grid.s_band,
-        dimension=basis.n_splines - 2,
-        bandwidth=basis.order_k - 1,
-        channel_l=l,
-        model=model,
-        atom=atom,
-    )
-
-
-def band_profile(pair: OperatorPair) -> tuple[int, int]:
-    """(dimension, bandwidth) of an assembled pair."""
-    return pair.dimension, pair.bandwidth
+    return OperatorPair(h_band=h_band, s_band=grid.s_band)
 
 
 def band_to_dense(band: np.ndarray) -> np.ndarray:
@@ -193,47 +159,3 @@ def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
         y[: n - d] += diag * x[d:]
         y[d:] += diag * x[: n - d]
     return y
-
-
-def dump_banded(pair: OperatorPair, stream: TextIO) -> None:
-    """Write both matrices as plain text, one line per stored diagonal.
-
-    Format: a comment header, then lines ``<matrix> <offset> <entries...>``
-    where matrix is H or S, offset is the superdiagonal index d, and the
-    entries are A[j-d, j] for j = d .. dimension-1 in full (round-trip)
-    precision.
-    """
-    stream.write("# banded symmetric operator pair\n")
-    stream.write(
-        f"# dimension={pair.dimension} bandwidth={pair.bandwidth} "
-        f"l={pair.channel_l} model={pair.model.value} atom={pair.atom.name}\n"
-    )
-    bw = pair.bandwidth
-    for tag, band in (("H", pair.h_band), ("S", pair.s_band)):
-        for d in range(bw + 1):
-            entries = " ".join(repr(float(x)) for x in band[bw - d, d:])
-            stream.write(f"{tag} {d} {entries}\n")
-
-
-def load_banded_dump(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
-    """Read a dump_banded stream back into (h_band, s_band) arrays."""
-    diagonals: dict[str, dict[int, np.ndarray]] = {"H": {}, "S": {}}
-    dim = None
-    for line in stream:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            if line.startswith("# dimension="):
-                dim = int(line.split()[1].split("=")[1])
-            continue
-        tag, offset, *values = line.split()
-        diagonals[tag][int(offset)] = np.array([float(v) for v in values])
-    if dim is None or not diagonals["H"]:
-        raise ValueError("not a banded operator dump")
-    bw = max(diagonals["H"])
-    out = []
-    for tag in ("H", "S"):
-        band = np.zeros((bw + 1, dim))
-        for d, diag in diagonals[tag].items():
-            band[bw - d, d:] = diag
-        out.append(band)
-    return out[0], out[1]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bsplines import GridSpec, PAPER_GRID, build_workspace
 from .eigensolve import solve_lowest
@@ -43,7 +43,6 @@ __all__ = [
     "lithium_spectrum",
     "compare",
     "load_reference_records",
-    "format_reference_records",
     "reference_records",
     "HELIUM_TABLE_STATES",
     "LITHIUM_TABLE_STATES",
@@ -133,7 +132,7 @@ def _solve_channel_cached(
     grid: GridSpec,
 ) -> tuple[LabeledState, ...]:
     ws = build_workspace(grid)
-    pair = assemble(ws.basis, ws.quad, atom, l, model, tables=ws.tables)
+    pair = assemble(ws, atom, l, model)
     solution = solve_lowest(pair, count)
     scale = atom.m_over_n
     states = []
@@ -323,19 +322,6 @@ def _parse_reference_text(text: str) -> tuple[ReferenceRecord, ...]:
     if not records:
         raise ValueError("no reference records found")
     return tuple(records)
-
-
-def format_reference_records(records: Iterable[ReferenceRecord]) -> str:
-    """Serialize records to the golden-data line format (without comments).
-
-    Line format: ``label present1_ev present2_ev reference_ev table``.
-    """
-    lines = ["# version: 1"]
-    for r in records:
-        lines.append(
-            f"{r.label} {r.present1_ev:g} {r.present2_ev:g} {r.reference_ev:g} {r.table}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=4)

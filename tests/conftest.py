@@ -6,7 +6,6 @@ import numpy as np
 
 from atomscreen.bsplines import KnotBasis, QuadratureRule, eval_bspline
 from atomscreen.operators import OperatorPair
-from atomscreen.model import Pseudopotential, AtomSpec
 
 
 def dense_to_band(dense: np.ndarray, bandwidth: int) -> np.ndarray:
@@ -27,15 +26,9 @@ def random_banded_pair(rng: np.random.Generator, dim: int, bandwidth: int) -> Op
     factor = np.triu(factor, -bandwidth)
     factor[np.arange(dim), np.arange(dim)] = rng.uniform(1.0, 2.0, dim)
     s_dense = factor @ factor.T
-    atom = AtomSpec("He", 2, 2, 1, 0, 2, ((1, 0, 2),))
     return OperatorPair(
         h_band=dense_to_band(h_dense, bandwidth),
         s_band=dense_to_band(s_dense, bandwidth),
-        dimension=dim,
-        bandwidth=bandwidth,
-        channel_l=0,
-        model=Pseudopotential.BARE_COULOMB,
-        atom=atom,
     )
 
 

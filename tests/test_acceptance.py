@@ -118,9 +118,8 @@ def test_criterion_4_oracle_equivalence():
 
     # bare hydrogen nu <= 4 against -1/(2 nu^2)
     ws = build_workspace()
-    hydrogen = AtomSpec("H", 1, 1, 1, 0, 1, ((1, 0, 1),))
-    pair = assemble(ws.basis, ws.quad, hydrogen, 0, Pseudopotential.BARE_COULOMB,
-                    ws.tables)
+    hydrogen = AtomSpec("H", 1, 1, 1, 0, 1)
+    pair = assemble(ws, hydrogen, 0, Pseudopotential.BARE_COULOMB)
     bare = solve_lowest(pair, 4).eigenvalues
     worst_bare = max(abs(bare[nu - 1] + 0.5 / nu**2) for nu in range(1, 5))
 
@@ -183,7 +182,7 @@ def test_criterion_6_property_suite():
     details.append(f"partition-of-unity {unity_dev:.2e}")
 
     lithium = catalog_atom("Li")
-    pair = assemble(ws.basis, ws.quad, lithium, 0, A, ws.tables)
+    pair = assemble(ws, lithium, 0, A)
     sla.cholesky_banded(pair.s_band, lower=False)  # raises if not SPD
     details.append("overlap SPD")
 
@@ -212,11 +211,7 @@ def test_criterion_6_property_suite():
 
     # shift invariance at the physical (hartree) scale of the radial pair
     sigma = 3.25
-    shifted = OperatorPair(
-        h_band=pair.h_band + sigma * pair.s_band, s_band=pair.s_band,
-        dimension=pair.dimension, bandwidth=pair.bandwidth,
-        channel_l=pair.channel_l, model=pair.model, atom=pair.atom,
-    )
+    shifted = OperatorPair(h_band=pair.h_band + sigma * pair.s_band, s_band=pair.s_band)
     shift_dev = float(np.max(np.abs(
         solve_lowest(shifted, 4).eigenvalues - (solution.eigenvalues + sigma)
     )))

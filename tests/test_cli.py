@@ -2,11 +2,23 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from atomscreen.cli import MODEL_A_TOLERANCES, main, parse_config_file, resolve_config
+from atomscreen.bsplines import PAPER_GRID, GridSpec
+from atomscreen.cli import (
+    _FIELD_PARSERS,
+    _GRID_FLAGS,
+    MODEL_A_TOLERANCES,
+    ConfigError,
+    _checked_grid,
+    build_parser,
+    main,
+    parse_config_file,
+    resolve_config,
+)
 from atomscreen.model import effective_charge, hydrogenic_energy
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -205,8 +217,7 @@ class TestConfigFile:
 
     def test_defaults_without_config(self):
         parsed = resolve_config(type("Args", (), {"config": None})())
-        assert (parsed.splines, parsed.order, parsed.rmax) == (600, 10, 200.0)
-        assert parsed.knots == "exp-linear"
+        assert parsed.grid == PAPER_GRID
         assert parsed.units == "paper"
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -234,6 +245,42 @@ class TestConfigFile:
         assert code == 2
 
 
+class TestGridConfig:
+    """Each grid flag (and config key) sets one GridSpec field; the
+    defaults live only in GridSpec."""
+
+    def test_grid_flags_cover_every_grid_spec_field(self):
+        assert sorted(_GRID_FLAGS.values()) == sorted(f.name for f in fields(GridSpec))
+        assert set(_GRID_FLAGS) <= set(_FIELD_PARSERS)
+
+    def test_config_file_sets_every_grid_field_and_flags_win(self, tmp_path):
+        config = tmp_path / "grid.conf"
+        config.write_text(
+            "splines = 80\norder = 6\nrmax = 60\nknots = linear\n"
+            "rfirst = 0.01\nquad-nodes = 12\n",
+            encoding="utf-8",
+        )
+        args = build_parser().parse_args(["table1", "--config", str(config), "--order", "8"])
+        assert resolve_config(args).grid == GridSpec(
+            n_splines=80, order_k=8, r_max=60.0, knot_kind="linear", r_first=0.01,
+            nodes_per_interval=12,
+        )
+
+    def test_paper_grid_passes_the_checks(self):
+        assert _checked_grid(PAPER_GRID) is PAPER_GRID
+
+    @pytest.mark.parametrize(("change", "message"), [
+        ({"n_splines": 20}, "splines must exceed 2 * order"),
+        ({"r_first": 200.0}, "rfirst must lie in (0, rmax)"),
+        ({"nodes_per_interval": 0}, "quad-nodes must be >= 1"),
+        ({"order_k": 1}, "order must lie in [2, 15]"),
+    ], ids=["splines", "rfirst", "quad-nodes", "order"])
+    def test_bad_grid_is_config_error(self, change, message):
+        with pytest.raises(ConfigError) as info:
+            _checked_grid(replace(PAPER_GRID, **change))
+        assert str(info.value) == message
+
+
 class TestExitContract:
     def test_unknown_flag_exits_two(self):
         result = run_subprocess(["table1", "--bogus"])
@@ -242,3 +289,16 @@ class TestExitContract:
     def test_missing_subcommand_exits_two(self):
         result = run_subprocess([])
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "3", "3", "0", "--order", "1"],
+        ["solve", "3", "3", "0", "--order", "16"],
+        ["converge", "--sweep-nodes", "0,10"],
+        ["converge", "--sweep-splines", "10,600"],
+        ["converge", "--atom", "Xx", "--sweep-nodes", "10,20"],
+        ["solve", "3", "3", "0", "--kstates", "1000"],
+    ], ids=["order-1", "order-16", "sweep-nodes-0", "sweep-splines-10", "unknown-atom",
+            "kstates-1000"])
+    def test_bad_option_values_exit_two(self, args, capsys):
+        assert main(args) == 2
+        assert capsys.readouterr().out == ""

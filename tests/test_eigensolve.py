@@ -8,7 +8,6 @@ from atomscreen.bsplines import build_workspace
 from atomscreen.eigensolve import (
     DegenerateSpectrumError,
     EigensolverError,
-    radial_expectation,
     solve_lowest,
 )
 from atomscreen.model import (
@@ -20,14 +19,13 @@ from atomscreen.model import (
 )
 from atomscreen.operators import OperatorPair, assemble, band_matvec, band_to_dense
 
-HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1, ((1, 0, 1),))
+HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
 
 @pytest.fixture(scope="module")
 def hydrogen_solution():
     ws = build_workspace()
-    pair = assemble(ws.basis, ws.quad, HYDROGEN, 0, Pseudopotential.BARE_COULOMB,
-                    ws.tables)
+    pair = assemble(ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
     return pair, solve_lowest(pair, 6)
 
 
@@ -41,8 +39,7 @@ class TestSolveLowest:
     def test_lithium_p_channel_matches_analytic(self):
         ws = build_workspace()
         lithium = catalog_atom("Li")
-        pair = assemble(ws.basis, ws.quad, lithium, 1,
-                        Pseudopotential.SYMMETRY_DEPENDENT, ws.tables)
+        pair = assemble(ws, lithium, 1, Pseudopotential.SYMMETRY_DEPENDENT)
         solution = solve_lowest(pair, 1)
         exact = hydrogenic_energy(effective_charge(3, 3, 1), 2)
         assert exact == pytest.approx(-0.196201, abs=1e-6)
@@ -74,15 +71,7 @@ class TestSolveLowest:
         rng = np.random.default_rng(99)
         pair = random_banded_pair(rng, 25, 4)
         sigma = 3.25
-        shifted = OperatorPair(
-            h_band=pair.h_band + sigma * pair.s_band,
-            s_band=pair.s_band,
-            dimension=pair.dimension,
-            bandwidth=pair.bandwidth,
-            channel_l=pair.channel_l,
-            model=pair.model,
-            atom=pair.atom,
-        )
+        shifted = OperatorPair(h_band=pair.h_band + sigma * pair.s_band, s_band=pair.s_band)
         base = solve_lowest(pair, 10).eigenvalues
         moved = solve_lowest(shifted, 10).eigenvalues
         # the absolute 1e-12 bound presumes hartree-scale spectra; random
@@ -114,55 +103,30 @@ class TestSolveLowest:
     def test_rejects_indefinite_overlap(self):
         rng = np.random.default_rng(1)
         pair = random_banded_pair(rng, 12, 3)
-        broken = OperatorPair(
-            h_band=pair.h_band,
-            s_band=-pair.s_band,
-            dimension=pair.dimension,
-            bandwidth=pair.bandwidth,
-            channel_l=pair.channel_l,
-            model=pair.model,
-            atom=pair.atom,
-        )
+        broken = OperatorPair(h_band=pair.h_band, s_band=-pair.s_band)
         with pytest.raises(EigensolverError):
             solve_lowest(broken, 2)
 
     def test_degenerate_spectrum_fails_loudly(self):
         rng = np.random.default_rng(2)
         pair = random_banded_pair(rng, 12, 3)
-        degenerate = OperatorPair(
-            h_band=pair.s_band.copy(),  # H = S makes every eigenvalue exactly 1
-            s_band=pair.s_band,
-            dimension=pair.dimension,
-            bandwidth=pair.bandwidth,
-            channel_l=pair.channel_l,
-            model=pair.model,
-            atom=pair.atom,
-        )
+        # H = S makes every eigenvalue exactly 1
+        degenerate = OperatorPair(h_band=pair.s_band.copy(), s_band=pair.s_band)
         with pytest.raises(DegenerateSpectrumError):
             solve_lowest(degenerate, 3)
 
 
-class TestRadialExpectation:
+class TestOperatorPair:
+    def test_dimension_is_the_overlap_column_count(self):
+        pair = random_banded_pair(np.random.default_rng(5), 12, 3)
+        assert pair.dimension == pair.s_band.shape[1] == 12
+        assert pair.h_band.shape == pair.s_band.shape == (4, 12)
+
+
+class TestRayleighQuotient:
     def test_equals_eigenvalue(self, hydrogen_solution):
         pair, solution = hydrogen_solution
         for state in range(solution.count):
-            expectation = radial_expectation(solution, pair, state)
-            assert expectation == pytest.approx(solution.eigenvalues[state], abs=1e-10)
-
-    def test_hydrogen_ground_state(self, hydrogen_solution):
-        pair, solution = hydrogen_solution
-        assert radial_expectation(solution, pair, 0) == pytest.approx(-0.5, abs=1e-9)
-
-    def test_helium_screened_ground_state(self):
-        ws = build_workspace()
-        helium = catalog_atom("He")
-        pair = assemble(ws.basis, ws.quad, helium, 0,
-                        Pseudopotential.SYMMETRY_DEPENDENT, ws.tables)
-        solution = solve_lowest(pair, 1)
-        exact = hydrogenic_energy(effective_charge(2, 2, 0), 1)
-        assert radial_expectation(solution, pair, 0) == pytest.approx(exact, abs=1e-8)
-
-    def test_rejects_bad_index(self, hydrogen_solution):
-        pair, solution = hydrogen_solution
-        with pytest.raises(IndexError):
-            radial_expectation(solution, pair, solution.count)
+            c = solution.vectors[:, state]
+            quotient = (c @ band_matvec(pair.h_band, c)) / (c @ band_matvec(pair.s_band, c))
+            assert quotient == pytest.approx(solution.eigenvalues[state], abs=1e-10)

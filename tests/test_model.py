@@ -15,10 +15,8 @@ from atomscreen.model import (
     atom_catalog,
     catalog_atom,
     central_screening_amplitude,
-    classical_alpha,
     effective_charge,
     hydrogenic_energy,
-    pair_potential,
     partition_alpha,
     potential_value,
     screening_factor,
@@ -50,40 +48,6 @@ class TestPartitionAlpha:
     def test_always_a_proper_fraction(self, l, n):
         alpha = partition_alpha(SymmetryChannel(l, n))
         assert 0.0 < alpha < 1.0
-
-
-class TestClassicalAlpha:
-    def test_equal_radii_share_equally(self):
-        for r in (0.1, 1.0, 37.5):
-            assert classical_alpha(r, r) == pytest.approx(0.5, abs=1e-15)
-
-    def test_partner_at_origin(self):
-        assert classical_alpha(2.0, 0.0) == 1.0
-
-    def test_hand_value(self):
-        assert classical_alpha(1.0, 2.0) == pytest.approx(0.2, abs=1e-15)
-
-    def test_rejects_double_origin(self):
-        with pytest.raises(ValueError):
-            classical_alpha(0.0, 0.0)
-
-
-class TestPairPotential:
-    def test_hand_value_unit_charges(self):
-        # -1/1 + 0.5/1
-        assert pair_potential(1.0, 0.0, 1.0, 0.5) == pytest.approx(-0.5, abs=1e-15)
-
-    def test_zero_partition_is_bare_coulomb(self):
-        for r_i, r_j, z in ((0.5, 3.0, 2.0), (4.0, 0.1, 9.0)):
-            assert pair_potential(r_i, r_j, z, 0.0) == pytest.approx(-z / r_i, abs=1e-15)
-
-    def test_hand_value_three_four(self):
-        # -2/3 + 1/5
-        assert pair_potential(3.0, 4.0, 2.0, 1.0) == pytest.approx(-2 / 3 + 0.2, abs=1e-12)
-
-    def test_rejects_origin(self):
-        with pytest.raises(ValueError):
-            pair_potential(0.0, 1.0, 1.0, 0.5)
 
 
 class TestEffectiveCharge:
@@ -207,11 +171,11 @@ class TestPotentialValue:
 
     def test_central_amplitude_single_electron_vanishes(self):
         assert central_screening_amplitude(5, 1) == 0.0
-        hydrogen = AtomSpec("H", 1, 1, 1, 0, 1, ((1, 0, 1),))
+        hydrogen = AtomSpec("H", 1, 1, 1, 0, 1)
         assert potential_value(Pseudopotential.CENTRAL_SCREENING, 2.0, hydrogen, 0) == -0.5
 
     def test_bare_coulomb(self):
-        hydrogen = AtomSpec("H", 1, 1, 1, 0, 1, ((1, 0, 1),))
+        hydrogen = AtomSpec("H", 1, 1, 1, 0, 1)
         assert potential_value(Pseudopotential.BARE_COULOMB, 2.0, hydrogen, 0) == -0.5
 
     def test_rejects_non_positive_radius(self):
@@ -246,17 +210,13 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog_atom("Xx")
 
-    def test_occupancies_are_validated(self):
-        with pytest.raises(ValueError):
-            AtomSpec("Bad", 3, 3, 2, 0, 2, ((1, 0, 2),))
-
     def test_m_range_is_validated(self):
         with pytest.raises(ValueError):
-            AtomSpec("Bad", 3, 3, 2, 0, 4, ((1, 0, 2), (2, 0, 1)))
+            AtomSpec("Bad", 3, 3, 2, 0, 4)
 
     def test_valence_labels_are_validated(self):
         with pytest.raises(ValueError):
-            AtomSpec("Bad", 3, 3, 1, 1, 2, ((1, 0, 2), (2, 0, 1)))
+            AtomSpec("Bad", 3, 3, 1, 1, 2)
 
 
 class TestUnits:

@@ -1,11 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 
 from conftest import brute_force_matrix
 
-from atomscreen.bsplines import GridSpec, build_workspace, make_knots, make_quadrature
+from atomscreen.bsplines import GridSpec, build_workspace
 from atomscreen.eigensolve import solve_lowest
 from atomscreen.model import (
     AtomSpec,
@@ -15,16 +13,9 @@ from atomscreen.model import (
     hydrogenic_energy,
     potential_value,
 )
-from atomscreen.operators import (
-    assemble,
-    band_matvec,
-    band_profile,
-    band_to_dense,
-    dump_banded,
-    load_banded_dump,
-)
+from atomscreen.operators import assemble, band_matvec, band_to_dense
 
-HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1, ((1, 0, 1),))
+HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -46,25 +37,24 @@ def coarse_ws():
 
 class TestAssemble:
     def test_hydrogen_ground_state(self, paper_ws):
-        pair = assemble(paper_ws.basis, paper_ws.quad, HYDROGEN, 0,
-                        Pseudopotential.BARE_COULOMB, paper_ws.tables)
+        pair = assemble(paper_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
         solution = solve_lowest(pair, 1)
         assert solution.eigenvalues[0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_helium_screened_ground_state(self, paper_ws):
         helium = catalog_atom("He")
-        pair = assemble(paper_ws.basis, paper_ws.quad, helium, 0,
-                        Pseudopotential.SYMMETRY_DEPENDENT, paper_ws.tables)
+        pair = assemble(paper_ws, helium, 0, Pseudopotential.SYMMETRY_DEPENDENT)
         solution = solve_lowest(pair, 1)
         exact = hydrogenic_energy(effective_charge(2, 2, 0), 1)
         assert exact == pytest.approx(-0.727580, abs=1e-6)
         assert solution.eigenvalues[0] == pytest.approx(exact, abs=1e-8)
 
     def test_matches_brute_force_on_coarse_grid(self):
-        basis = make_knots(12.0, 16, 4, "exp-linear", 1e-2)
-        quad = make_quadrature(basis, 8)
+        ws = build_workspace(GridSpec(n_splines=16, order_k=4, r_max=12.0, r_first=1e-2,
+                                      nodes_per_interval=8))
+        basis, quad = ws.basis, ws.quad
         helium = catalog_atom("He")
-        pair = assemble(basis, quad, helium, 1, Pseudopotential.SYMMETRY_DEPENDENT)
+        pair = assemble(ws, helium, 1, Pseudopotential.SYMMETRY_DEPENDENT)
 
         z_eff = effective_charge(2, 2, 1)
         s_ref = brute_force_matrix(basis, quad, lambda r: np.ones_like(r))
@@ -77,8 +67,7 @@ class TestAssemble:
 
     def test_overlap_row_sums_integrate_central_splines(self, coarse_ws):
         basis, quad = coarse_ws.basis, coarse_ws.quad
-        pair = assemble(basis, quad, HYDROGEN, 0, Pseudopotential.BARE_COULOMB,
-                        coarse_ws.tables)
+        pair = assemble(coarse_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
         s_dense = band_to_dense(pair.s_band)
         k = basis.order_k
         # boundary splines are trimmed, so row sums only reproduce the
@@ -98,18 +87,18 @@ class TestAssemble:
             assert s_dense[active].sum() == pytest.approx(total, rel=1e-12)
 
     def test_symmetry_and_band_structure(self, coarse_ws):
-        pair = assemble(coarse_ws.basis, coarse_ws.quad, HYDROGEN, 2,
-                        Pseudopotential.BARE_COULOMB, coarse_ws.tables)
+        pair = assemble(coarse_ws, HYDROGEN, 2, Pseudopotential.BARE_COULOMB)
         h_dense = band_to_dense(pair.h_band)
         assert np.max(np.abs(h_dense - h_dense.T)) <= 1e-13 * np.max(np.abs(h_dense))
-        beyond = np.triu(np.ones_like(h_dense, dtype=bool), pair.bandwidth + 1)
+        bandwidth = coarse_ws.basis.order_k - 1
+        beyond = np.triu(np.ones_like(h_dense, dtype=bool), bandwidth + 1)
         assert np.all(h_dense[beyond] == 0.0)
 
     def test_centrifugal_block_is_positive_semidefinite(self):
-        basis = make_knots(8.0, 14, 3, "exp-linear", 1e-2)
-        quad = make_quadrature(basis, 6)
+        ws = build_workspace(GridSpec(n_splines=14, order_k=3, r_max=8.0, r_first=1e-2,
+                                      nodes_per_interval=6))
         l = 2
-        centrifugal = brute_force_matrix(basis, quad, lambda r: l * (l + 1) / (2 * r**2))
+        centrifugal = brute_force_matrix(ws.basis, ws.quad, lambda r: l * (l + 1) / (2 * r**2))
         eigenvalues = np.linalg.eigvalsh(centrifugal)
         assert eigenvalues.min() > 0.0
 
@@ -119,8 +108,7 @@ class TestAssemble:
         for nodes in (20, 40):
             grid = GridSpec(nodes_per_interval=nodes)
             ws = build_workspace(grid)
-            pair = assemble(ws.basis, ws.quad, lithium, 0,
-                            Pseudopotential.CENTRAL_SCREENING, ws.tables)
+            pair = assemble(ws, lithium, 0, Pseudopotential.CENTRAL_SCREENING)
             results.append(solve_lowest(pair, 4).eigenvalues)
         assert np.max(np.abs(results[0] - results[1])) <= 1e-10
 
@@ -130,22 +118,18 @@ class TestAssemble:
         exact = [hydrogenic_energy(1.0, nu) for nu in (1, 2, 3)]
         previous = None
         for n_splines in (24, 36, 54):
-            basis = make_knots(40.0, n_splines, 5, "exp-linear", 1e-3)
-            quad = make_quadrature(basis, 10)
-            pair = assemble(basis, quad, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
+            ws = build_workspace(GridSpec(n_splines=n_splines, order_k=5, r_max=40.0,
+                                          r_first=1e-3, nodes_per_interval=10))
+            pair = assemble(ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
             values = solve_lowest(pair, 3).eigenvalues
             assert np.all(values > np.asarray(exact))
             if previous is not None:
                 assert np.all(values < previous)
             previous = values
 
-    def test_dimension_mismatch_is_rejected(self, coarse_ws):
-        other = make_knots(30.0, 50, 5, "exp-linear", 1e-3)
+    def test_negative_l_is_rejected(self, coarse_ws):
         with pytest.raises(ValueError):
-            assemble(other, coarse_ws.quad, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
-        with pytest.raises(ValueError):
-            assemble(coarse_ws.basis, coarse_ws.quad, HYDROGEN, -1,
-                     Pseudopotential.BARE_COULOMB)
+            assemble(coarse_ws, HYDROGEN, -1, Pseudopotential.BARE_COULOMB)
 
 
 def _per_channel_pair(ws, atom, l, model):
@@ -187,60 +171,38 @@ class TestSharedGridBands:
 
     @pytest.mark.parametrize("ws_name", ["paper_ws", "coarse_k4_ws"])
     @pytest.mark.parametrize("model", list(Pseudopotential))
-    @pytest.mark.parametrize("pass_tables", [True, False])
-    def test_matches_per_channel_formula(self, request, ws_name, model, pass_tables):
+    def test_matches_per_channel_formula(self, request, ws_name, model):
         ws = request.getfixturevalue(ws_name)
-        tables = ws.tables if pass_tables else None
         for atom in (catalog_atom("He"), catalog_atom("Li"), catalog_atom("Na")):
             for l in range(4):
-                pair = assemble(ws.basis, ws.quad, atom, l, model, tables)
+                pair = assemble(ws, atom, l, model)
                 h_ref, s_ref = _per_channel_pair(ws, atom, l, model)
                 _assert_band_close(pair.h_band, h_ref, 1e-13)
                 _assert_band_close(pair.s_band, s_ref, 1e-13)
 
     def test_shared_bands_are_read_only(self, coarse_ws):
-        first = assemble(coarse_ws.basis, coarse_ws.quad, HYDROGEN, 0,
-                         Pseudopotential.BARE_COULOMB, coarse_ws.tables)
+        first = assemble(coarse_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
         with pytest.raises(ValueError):
             first.s_band[0, 0] = 1.0
         with pytest.raises(ValueError):
             first.s_band *= 2.0
-        second = assemble(coarse_ws.basis, coarse_ws.quad, HYDROGEN, 1,
-                          Pseudopotential.BARE_COULOMB, coarse_ws.tables)
+        second = assemble(coarse_ws, HYDROGEN, 1, Pseudopotential.BARE_COULOMB)
         assert second.s_band is first.s_band
         # each channel's H is its own array, so writing one leaves the next alone
         first.h_band[:] = 0.0
-        third = assemble(coarse_ws.basis, coarse_ws.quad, HYDROGEN, 0,
-                         Pseudopotential.BARE_COULOMB, coarse_ws.tables)
+        third = assemble(coarse_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
         assert np.any(third.h_band != 0.0)
 
 
 class TestBandHelpers:
-    def test_band_profile_paper_settings(self, paper_ws):
-        pair = assemble(paper_ws.basis, paper_ws.quad, HYDROGEN, 0,
-                        Pseudopotential.BARE_COULOMB, paper_ws.tables)
-        assert band_profile(pair) == (598, 9)
-
-    def test_band_profile_small(self):
-        basis = make_knots(10.0, 20, 4, "linear")
-        quad = make_quadrature(basis, 8)
-        pair = assemble(basis, quad, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
-        assert band_profile(pair) == (18, 3)
+    def test_band_shape_paper_settings(self, paper_ws):
+        pair = assemble(paper_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
+        assert pair.dimension == 598
+        assert pair.h_band.shape == pair.s_band.shape == (10, 598)
 
     def test_band_matvec_matches_dense(self, coarse_ws):
-        pair = assemble(coarse_ws.basis, coarse_ws.quad, HYDROGEN, 1,
-                        Pseudopotential.BARE_COULOMB, coarse_ws.tables)
+        pair = assemble(coarse_ws, HYDROGEN, 1, Pseudopotential.BARE_COULOMB)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(pair.dimension)
         dense = band_to_dense(pair.h_band)
         assert band_matvec(pair.h_band, x) == pytest.approx(dense @ x, rel=1e-13)
-
-    def test_dump_round_trip(self, coarse_ws):
-        pair = assemble(coarse_ws.basis, coarse_ws.quad, HYDROGEN, 0,
-                        Pseudopotential.BARE_COULOMB, coarse_ws.tables)
-        buffer = io.StringIO()
-        dump_banded(pair, buffer)
-        buffer.seek(0)
-        h_band, s_band = load_banded_dump(buffer)
-        assert np.array_equal(h_band, pair.h_band)
-        assert np.array_equal(s_band, pair.s_band)

@@ -1,10 +1,8 @@
+from importlib import resources
+
 import pytest
 
-from atomscreen.spectra import (
-    format_reference_records,
-    load_reference_records,
-    reference_records,
-)
+from atomscreen.spectra import load_reference_records, reference_records
 
 
 class TestBundledData:
@@ -29,18 +27,11 @@ class TestBundledData:
         assert table3["4f"].present1_ev == -0.834
         assert table3["4f"].reference_ev == -0.848
 
-    def test_round_trip(self):
-        from atomscreen.spectra import _parse_reference_text
-
-        records = load_reference_records()
-        text = format_reference_records(records)
-        assert _parse_reference_text(text) == records
-
     def test_load_from_explicit_path(self, tmp_path):
-        records = load_reference_records()
+        bundled = resources.files("atomscreen").joinpath("data/reference_tables_v1.txt")
         path = tmp_path / "golden.txt"
-        path.write_text(format_reference_records(records), encoding="utf-8")
-        assert load_reference_records(path) == records
+        path.write_bytes(bundled.read_bytes())
+        assert load_reference_records(path) == load_reference_records()
 
 
 class TestParsing:

@@ -37,7 +37,7 @@ class TestSolveChannel:
 
     def test_hydrogen_like_ion_has_unit_scaling(self):
         for z in (1, 4):
-            ion = AtomSpec(f"Z{z}", z, 1, 1, 0, 1, ((1, 0, 1),))
+            ion = AtomSpec(f"Z{z}", z, 1, 1, 0, 1)
             states = solve_channel(ion, Pseudopotential.BARE_COULOMB, 0, 1)
             assert states[0].raw_energy == pytest.approx(-z * z / 2.0, abs=1e-8)
             assert states[0].scaled_energy == states[0].raw_energy
@@ -88,7 +88,7 @@ class TestIonizationPotential:
         assert printed_mn == pytest.approx(default * 2 / 3, rel=1e-12)
 
     def test_rejects_single_electron(self):
-        hydrogen = AtomSpec("H", 1, 1, 1, 0, 1, ((1, 0, 1),))
+        hydrogen = AtomSpec("H", 1, 1, 1, 0, 1)
         with pytest.raises(ValueError):
             ionization_potential(hydrogen, A)
 
