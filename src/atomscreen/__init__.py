@@ -47,7 +47,6 @@ from .operators import (
     OperatorPair,
     assemble,
     band_matvec,
-    band_to_dense,
 )
 from .spectra import (
     ComparisonReport,

@@ -159,10 +159,14 @@ def _checked_grid(grid: GridSpec) -> GridSpec:
     """Reject a grid the solver cannot build, as a usage error."""
     if grid.n_splines <= 2 * grid.order_k:
         raise ConfigError("splines must exceed 2 * order")
-    if not 0 < grid.r_first < grid.r_max:
+    if grid.knot_kind == "exp-linear" and not 0 < grid.r_first < grid.r_max:
         raise ConfigError("rfirst must lie in (0, rmax)")
     if grid.nodes_per_interval < 1:
         raise ConfigError("quad-nodes must be >= 1")
+    # Gauss-Legendre with n nodes integrates the degree-2(k-1) spline
+    # products exactly only from n >= k; fewer breaks the variational bound.
+    if grid.nodes_per_interval < grid.order_k:
+        raise ConfigError("quad-nodes must be >= order")
     if not 2 <= grid.order_k <= 15:
         raise ConfigError("order must lie in [2, 15]")
     return grid

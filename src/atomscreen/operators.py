@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bsplines import KnotBasis, Workspace
 from .model import AtomSpec, Pseudopotential, potential_value
@@ -24,7 +25,7 @@ from .model import AtomSpec, Pseudopotential, potential_value
 __all__ = [
     "OperatorPair",
     "assemble",
-    "band_to_dense",
+    "band_to_general",
     "band_matvec",
 ]
 
@@ -136,26 +137,22 @@ def assemble(
     return OperatorPair(h_band=h_band, s_band=grid.s_band)
 
 
-def band_to_dense(band: np.ndarray) -> np.ndarray:
-    """Expand symmetric upper-banded storage to a full dense matrix."""
-    rows, n = band.shape
-    bw = rows - 1
-    dense = np.zeros((n, n))
+def band_to_general(band: np.ndarray) -> np.ndarray:
+    """Both triangles of a symmetric upper band, ``rows[bw + d, j] = A[j + d, j]``
+    for d in [-bw, bw]: LAPACK's general band layout with kl = ku = bw."""
+    bw, n = band.shape[0] - 1, band.shape[1]
+    rows = np.zeros((2 * bw + 1, n), dtype=band.dtype)
     for d in range(bw + 1):
-        diag = band[bw - d, d:]
-        idx = np.arange(n - d)
-        dense[idx, idx + d] = diag
-        dense[idx + d, idx] = diag
-    return dense
+        rows[bw - d, d:] = band[bw - d, d:]
+        rows[bw + d, : n - d] = band[bw - d, d:]
+    return rows
 
 
 def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multiply a symmetric upper-banded matrix by a vector."""
-    rows, n = band.shape
-    bw = rows - 1
-    y = band[bw] * x
-    for d in range(1, bw + 1):
-        diag = band[bw - d, d:]
-        y[: n - d] += diag * x[d:]
-        y[d:] += diag * x[: n - d]
-    return y
+    """Multiply a symmetric upper-banded matrix by a vector, or by each row
+    of a stack of vectors, in the precision of ``x``."""
+    bw, n = band.shape[0] - 1, band.shape[1]
+    padded = np.zeros(x.shape[:-1] + (n + 2 * bw,), dtype=np.result_type(band, x))
+    padded[..., bw : bw + n] = x
+    windows = sliding_window_view(padded, 2 * bw + 1, axis=-1)  # [..., i, o] = x[i + o - bw]
+    return np.einsum("...io,oi->...i", windows, band_to_general(band))

@@ -273,8 +273,9 @@ class TestGridConfig:
         ({"n_splines": 20}, "splines must exceed 2 * order"),
         ({"r_first": 200.0}, "rfirst must lie in (0, rmax)"),
         ({"nodes_per_interval": 0}, "quad-nodes must be >= 1"),
+        ({"nodes_per_interval": 9}, "quad-nodes must be >= order"),
         ({"order_k": 1}, "order must lie in [2, 15]"),
-    ], ids=["splines", "rfirst", "quad-nodes", "order"])
+    ], ids=["splines", "rfirst", "quad-nodes", "quad-nodes-below-order", "order"])
     def test_bad_grid_is_config_error(self, change, message):
         with pytest.raises(ConfigError) as info:
             _checked_grid(replace(PAPER_GRID, **change))
@@ -297,8 +298,16 @@ class TestExitContract:
         ["converge", "--sweep-splines", "10,600"],
         ["converge", "--atom", "Xx", "--sweep-nodes", "10,20"],
         ["solve", "3", "3", "0", "--kstates", "1000"],
+        ["solve", "3", "3", "0", "--quad-nodes", "3"],
     ], ids=["order-1", "order-16", "sweep-nodes-0", "sweep-splines-10", "unknown-atom",
-            "kstates-1000"])
+            "kstates-1000", "quad-nodes-3"])
     def test_bad_option_values_exit_two(self, args, capsys):
         assert main(args) == 2
         assert capsys.readouterr().out == ""
+
+    def test_rfirst_is_ignored_on_linear_knots(self, capsys):
+        base = ["solve", "3", "3", "0", "--knots", "linear", "--format", "csv"]
+        assert main(base) == 0
+        expected = capsys.readouterr().out
+        assert main([*base, "--rfirst", "300"]) == 0
+        assert capsys.readouterr().out == expected

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import random_banded_pair
+from conftest import band_to_dense, dense_to_band, random_banded_pair
 
-from atomscreen.bsplines import build_workspace
+from atomscreen.bsplines import PAPER_GRID, GridSpec, build_workspace
 from atomscreen.eigensolve import (
     DegenerateSpectrumError,
     EigensolverError,
@@ -17,7 +19,7 @@ from atomscreen.model import (
     effective_charge,
     hydrogenic_energy,
 )
-from atomscreen.operators import OperatorPair, assemble, band_matvec, band_to_dense
+from atomscreen.operators import OperatorPair, assemble, band_matvec
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
@@ -114,6 +116,52 @@ class TestSolveLowest:
         degenerate = OperatorPair(h_band=pair.s_band.copy(), s_band=pair.s_band)
         with pytest.raises(DegenerateSpectrumError):
             solve_lowest(degenerate, 3)
+
+
+class TestBandedPath:
+    def test_large_grid_never_holds_a_dense_matrix(self):
+        ws = build_workspace(GridSpec(n_splines=1500))
+        pair = assemble(ws, catalog_atom("Li"), 0, Pseudopotential.SYMMETRY_DEPENDENT)
+        tracemalloc.start()
+        try:
+            solution = solve_lowest(pair, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense 1498 x 1498 float64 matrix alone is 17.9 MB
+        assert peak < 8e6
+        exact = hydrogenic_energy(effective_charge(3, 3, 0), 1)
+        assert solution.eigenvalues[0] == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [Pseudopotential.SYMMETRY_DEPENDENT,
+                                       Pseudopotential.BARE_COULOMB])
+    @pytest.mark.parametrize("name", ["He", "Li", "Na", "Mg"])
+    def test_coulomb_channels_on_the_oracle(self, name, model):
+        ws = build_workspace()
+        atom = catalog_atom(name)
+        checked = 0
+        for l in range(4):
+            if model is Pseudopotential.BARE_COULOMB:
+                z = atom.Z
+            else:
+                z = effective_charge(atom.Z, atom.n_electrons, l)
+            solution = solve_lowest(assemble(ws, atom, l, model), 6)
+            for nu, value in enumerate(solution.eigenvalues, start=l + 1):
+                # states reaching past a third of the box feel its wall
+                if (3 * nu * nu - l * (l + 1)) / (2 * z) > PAPER_GRID.r_max / 3:
+                    continue
+                assert abs(value - hydrogenic_energy(z, nu)) <= 1e-12, (l, nu)
+                checked += 1
+        assert checked >= 18
+
+    def test_seeds_exact_to_the_last_bit(self):
+        # integer eigenvalues make every shifted LU exactly singular
+        n = 8
+        h = np.diag(np.arange(1.0, n + 1))
+        pair = OperatorPair(h_band=dense_to_band(h, 2), s_band=dense_to_band(np.eye(n), 2))
+        solution = solve_lowest(pair, n)
+        assert np.array_equal(solution.eigenvalues, np.arange(1.0, n + 1))
+        assert np.allclose(np.abs(solution.vectors), np.eye(n), atol=1e-15)
 
 
 class TestOperatorPair:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_matrix
+from conftest import band_to_dense, brute_force_matrix
 
 from atomscreen.bsplines import GridSpec, build_workspace
 from atomscreen.eigensolve import solve_lowest
@@ -13,7 +13,7 @@ from atomscreen.model import (
     hydrogenic_energy,
     potential_value,
 )
-from atomscreen.operators import assemble, band_matvec, band_to_dense
+from atomscreen.operators import assemble, band_matvec
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
