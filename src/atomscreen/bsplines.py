@@ -86,7 +86,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    nodes_per_interval: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +104,6 @@ class DesignTables:
 class Workspace:
     """One fully built grid: basis, quadrature and design tables."""
 
-    grid: GridSpec
     basis: KnotBasis
     quad: QuadratureRule
     tables: DesignTables
@@ -248,10 +246,7 @@ def _raise_order(
 def _values_and_derivs(
     t: np.ndarray, k: int, spans: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and first derivatives of the nonzero splines on each span."""
-    if k == 1:
-        values = _nonzero_values(t, k, spans, x)
-        return values, np.zeros_like(values)
+    """Values and first derivatives of the nonzero splines on each span (k >= 2)."""
     lower = _nonzero_values(t, k - 1, spans, x)
     values = _raise_order(t, lower, spans, x)
     derivs = np.zeros_like(values)
@@ -313,9 +308,7 @@ def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule
     half = 0.5 * (bp[1:] - bp[:-1])
     nodes = mid[:, None] + half[:, None] * x[None, :]
     weights = half[:, None] * w[None, :]
-    return QuadratureRule(
-        nodes=nodes, weights=weights, nodes_per_interval=nodes_per_interval
-    )
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def design_tables(basis: KnotBasis, quad: QuadratureRule) -> DesignTables:
@@ -340,4 +333,4 @@ def build_workspace(grid: GridSpec = PAPER_GRID) -> Workspace:
     )
     quad = make_quadrature(basis, grid.nodes_per_interval)
     tables = design_tables(basis, quad)
-    return Workspace(grid=grid, basis=basis, quad=quad, tables=tables)
+    return Workspace(basis=basis, quad=quad, tables=tables)

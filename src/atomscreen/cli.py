@@ -159,6 +159,8 @@ def _checked_grid(grid: GridSpec) -> GridSpec:
     """Reject a grid the solver cannot build, as a usage error."""
     if grid.n_splines <= 2 * grid.order_k:
         raise ConfigError("splines must exceed 2 * order")
+    if not grid.r_max > 0:  # also refuses NaN
+        raise ConfigError("rmax must be positive")
     if grid.knot_kind == "exp-linear" and not 0 < grid.r_first < grid.r_max:
         raise ConfigError("rfirst must lie in (0, rmax)")
     if grid.nodes_per_interval < 1:
@@ -173,13 +175,18 @@ def _checked_grid(grid: GridSpec) -> GridSpec:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--splines", type=int, help="total B-spline count (default 600)")
-    parser.add_argument("--order", type=int, help="spline order k (default 10)")
-    parser.add_argument("--rmax", type=float, help="box radius in bohr (default 200)")
+    parser.add_argument("--splines", type=int,
+                        help=f"total B-spline count (default {PAPER_GRID.n_splines:g})")
+    parser.add_argument("--order", type=int,
+                        help=f"spline order k (default {PAPER_GRID.order_k:g})")
+    parser.add_argument("--rmax", type=float,
+                        help=f"box radius in bohr (default {PAPER_GRID.r_max:g})")
     parser.add_argument("--knots", choices=_FIELD_CHOICES["knots"], help="knot layout")
-    parser.add_argument("--rfirst", type=float, help="first nonzero breakpoint (default 1e-4)")
+    parser.add_argument("--rfirst", type=float,
+                        help=f"first nonzero breakpoint (default {PAPER_GRID.r_first:g})")
     parser.add_argument("--quad-nodes", dest="quad_nodes", type=int,
-                        help="Gauss-Legendre nodes per interval (default 20)")
+                        help="Gauss-Legendre nodes per interval"
+                        f" (default {PAPER_GRID.nodes_per_interval:g})")
     parser.add_argument("--units", choices=_FIELD_CHOICES["units"],
                         help="eV conversion: paper-compatible or codata")
     parser.add_argument("--model", choices=tuple(_MODEL_FLAGS),
@@ -465,6 +472,12 @@ def run_converge(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]
         points = _parse_sweep(args.sweep_nodes, "nodes")
         grids = [_checked_grid(replace(config.grid, nodes_per_interval=p)) for p in points]
         sweep_name = "quad_nodes"
+    smallest = min(grid.n_splines for grid in grids)
+    if nu - l > smallest - 2:
+        raise ConfigError(
+            f"state {args.state!r} needs {nu - l} states; a {smallest}-spline grid holds"
+            f" {smallest - 2}"
+        )
 
     rows = []
     previous = None

@@ -8,9 +8,8 @@ dominated by the O(n^2 bw) band reduction inside LAPACK in step 1.
    Sturm count is what makes the k returned states the k lowest. The seeds
    carry the reduction's absolute error, which grows with the spectral
    range and reaches ~1e-6 hartree on the paper grid.
-2. Vectors. Inverse iteration per seed on H - sigma S, LU-factored in
-   general band storage. The shift moves to the Rayleigh quotient only
-   while that stays inside the seed's half-gap bracket.
+2. Vectors. Inverse iteration per seed at the fixed shift sigma = seed,
+   on H - sigma S LU-factored once in general band storage.
 3. Rayleigh-Ritz on the k vectors makes them S-orthonormal.
 4. Refinement. One step c <- c - (H - sigma_seed S)^-1 r, with the residual
    r = H c - eps S c accumulated in extended precision. The returned
@@ -177,16 +176,15 @@ def _band_solve(pair: OperatorPair, factors, rhs: np.ndarray) -> np.ndarray:
 
 
 def _inverse_iteration(
-    pair: OperatorPair, seed: float, bracket: tuple[float, float], h_norm1: float
+    pair: OperatorPair, seed: float, h_norm1: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvector for ``seed`` and its S-product, S-normalised, double precision.
 
-    With (H - shift S) y = S x and y^T S y = 1, the Rayleigh quotient is
-    shift + y^T S x and the residual is S x - (rho - shift) S y, so a step
+    With (H - seed S) y = S x and y^T S y = 1, the Rayleigh quotient is
+    seed + y^T S x and the residual is S x - (rho - seed) S y, so a step
     costs one banded solve and one product with S.
     """
-    shift = seed
-    factors = _shifted_lu(pair, shift)
+    factors = _shifted_lu(pair, seed)
     x = np.ones(pair.dimension)
     sx = band_matvec(pair.s_band, x)
     for _ in range(_MAX_STEPS):
@@ -195,16 +193,11 @@ def _inverse_iteration(
         norm = np.sqrt(y @ sy)
         y /= norm
         sy /= norm
-        image = sx / norm  # (H - shift S) y
+        image = sx / norm  # (H - seed S) y
         theta = y @ image
-        converged = np.linalg.norm(image - theta * sy) <= _STEP_TOL * h_norm1
         x, sx = y, sy
-        if converged:
+        if np.linalg.norm(image - theta * sy) <= _STEP_TOL * h_norm1:
             break
-        rho = shift + theta
-        if bracket[0] < rho < bracket[1] and rho != shift:
-            shift = rho
-            factors = _shifted_lu(pair, shift)
     return x, sx
 
 
@@ -230,7 +223,7 @@ def solve_lowest(pair: OperatorPair, k_states: int) -> EigenSolution:
     if pair.h_band.shape != pair.s_band.shape:
         raise ValueError("h_band and s_band must have the same banded shape")
 
-    # one seed past the k-th bounds the last state's bracket and nearest-seed guard
+    # one seed past the k-th gives the last state a neighbour in the nearest-seed guard
     seeds = _sturm_seeds(pair, min(k_states + 1, dim))
     if k_states > 1:
         min_gap = np.diff(seeds[:k_states]).min()
@@ -239,12 +232,8 @@ def solve_lowest(pair: OperatorPair, k_states: int) -> EigenSolution:
                 f"eigenvalues not simple/ascending: min seed gap {min_gap:.3e}"
             )
     h_norm1 = band_matvec(np.abs(pair.h_band), np.ones(dim)).max()
-    edges = np.concatenate(([-np.inf], 0.5 * (seeds[1:] + seeds[:-1]), [np.inf]))
 
-    rows = [
-        _inverse_iteration(pair, seeds[j], (edges[j], edges[j + 1]), h_norm1)
-        for j in range(k_states)
-    ]
+    rows = [_inverse_iteration(pair, seeds[j], h_norm1) for j in range(k_states)]
     vectors = np.array([row[0] for row in rows])
     s_vectors = np.array([row[1] for row in rows])
     h_vectors = band_matvec(pair.h_band, vectors)
@@ -258,6 +247,9 @@ def solve_lowest(pair: OperatorPair, k_states: int) -> EigenSolution:
 
     vectors = vectors.astype(np.longdouble)
     _, residual = _extended_pairs(pair, vectors)
+    # Factoring again at the seed costs one LU per state; keeping the k
+    # factorizations from step 2 instead would hold k (3 bw + 1) n doubles,
+    # some 80 MB on the paper grid at k = 598.
     for j in range(k_states):
         factors = _shifted_lu(pair, seeds[j])
         vectors[j] -= _band_solve(pair, factors, residual[j].astype(np.float64))

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bsplines import KnotBasis, Workspace
+from .bsplines import Workspace
 from .model import AtomSpec, Pseudopotential, potential_value
 
 __all__ = [
@@ -42,52 +42,33 @@ class OperatorPair:
         return self.s_band.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class _BandScatter:
-    """Precomputed map from per-interval k-by-k blocks to the trimmed band.
+def _band_sum(local: np.ndarray, dim: int) -> np.ndarray:
+    """Sum per-interval blocks of shape (n_intervals, k, k) into the upper band.
 
     Local block (iv, a, b) couples global splines iv+a and iv+b; active
     (trimmed) indices are the global ones shifted down by one, with the
-    first and last spline discarded. Entries run over a, then the offset
-    d = b - a, then iv, so each band cell sums its terms in ascending a.
+    first and last spline discarded. The loop runs over a, then the offset
+    d = b - a, so each band cell sums its terms in ascending a.
     """
-
-    band_index: np.ndarray
-    local_index: np.ndarray
-    shape: tuple[int, int]
-
-    @classmethod
-    def for_basis(cls, basis: KnotBasis) -> "_BandScatter":
-        k, n_iv = basis.order_k, basis.n_intervals
-        dim, bw = basis.n_active, basis.order_k - 1
-        band_index, local_index = [], []
-        for a in range(k):
-            for d in range(k - a):
-                b = a + d
-                iv = np.arange(max(0, 1 - a), min(n_iv - 1, basis.n_splines - 2 - b) + 1)
-                band_index.append((bw - d) * dim + iv + b - 1)
-                local_index.append((iv * k + a) * k + b)
-        return cls(np.concatenate(band_index), np.concatenate(local_index), (k, dim))
-
-    def __call__(self, local: np.ndarray) -> np.ndarray:
-        """Accumulate blocks of shape (n_intervals, k, k) into the upper band."""
-        band = np.bincount(
-            self.band_index,
-            weights=local.ravel()[self.local_index],
-            minlength=self.shape[0] * self.shape[1],
-        )
-        return band.reshape(self.shape)
+    n_iv, k = local.shape[:2]
+    band = np.zeros((k, dim))
+    for a in range(k):
+        first = max(0, 1 - a)
+        for d in range(k - a):
+            b = a + d
+            last = min(n_iv, dim + 1 - b)
+            band[k - 1 - d, first + b - 1 : last + b - 1] += local[first:last, a, b]
+    return band
 
 
 @dataclass(frozen=True, eq=False)
 class _GridBands:
-    """Channel-independent parts of the pair for one workspace.
+    """Channel-independent bands for one workspace.
 
     ``s_band``, ``t_band`` (1/2 <B'|B'>) and ``r2_band`` (<B|1/r^2|B>) are
     shared by every channel on the grid and therefore read-only.
     """
 
-    scatter: _BandScatter
     s_band: np.ndarray
     t_band: np.ndarray
     r2_band: np.ndarray
@@ -101,17 +82,14 @@ def _gram(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _grid_bands(ws: Workspace) -> _GridBands:
     """Build (and memoise) the grid-only bands; the workspace hashes by identity."""
-    scatter = _BandScatter.for_basis(ws.basis)
-
     def shared(local: np.ndarray) -> np.ndarray:
-        band = scatter(local)
+        band = _band_sum(local, ws.basis.n_active)
         band.setflags(write=False)
         return band
 
     tables = ws.tables
     w, r = ws.quad.weights, ws.quad.nodes
     return _GridBands(
-        scatter=scatter,
         s_band=shared(_gram(w, tables.values)),
         t_band=shared(_gram(0.5 * w, tables.derivs)),
         r2_band=shared(_gram(w / (r * r), tables.values)),
@@ -131,7 +109,7 @@ def assemble(
 
     grid = _grid_bands(ws)
     wv = ws.quad.weights * potential_value(model, ws.quad.nodes, atom, l)
-    h_band = grid.t_band + grid.scatter(_gram(wv, ws.tables.values))
+    h_band = grid.t_band + _band_sum(_gram(wv, ws.tables.values), ws.basis.n_active)
     if l > 0:
         h_band += 0.5 * l * (l + 1) * grid.r2_band
     return OperatorPair(h_band=h_band, s_band=grid.s_band)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from atomscreen import cli
 from atomscreen.bsplines import PAPER_GRID, GridSpec
 from atomscreen.cli import (
     _FIELD_PARSERS,
@@ -271,15 +272,30 @@ class TestGridConfig:
 
     @pytest.mark.parametrize(("change", "message"), [
         ({"n_splines": 20}, "splines must exceed 2 * order"),
+        ({"r_max": 0.0, "knot_kind": "linear"}, "rmax must be positive"),
+        ({"r_max": float("nan")}, "rmax must be positive"),
         ({"r_first": 200.0}, "rfirst must lie in (0, rmax)"),
         ({"nodes_per_interval": 0}, "quad-nodes must be >= 1"),
         ({"nodes_per_interval": 9}, "quad-nodes must be >= order"),
         ({"order_k": 1}, "order must lie in [2, 15]"),
-    ], ids=["splines", "rfirst", "quad-nodes", "quad-nodes-below-order", "order"])
+    ], ids=["splines", "rmax", "rmax-nan", "rfirst", "quad-nodes", "quad-nodes-below-order",
+            "order"])
     def test_bad_grid_is_config_error(self, change, message):
         with pytest.raises(ConfigError) as info:
             _checked_grid(replace(PAPER_GRID, **change))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("flag", ["splines", "order", "rmax", "rfirst", "quad_nodes"])
+    def test_help_states_the_grid_spec_default(self, flag, monkeypatch):
+        shifted = GridSpec(n_splines=601, order_k=11, r_max=201.5, r_first=2.5e-4,
+                           nodes_per_interval=21)
+        monkeypatch.setattr(cli, "PAPER_GRID", shifted)
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        for command, sub in commands.items():
+            help_text = next(a.help for a in sub._actions if a.dest == flag)
+            default = getattr(shifted, _GRID_FLAGS[flag])
+            assert help_text.endswith(f"(default {default:g})"), (command, help_text)
 
 
 class TestExitContract:
@@ -299,8 +315,14 @@ class TestExitContract:
         ["converge", "--atom", "Xx", "--sweep-nodes", "10,20"],
         ["solve", "3", "3", "0", "--kstates", "1000"],
         ["solve", "3", "3", "0", "--quad-nodes", "3"],
+        ["solve", "3", "3", "0", "--knots", "linear", "--rmax", "0"],
+        ["solve", "3", "3", "0", "--knots", "linear", "--rmax", "-5"],
+        ["solve", "3", "3", "0", "--knots", "linear", "--rmax", "nan"],
+        ["converge", "--state", "700s", "--sweep-nodes", "10,20"],
+        ["converge", "--state", "599s", "--sweep-splines", "600,400"],
     ], ids=["order-1", "order-16", "sweep-nodes-0", "sweep-splines-10", "unknown-atom",
-            "kstates-1000", "quad-nodes-3"])
+            "kstates-1000", "quad-nodes-3", "rmax-0", "rmax-negative", "rmax-nan",
+            "converge-state-past-grid", "converge-state-past-smallest-grid"])
     def test_bad_option_values_exit_two(self, args, capsys):
         assert main(args) == 2
         assert capsys.readouterr().out == ""

@@ -6,6 +6,7 @@ import scipy.linalg as sla
 
 from conftest import band_to_dense, dense_to_band, random_banded_pair
 
+from atomscreen import eigensolve
 from atomscreen.bsplines import PAPER_GRID, GridSpec, build_workspace
 from atomscreen.eigensolve import (
     DegenerateSpectrumError,
@@ -22,6 +23,21 @@ from atomscreen.model import (
 from atomscreen.operators import OperatorPair, assemble, band_matvec
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
+
+
+class _CountingLapack:
+    """Stands in for the ``lapack`` module the solver calls, counting dgbtrf."""
+
+    def __init__(self, module):
+        self._module = module
+        self.factorizations = 0
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+    def dgbtrf(self, *args, **kwargs):
+        self.factorizations += 1
+        return self._module.dgbtrf(*args, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +169,18 @@ class TestBandedPath:
                 assert abs(value - hydrogenic_energy(z, nu)) <= 1e-12, (l, nu)
                 checked += 1
         assert checked >= 18
+
+    @pytest.mark.parametrize(("name", "model", "l", "k"), [
+        ("Li", Pseudopotential.SYMMETRY_DEPENDENT, 0, 6),
+        ("Na", Pseudopotential.CENTRAL_SCREENING, 1, 12),
+    ], ids=["Li-symmetry-s", "Na-central-p"])
+    def test_two_factorizations_per_state(self, name, model, l, k, monkeypatch):
+        # one LU at the seed for inverse iteration, one for the refinement
+        pair = assemble(build_workspace(), catalog_atom(name), l, model)
+        counting = _CountingLapack(eigensolve.lapack)
+        monkeypatch.setattr(eigensolve, "lapack", counting)
+        solve_lowest(pair, k)
+        assert counting.factorizations == 2 * k
 
     def test_seeds_exact_to_the_last_bit(self):
         # integer eigenvalues make every shifted LU exactly singular
