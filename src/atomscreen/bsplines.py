@@ -34,6 +34,10 @@ __all__ = [
 _GEOMETRIC_BUDGET_FRACTION = 2.0 / 3.0
 #: Largest exponent ln(q**steps) the geometric sum evaluates directly.
 _LOG_POWER_LIMIT = 700.0
+#: Spline orders the basis supports, inclusive.
+_ORDER_RANGE = (2, 15)
+#: The seed space keeps every _SEED_STRIDE-th breakpoint of the basis.
+_SEED_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -174,12 +178,13 @@ def make_knots(
     ----------
     r_max : box radius in bohr.
     n_splines : total spline count before boundary trimming.
-    order_k : spline order (polynomial degree + 1), 2 <= order_k <= 15.
+    order_k : spline order (polynomial degree + 1), within ``_ORDER_RANGE``.
     kind : "exp-linear" (dense near the origin, uniform tail) or "linear".
     r_first : first nonzero breakpoint for the exp-linear grid.
     """
-    if not 2 <= order_k <= 15:
-        raise ValueError("order_k must lie in [2, 15]")
+    low, high = _ORDER_RANGE
+    if not low <= order_k <= high:
+        raise ValueError(f"order_k must lie in [{low}, {high}]")
     if n_splines <= 2 * order_k:
         raise ValueError("n_splines must exceed 2 * order_k")
     if r_max <= 0:
@@ -241,6 +246,31 @@ def _raise_order(
         carry = d_left[..., j - 1 - i] * term
     step[..., j] = carry
     return step
+
+
+def _seed_space(basis: KnotBasis) -> tuple[np.ndarray, np.ndarray, int]:
+    """The splines of the same order on every _SEED_STRIDE-th breakpoint
+    (and the last), written in ``basis``.
+
+    Their knots are a subset of the basis knots, so each seed spline is
+    exactly C_j = sum_i A[i, j] B_i. Row i of A is the Oslo algorithm: the
+    Cox-de Boor recursion of the seed splines on the seed span holding
+    t[i], run at the knots t[i + 1], ..., t[i + k - 1] in turn.
+
+    Returns (first, values, count): A[i, first[i] + a] = values[i, a] for
+    every spline i of ``basis``, and the number of seed splines.
+    """
+    k, t = basis.order_k, basis.knots
+    kept = np.append(np.arange(0, basis.n_intervals, _SEED_STRIDE), basis.n_intervals)
+    seed_knots = np.concatenate(
+        [np.zeros(k - 1), basis.breakpoints[kept], np.full(k - 1, basis.r_max)]
+    )
+    rows = np.arange(basis.n_splines)
+    spans = np.searchsorted(seed_knots, t[rows], side="right") - 1
+    values = np.ones((rows.size, 1, 1))
+    for step in range(1, k):
+        values = _raise_order(seed_knots, values, spans, t[rows + step][:, None])
+    return spans - k + 1, values[:, 0, :], seed_knots.size - k
 
 
 def _values_and_derivs(

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .bsplines import PAPER_GRID, GridSpec
+from .bsplines import PAPER_GRID, GridSpec, _ORDER_RANGE
 from .eigensolve import EigensolverError
 from .model import (
     AtomSpec,
@@ -161,6 +162,8 @@ def _checked_grid(grid: GridSpec) -> GridSpec:
         raise ConfigError("splines must exceed 2 * order")
     if not grid.r_max > 0:  # also refuses NaN
         raise ConfigError("rmax must be positive")
+    if not math.isfinite(grid.r_max):
+        raise ConfigError("rmax must be finite")
     if grid.knot_kind == "exp-linear" and not 0 < grid.r_first < grid.r_max:
         raise ConfigError("rfirst must lie in (0, rmax)")
     if grid.nodes_per_interval < 1:
@@ -169,8 +172,9 @@ def _checked_grid(grid: GridSpec) -> GridSpec:
     # products exactly only from n >= k; fewer breaks the variational bound.
     if grid.nodes_per_interval < grid.order_k:
         raise ConfigError("quad-nodes must be >= order")
-    if not 2 <= grid.order_k <= 15:
-        raise ConfigError("order must lie in [2, 15]")
+    low, high = _ORDER_RANGE
+    if not low <= grid.order_k <= high:
+        raise ConfigError(f"order must lie in [{low}, {high}]")
     return grid
 
 

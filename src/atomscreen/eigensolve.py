@@ -1,13 +1,18 @@
 """Lowest eigenpairs of the symmetric-definite banded pencil H c = eps S c.
 
-The pencil is never densified: memory is O(n bw) per state, and the work is
-dominated by the O(n^2 bw) band reduction inside LAPACK in step 1.
+The pencil is never densified: memory is O(n bw) per state.
 
 1. Seeds. LAPACK ``dsbgvx`` (split-Cholesky band reduction, reduction to
-   tridiagonal form, bisection) gives the k + 1 lowest eigenvalues. Its
-   Sturm count is what makes the k returned states the k lowest. The seeds
-   carry the reduction's absolute error, which grows with the spectral
-   range and reaches ~1e-6 hartree on the paper grid.
+   tridiagonal form, bisection) gives the k + 1 lowest eigenvalues of a
+   seed pencil. Given ``coarse``, a smaller pencil of the same channel,
+   that is the seed pencil: its band reduction costs O(n_c^2 bw) instead of
+   the O(n^2 bw) that dominates a solve on (H, S) itself. spectra passes
+   (H, S) restricted to the splines on every fourth breakpoint
+   (operators._seed_pair). Its eigenvalues bound those of (H, S) from
+   above (Courant-Fischer), and its seeds lie within ~1e-5 hartree of them
+   on the paper grid. Seeds from (H, S) itself carry the reduction's
+   absolute error, which grows with the spectral range: ~1e-6 hartree on
+   the paper grid.
 2. Vectors. Inverse iteration per seed at the fixed shift sigma = seed,
    on H - sigma S LU-factored once in general band storage.
 3. Rayleigh-Ritz on the k vectors makes them S-orthonormal.
@@ -17,8 +22,14 @@ dominated by the O(n^2 bw) band reduction inside LAPACK in step 1.
    and residuals of the refined vectors, which restores accuracy near
    machine precision for the low states (verified against the analytic
    Coulomb spectrum in the test suite).
-5. Guards. Each eigenvalue must lie nearest its own seed, the spectrum must
-   be simple and every residual small; otherwise the solve raises.
+5. Guards and the "k lowest" certificate. Each eigenvalue must lie nearest
+   its own seed, the spectrum must be simple and every residual small.
+   Seeds from (H, S) come with dsbgvx's Sturm count, so they are the k + 1
+   lowest; a failed guard then raises. Coarse seeds carry no such count on
+   (H, S): one inertia count of H - sigma S (Sylvester's law), at sigma
+   halfway from the k-th eigenvalue to the (k + 1)-th seed, must find
+   exactly k eigenvalues below sigma. If that count, or any guard, fails on
+   coarse seeds, the solve is redone from seeds of (H, S).
 
 scipy exports ``dsbgvx`` only through ``scipy.linalg.cython_lapack``; it is
 bound once, with ctypes, from the function pointer in that module's capsule
@@ -55,6 +66,11 @@ _MAX_STEPS = 8
 #: Inverse iteration stops once ||H c - rho S c|| / ||H||_1 falls below this,
 #: about 50 eps: the rounding floor of a double-precision residual.
 _STEP_TOL = 1e-14
+#: An inertia count is refused once a Schur complement update outgrows its
+#: block of H - sigma S by this factor: the elimination would then amplify
+#: rounding enough to flip a pivot's sign. Over 400 channel-scan draws on
+#: the paper grid the largest growth was 4e2, the median 1.9.
+_PIVOT_GROWTH_LIMIT = 1e6
 
 
 class EigensolverError(RuntimeError):
@@ -215,16 +231,52 @@ def _extended_pairs(pair: OperatorPair, vectors: np.ndarray):
     return values, hc
 
 
-def solve_lowest(pair: OperatorPair, k_states: int) -> EigenSolution:
-    """Compute the k_states algebraically smallest eigenpairs of (H, S)."""
-    dim = pair.dimension
-    if not 1 <= k_states <= dim:
-        raise ValueError(f"k_states must lie in [1, {dim}]")
-    if pair.h_band.shape != pair.s_band.shape:
-        raise ValueError("h_band and s_band must have the same banded shape")
+def _count_below(pair: OperatorPair, sigma: float) -> int | None:
+    """Number of eigenvalues of the pencil below ``sigma``; None if untrusted.
 
-    # one seed past the k-th gives the last state a neighbour in the nearest-seed guard
-    seeds = _sturm_seeds(pair, min(k_states + 1, dim))
+    By Sylvester's law of inertia this is the number of negative eigenvalues
+    of A = H - sigma S, as S is positive definite. In blocks of bw rows A is
+    block tridiagonal, and an unpivoted block LDL^T gives its inertia as the
+    sum of the inertias of the Schur complement pivots. Each pivot is
+    factored by Bunch-Kaufman (dsysv), whose 2 x 2 blocks always have one
+    negative eigenvalue. A singular pivot, or an update that grows past
+    _PIVOT_GROWTH_LIMIT, makes the count untrusted.
+    """
+    bw, n = pair.h_band.shape[0] - 1, pair.dimension
+    n_blocks = -(-n // bw)
+    general = np.zeros((2 * bw + 1, n_blocks * bw))
+    general[:, :n] = band_to_general(pair.h_band - sigma * pair.s_band)
+    general[bw, n:] = 1.0  # identity padding adds no negative eigenvalue
+    offsets = np.arange(bw)
+    lag = offsets[:, None] - offsets[None, :]
+    columns = bw * np.arange(n_blocks)[:, None, None] + offsets
+    pivots = general[bw + lag, columns]  # [p, a, e] = A[p bw + a, p bw + e]
+    couplings = np.zeros_like(pivots)  # [p, a, e] = A[p bw + a, (p + 1) bw + e]
+    couplings[:-1] = np.where(lag >= 0, general[lag.clip(0), columns[1:]], 0.0)
+    limits = _PIVOT_GROWTH_LIMIT * np.abs(pivots).max(axis=(1, 2))
+
+    diagonals = np.empty((n_blocks, bw))
+    interchanges = np.empty((n_blocks, bw), dtype=np.int64)
+    schur = pivots[0]
+    for p in range(n_blocks):
+        if p:
+            update = couplings[p - 1].T @ solved
+            if not np.abs(update).max() <= limits[p]:  # also refuses NaN
+                return None
+            schur = pivots[p] - update
+        factor, interchanges[p], solved, info = lapack.dsysv(schur, couplings[p])
+        if info != 0:
+            return None
+        diagonals[p] = factor.diagonal()
+    # dsysv marks each 2 x 2 block by two negative interchange entries
+    ones = interchanges > 0
+    return int(np.count_nonzero(ones & (diagonals < 0)) + np.count_nonzero(~ones) // 2)
+
+
+def _refined_pairs(pair: OperatorPair, k_states: int, seeds: np.ndarray) -> EigenSolution:
+    """Steps 2-5 from ``seeds``: the k_states + 1 lowest eigenvalues of a
+    seed pencil, or all n of them when k_states = n."""
+    dim = pair.dimension
     if k_states > 1:
         min_gap = np.diff(seeds[:k_states]).min()
         if min_gap < DEGENERACY_TOL:
@@ -281,3 +333,35 @@ def solve_lowest(pair: OperatorPair, k_states: int) -> EigenSolution:
         residual_norms=residuals,
         count=k_states,
     )
+
+
+def solve_lowest(
+    pair: OperatorPair, k_states: int, coarse: OperatorPair | None = None
+) -> EigenSolution:
+    """Compute the k_states algebraically smallest eigenpairs of (H, S).
+
+    ``coarse`` is a smaller pencil of the same channel, such as its
+    restriction to a coarser spline space. When it holds k_states + 1
+    states its eigenvalues seed the solve, and an inertia count on (H, S)
+    certifies the result (module docstring, step 5); otherwise, or if that
+    fails, the seeds come from (H, S) itself.
+    """
+    dim = pair.dimension
+    if not 1 <= k_states <= dim:
+        raise ValueError(f"k_states must lie in [1, {dim}]")
+    for checked in (pair, coarse):
+        if checked is not None and checked.h_band.shape != checked.s_band.shape:
+            raise ValueError("h_band and s_band must have the same banded shape")
+
+    if coarse is not None and coarse.dimension > k_states:
+        try:
+            seeds = _sturm_seeds(coarse, k_states + 1)
+            solution = _refined_pairs(pair, k_states, seeds)
+        except EigensolverError:
+            pass
+        else:
+            last = solution.eigenvalues[-1]
+            if _count_below(pair, last + 0.5 * (seeds[-1] - last)) == k_states:
+                return solution
+    # one seed past the k-th gives the last state a neighbour in the nearest-seed guard
+    return _refined_pairs(pair, k_states, _sturm_seeds(pair, min(k_states + 1, dim)))

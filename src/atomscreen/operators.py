@@ -9,6 +9,9 @@ with the kinetic term integrated by parts (boundary terms vanish because the
 boundary splines are trimmed). Matrices are stored in symmetric upper-banded
 layout, ``band[bw - d, j] = A[j - d, j]`` with bandwidth bw = order_k - 1,
 the same convention scipy's banded routines use.
+
+A pair restricted to a coarser spline space (``_seed_pair``) seeds the
+eigensolver at a fraction of the cost of seeding on the pair itself.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bsplines import Workspace
+from .bsplines import Workspace, _seed_space
 from .model import AtomSpec, Pseudopotential, potential_value
 
 __all__ = [
@@ -113,6 +116,88 @@ def assemble(
     if l > 0:
         h_band += 0.5 * l * (l + 1) * grid.r2_band
     return OperatorPair(h_band=h_band, s_band=grid.s_band)
+
+
+@dataclass(frozen=True, eq=False)
+class _SeedRestriction:
+    """Galerkin restriction A -> P^T A P onto the seed space of one workspace.
+
+    P holds the active seed splines' coefficients in the active splines
+    (bsplines._seed_space): row i is ``values[i]`` in columns first[i] + a,
+    a < k. first starts at 0 and rises by 0 or 1 from row to row, as each
+    seed knot is a knot of the basis, so rows i - bw .. i + bw of P lie in
+    columns first[i] - reach .. first[i] + reach + k - 1.
+    ``spread[i, bw + d, c]`` is P[i + d, first[i] - reach + c], which makes
+    (A P)[i, first[i] - reach + c] = sum_d A[i, i + d] spread[i, bw + d, c]
+    one small matrix product per row. ``starts`` are the first rows of the
+    runs of equal first[i]; run r has first[i] = r. Seed indices count all
+    seed splines; the two boundary ones have no coefficients and are
+    dropped from the result.
+    """
+
+    values: np.ndarray
+    spread: np.ndarray
+    starts: np.ndarray
+    reach: int
+    n_seed: int
+
+    def restrict(self, band: np.ndarray) -> np.ndarray:
+        """P^T A P in upper-banded layout, for A in upper-banded layout."""
+        bw, k = band.shape[0] - 1, self.values.shape[1]
+        neighbours = band_to_general(band).T  # [i, bw + d] = A[i, i + d]
+        image = np.matmul(neighbours[:, None, :], self.spread)[:, 0, :]
+        image = np.pad(image, ((0, 0), (0, bw)))
+        windows = sliding_window_view(image, bw + 1, axis=1)[:, self.reach : self.reach + k]
+        # [i, a, e] = P[i, j] (A P)[i, j + e] at j = first[i] + a, summed
+        # over each run of rows that share first[i]
+        runs = np.add.reduceat(self.values[:, :, None] * windows, self.starts)
+        rows = np.zeros((self.n_seed, bw + 1))  # [j, e] = (P^T A P)[j, j + e]
+        for a in range(k):
+            rows[a : a + len(self.starts)] += runs[:, a]
+        full = np.zeros((bw + 1, self.n_seed))
+        for e in range(bw + 1):
+            full[bw - e, e:] = rows[: self.n_seed - e, e]
+        return full[:, 1:-1].copy()
+
+
+@lru_cache(maxsize=16)
+def _seed_restriction(ws: Workspace) -> _SeedRestriction:
+    """Build (and memoise) the restriction onto the seed space of ``ws``."""
+    first, values, n_seed = _seed_space(ws.basis)
+    first, values = first[1:-1], values[1:-1]  # the active splines
+    k = values.shape[1]
+    columns = first[:, None] + np.arange(k)
+    values = np.where((columns >= 1) & (columns <= n_seed - 2), values, 0.0)
+    n, bw = values.shape[0], k - 1
+
+    reach = int(np.max(first[bw:] - first[:-bw]))
+    spread = np.zeros((n, 2 * bw + 1, 2 * reach + k))
+    for d in range(-bw, bw + 1):
+        rows = np.arange(max(0, -d), min(n, n - d))
+        window = (reach + first[rows + d] - first[rows])[:, None] + np.arange(k)
+        spread[rows[:, None], bw + d, window] = values[rows + d]
+    starts = np.flatnonzero(np.diff(first, prepend=-1))
+    for shared in (values, spread, starts):
+        shared.setflags(write=False)
+    return _SeedRestriction(values=values, spread=spread, starts=starts, reach=reach,
+                            n_seed=n_seed)
+
+
+@lru_cache(maxsize=16)
+def _seed_overlap(ws: Workspace) -> np.ndarray:
+    """The overlap restricted to the seed space, shared (read-only) like S."""
+    band = _seed_restriction(ws).restrict(_grid_bands(ws).s_band)
+    band.setflags(write=False)
+    return band
+
+
+def _seed_pair(ws: Workspace, pair: OperatorPair) -> OperatorPair:
+    """``pair``, assembled on ``ws``, restricted to the seed space: the same
+    channel on the splines of every bsplines._SEED_STRIDE-th breakpoint,
+    without a second assembly. Its eigenvalues are upper bounds of the
+    pair's (Courant-Fischer) and seed its solve (eigensolve, step 1)."""
+    return OperatorPair(h_band=_seed_restriction(ws).restrict(pair.h_band),
+                        s_band=_seed_overlap(ws))
 
 
 def band_to_general(band: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .model import (
     atom_catalog,
     catalog_atom,
 )
-from .operators import assemble
+from .operators import _seed_pair, assemble
 
 __all__ = [
     "LabeledState",
@@ -133,7 +133,7 @@ def _solve_channel_cached(
 ) -> tuple[LabeledState, ...]:
     ws = build_workspace(grid)
     pair = assemble(ws, atom, l, model)
-    solution = solve_lowest(pair, count)
+    solution = solve_lowest(pair, count, coarse=_seed_pair(ws, pair))
     scale = atom.m_over_n
     states = []
     for i in range(count):

@@ -45,6 +45,19 @@ def refined_dense_eigenvalues(h: np.ndarray, s: np.ndarray) -> np.ndarray:
     return refined
 
 
+class CountingSeeds:
+    """Stands in for ``eigensolve._sturm_seeds``, recording the dimension of
+    each pencil it seeds; each call makes one dsbgvx call at that n."""
+
+    def __init__(self, routine):
+        self._routine = routine
+        self.dimensions = []
+
+    def __call__(self, pair, count):
+        self.dimensions.append(pair.dimension)
+        return self._routine(pair, count)
+
+
 def dense_to_band(dense: np.ndarray, bandwidth: int) -> np.ndarray:
     """Pack a symmetric dense matrix into upper-banded storage."""
     n = dense.shape[0]

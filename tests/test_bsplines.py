@@ -5,12 +5,14 @@ import pytest
 
 from atomscreen.bsplines import (
     GridSpec,
+    KnotBasis,
     PAPER_GRID,
     build_workspace,
     design_tables,
     eval_bspline,
     make_knots,
     make_quadrature,
+    _seed_space,
 )
 
 
@@ -67,8 +69,10 @@ class TestMakeKnots:
         assert basis.n_intervals == n_splines - 9
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^order_k must lie in \[2, 15\]$"):
             make_knots(200.0, 600, 1)
+        with pytest.raises(ValueError, match=r"^order_k must lie in \[2, 15\]$"):
+            make_knots(200.0, 600, 16)
         with pytest.raises(ValueError):
             make_knots(200.0, 15, 10)
         with pytest.raises(ValueError):
@@ -207,6 +211,32 @@ class TestDesignTables:
         grid = GridSpec(n_splines=40, order_k=4, r_max=10.0)
         assert build_workspace(grid) is build_workspace(grid)
         assert build_workspace(PAPER_GRID).basis.n_splines == 600
+
+
+class TestSeedSpace:
+    @pytest.mark.parametrize("basis", [
+        make_knots(10.0, 23, 3, "linear"),
+        make_knots(30.0, 60, 6, "exp-linear", 1e-3),
+        make_knots(200.0, 36, 10, "exp-linear", 1e-4),
+    ], ids=["linear-k3", "exp-linear-k6", "exp-linear-k10"])
+    def test_rows_write_the_seed_splines_exactly(self, basis):
+        k = basis.order_k
+        first, values, count = _seed_space(basis)
+        kept = basis.breakpoints[np.append(np.arange(0, basis.n_intervals, 4),
+                                           basis.n_intervals)]
+        seed = KnotBasis(order_k=k, n_splines=count, r_max=basis.r_max, breakpoints=kept,
+                         knots=np.concatenate([np.zeros(k - 1), kept, np.full(k - 1, basis.r_max)]))
+        assert count == len(kept) + k - 2
+        insertion = np.zeros((basis.n_splines, count))
+        for i in range(basis.n_splines):
+            insertion[i, first[i]:first[i] + k] = values[i]
+        rng = np.random.default_rng(8)
+        radii = np.concatenate([rng.uniform(0.0, basis.r_max, 40),
+                                rng.uniform(0.0, kept[2], 20), [0.0, basis.r_max]])
+        for r in radii:
+            fine = np.array([eval_bspline(basis, i, r) for i in range(basis.n_splines)])
+            coarse = np.array([eval_bspline(seed, j, r) for j in range(count)])
+            assert np.max(np.abs(fine @ insertion - coarse)) <= 1e-13, r
 
 
 def _span_values(t, k, span, x):

@@ -274,12 +274,13 @@ class TestGridConfig:
         ({"n_splines": 20}, "splines must exceed 2 * order"),
         ({"r_max": 0.0, "knot_kind": "linear"}, "rmax must be positive"),
         ({"r_max": float("nan")}, "rmax must be positive"),
+        ({"r_max": float("inf")}, "rmax must be finite"),
         ({"r_first": 200.0}, "rfirst must lie in (0, rmax)"),
         ({"nodes_per_interval": 0}, "quad-nodes must be >= 1"),
         ({"nodes_per_interval": 9}, "quad-nodes must be >= order"),
         ({"order_k": 1}, "order must lie in [2, 15]"),
-    ], ids=["splines", "rmax", "rmax-nan", "rfirst", "quad-nodes", "quad-nodes-below-order",
-            "order"])
+    ], ids=["splines", "rmax", "rmax-nan", "rmax-inf", "rfirst", "quad-nodes",
+            "quad-nodes-below-order", "order"])
     def test_bad_grid_is_config_error(self, change, message):
         with pytest.raises(ConfigError) as info:
             _checked_grid(replace(PAPER_GRID, **change))
@@ -318,10 +319,14 @@ class TestExitContract:
         ["solve", "3", "3", "0", "--knots", "linear", "--rmax", "0"],
         ["solve", "3", "3", "0", "--knots", "linear", "--rmax", "-5"],
         ["solve", "3", "3", "0", "--knots", "linear", "--rmax", "nan"],
+        ["solve", "3", "3", "0", "--rmax", "inf"],
+        ["solve", "3", "3", "0", "--rmax", "1e400"],
+        ["solve", "3", "3", "0", "--knots", "linear", "--rmax", "inf"],
         ["converge", "--state", "700s", "--sweep-nodes", "10,20"],
         ["converge", "--state", "599s", "--sweep-splines", "600,400"],
     ], ids=["order-1", "order-16", "sweep-nodes-0", "sweep-splines-10", "unknown-atom",
             "kstates-1000", "quad-nodes-3", "rmax-0", "rmax-negative", "rmax-nan",
+            "rmax-inf", "rmax-overflow", "rmax-inf-linear",
             "converge-state-past-grid", "converge-state-past-smallest-grid"])
     def test_bad_option_values_exit_two(self, args, capsys):
         assert main(args) == 2

@@ -1,13 +1,17 @@
+import importlib.util
 import tracemalloc
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import band_to_dense, dense_to_band, random_banded_pair
+from conftest import CountingSeeds, band_to_dense, dense_to_band, random_banded_pair
 
 from atomscreen import eigensolve
 from atomscreen.bsplines import PAPER_GRID, GridSpec, build_workspace
+from atomscreen.cli import _resolve_solve_atom
 from atomscreen.eigensolve import (
     DegenerateSpectrumError,
     EigensolverError,
@@ -20,9 +24,18 @@ from atomscreen.model import (
     effective_charge,
     hydrogenic_energy,
 )
-from atomscreen.operators import OperatorPair, assemble, band_matvec
+from atomscreen.operators import OperatorPair, _seed_pair, assemble, band_matvec
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def channel_requests(seed):
+    """The benchmark's channel-scan request stream for ``seed``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.channel_requests(seed)
 
 
 class _CountingLapack:
@@ -190,6 +203,102 @@ class TestBandedPath:
         solution = solve_lowest(pair, n)
         assert np.array_equal(solution.eigenvalues, np.arange(1.0, n + 1))
         assert np.allclose(np.abs(solution.vectors), np.eye(n), atol=1e-15)
+
+
+class TestInertiaCount:
+    def test_matches_dense_eigenvalues_on_random_pairs(self):
+        rng = np.random.default_rng(31)
+        for dim, bandwidth in ((8, 2), (17, 4), (30, 6), (30, 1), (25, 3)):
+            pair = random_banded_pair(rng, dim, bandwidth)
+            values = sla.eigh(band_to_dense(pair.h_band), band_to_dense(pair.s_band),
+                              eigvals_only=True)
+            shifts = np.concatenate([[values[0] - 1.0], 0.5 * (values[1:] + values[:-1]),
+                                     [values[-1] + 1.0]])
+            for below, sigma in enumerate(shifts):
+                assert eigensolve._count_below(pair, sigma) == below, (dim, bandwidth, below)
+
+    def test_singular_pivot_is_refused(self):
+        n = 8
+        pair = OperatorPair(h_band=dense_to_band(np.diag(np.arange(1.0, n + 1)), 2),
+                            s_band=dense_to_band(np.eye(n), 2))
+        assert eigensolve._count_below(pair, 1.5) == 1
+        # H - 1 S has a zero first pivot
+        assert eigensolve._count_below(pair, 1.0) is None
+
+    def test_growing_pivot_update_is_refused(self):
+        # blocks of one row: a first pivot of 1e-9 makes the second block's
+        # update 1e9, past _PIVOT_GROWTH_LIMIT times that block's scale of 1
+        h = np.diag([1.0 + 1e-9, 2.0, 3.0, 4.0]) + np.diag([1.0, 0.0, 0.0], 1)
+        pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
+                            s_band=dense_to_band(np.eye(4), 1))
+        assert eigensolve._count_below(pair, 0.5) == 1
+        assert eigensolve._count_below(pair, 1.0) is None
+
+    def test_agrees_with_dsbgvx_on_channel_scan_draws(self):
+        ws = build_workspace()
+        draws = 0
+        for request in islice(channel_requests(7), 100):
+            l, k = request["l"], request["k"]
+            atom = _resolve_solve_atom(request["Z"], request["n"], l, 3)[0]
+            pair = assemble(ws, atom, l, Pseudopotential(request["model"]))
+            seeds = eigensolve._sturm_seeds(pair, k + 1)
+            refined = eigensolve._refined_pairs(pair, k, seeds).eigenvalues
+            for j in range(k):
+                midpoint = 0.5 * (seeds[j] + seeds[j + 1])
+                assert eigensolve._count_below(pair, midpoint) == j + 1, (request, j)
+                assert eigensolve._count_below(pair, refined[j] - 1e-10) == j, (request, j)
+                assert eigensolve._count_below(pair, refined[j] + 1e-10) == j + 1, (request, j)
+            draws += 1
+        assert draws == 100
+
+
+class TestCoarseSeeds:
+    # Hydrogen p seeds pass every guard on the s pair, as they miss only its
+    # 1s; the inertia count (4 below sigma, not 3) catches them. He+ s seeds
+    # fail the nearest-seed guard.
+    @pytest.mark.parametrize(("seed_atom", "seed_l"), [
+        (HYDROGEN, 1),
+        (AtomSpec("He+", 2, 1, 1, 0, 1), 0),
+    ], ids=["other-l", "other-Z"])
+    def test_seeds_of_another_channel_fall_back(self, seed_atom, seed_l, monkeypatch):
+        model = Pseudopotential.BARE_COULOMB
+        ws = build_workspace()
+        pair = assemble(ws, HYDROGEN, 0, model)
+        coarse = _seed_pair(ws, assemble(ws, seed_atom, seed_l, model))
+        counting = CountingSeeds(eigensolve._sturm_seeds)
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
+        seeded = solve_lowest(pair, 3, coarse=coarse)
+        assert counting.dimensions == [coarse.dimension, pair.dimension]
+        plain = solve_lowest(pair, 3)
+        for field in ("eigenvalues", "vectors", "residual_norms"):
+            assert np.array_equal(getattr(seeded, field), getattr(plain, field)), field
+
+    @pytest.mark.parametrize(("name", "model", "l", "k"), [
+        ("Li", Pseudopotential.SYMMETRY_DEPENDENT, 0, 12),
+        ("Na", Pseudopotential.CENTRAL_SCREENING, 1, 6),
+        ("Mg", Pseudopotential.BARE_COULOMB, 2, 3),
+    ], ids=["Li-symmetry-s", "Na-central-p", "Mg-bare-d"])
+    def test_coarse_seeds_give_the_fine_solve(self, name, model, l, k, monkeypatch):
+        ws = build_workspace()
+        pair = assemble(ws, catalog_atom(name), l, model)
+        coarse = _seed_pair(ws, pair)
+        seeding = CountingSeeds(eigensolve._sturm_seeds)
+        factoring = _CountingLapack(eigensolve.lapack)
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", seeding)
+        monkeypatch.setattr(eigensolve, "lapack", factoring)
+        seeded = solve_lowest(pair, k, coarse=coarse).eigenvalues
+        assert seeding.dimensions == [coarse.dimension]
+        # as on fine seeds, two LUs per state: the inertia count factors no band LU
+        assert factoring.factorizations == 2 * k
+        assert np.max(np.abs(seeded - solve_lowest(pair, k).eigenvalues)) <= 1e-13
+
+    def test_too_small_coarse_pair_is_not_used(self, monkeypatch):
+        pair = random_banded_pair(np.random.default_rng(3), 20, 2)
+        coarse = random_banded_pair(np.random.default_rng(4), 4, 2)
+        counting = CountingSeeds(eigensolve._sturm_seeds)
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
+        solve_lowest(pair, 4, coarse=coarse)
+        assert counting.dimensions == [pair.dimension]
 
 
 class TestOperatorPair:

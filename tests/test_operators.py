@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from conftest import band_to_dense, brute_force_matrix
+from conftest import band_to_dense, brute_force_matrix, dense_to_band
 
-from atomscreen.bsplines import GridSpec, build_workspace
+from atomscreen.bsplines import GridSpec, _seed_space, build_workspace
 from atomscreen.eigensolve import solve_lowest
 from atomscreen.model import (
     AtomSpec,
@@ -13,7 +14,7 @@ from atomscreen.model import (
     hydrogenic_energy,
     potential_value,
 )
-from atomscreen.operators import assemble, band_matvec
+from atomscreen.operators import _seed_pair, assemble, band_matvec
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
@@ -206,3 +207,47 @@ class TestBandHelpers:
         x = rng.standard_normal(pair.dimension)
         dense = band_to_dense(pair.h_band)
         assert band_matvec(pair.h_band, x) == pytest.approx(dense @ x, rel=1e-13)
+
+
+def _seed_coefficients(ws):
+    """Dense P: the active seed splines in the active splines of ``ws``."""
+    first, values, count = _seed_space(ws.basis)
+    k = ws.basis.order_k
+    insertion = np.zeros((ws.basis.n_splines, count))
+    for i in range(ws.basis.n_splines):
+        insertion[i, first[i]:first[i] + k] = values[i]
+    return insertion[1:-1, 1:-1]
+
+
+class TestSeedPair:
+    @pytest.mark.parametrize("ws_name", ["paper_ws", "coarse_k4_ws", "coarse_ws"])
+    def test_is_the_galerkin_restriction(self, request, ws_name):
+        ws = request.getfixturevalue(ws_name)
+        p = _seed_coefficients(ws)
+        bw = ws.basis.order_k - 1
+        for atom, l in ((catalog_atom("He"), 0), (catalog_atom("Na"), 2)):
+            pair = assemble(ws, atom, l, Pseudopotential.SYMMETRY_DEPENDENT)
+            seed = _seed_pair(ws, pair)
+            for band, full in ((seed.h_band, pair.h_band), (seed.s_band, pair.s_band)):
+                reference = p.T @ band_to_dense(full) @ p
+                # splines of order k on the seed knots couple only bw neighbours
+                assert np.array_equal(np.triu(reference, bw + 1), np.zeros_like(reference))
+                _assert_band_close(band, dense_to_band(reference, bw), 1e-13)
+
+    def test_eigenvalues_bound_the_pair_from_above(self, coarse_k4_ws):
+        pair = assemble(coarse_k4_ws, catalog_atom("Li"), 1, Pseudopotential.CENTRAL_SCREENING)
+        seed = _seed_pair(coarse_k4_ws, pair)
+        full = sla.eigh(band_to_dense(pair.h_band), band_to_dense(pair.s_band), eigvals_only=True)
+        coarse = sla.eigh(band_to_dense(seed.h_band), band_to_dense(seed.s_band),
+                          eigvals_only=True)
+        assert seed.dimension < pair.dimension
+        assert np.all(coarse[:5] >= full[:5] - 1e-12)
+
+    def test_seed_overlap_is_shared_and_read_only(self, coarse_ws):
+        first, second = (
+            _seed_pair(coarse_ws, assemble(coarse_ws, HYDROGEN, l, Pseudopotential.BARE_COULOMB))
+            for l in (0, 1)
+        )
+        assert second.s_band is first.s_band
+        with pytest.raises(ValueError):
+            first.s_band[0, 0] = 1.0

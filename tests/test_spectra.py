@@ -1,5 +1,8 @@
 import pytest
 
+from conftest import CountingSeeds
+
+from atomscreen import eigensolve, spectra
 from atomscreen.bsplines import GridSpec, PAPER_GRID
 from atomscreen.model import (
     AtomSpec,
@@ -63,6 +66,35 @@ class TestSolveChannel:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             solve_channel(catalog_atom("Li"), A, 0, 0)
+
+
+class TestSeedSpace:
+    def test_paper_grid_never_seeds_at_the_full_dimension(self, monkeypatch):
+        counting = CountingSeeds(eigensolve._sturm_seeds)
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
+        spectra._solve_channel_cached.cache_clear()
+        for name, model, l, count in (("He", A, 0, 3), ("Li", B, 1, 12), ("Mg", A, 2, 1)):
+            solve_channel(catalog_atom(name), model, l, count)
+        # 591 intervals keep 148 breakpoints past the origin: 157 splines, 155 active
+        assert counting.dimensions == [155] * 3
+
+    # 91 intervals keep 23 breakpoints past the origin: 32 splines, 30 active
+    @pytest.mark.parametrize(("grid", "count", "dimensions"), [
+        (GridSpec(n_splines=100), 6, [30]),
+        (GridSpec(n_splines=100), 29, [30, 98]),
+        (GridSpec(n_splines=100), 30, [98]),
+        # A grid of a quarter of its splines would need a geometric ratio past
+        # 1e9. The seed space always exists; here its seeds fail and the
+        # solve falls back to the full pencil.
+        (GridSpec(n_splines=20, order_k=2, r_first=1e-17), 1, [4, 18]),
+    ], ids=["seeded", "fallback", "no-room-for-count", "steep-grid"])
+    def test_seed_space_is_tried_where_it_holds_count_plus_one(self, grid, count, dimensions,
+                                                           monkeypatch):
+        counting = CountingSeeds(eigensolve._sturm_seeds)
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
+        spectra._solve_channel_cached.cache_clear()
+        assert len(solve_channel(catalog_atom("Li"), A, 0, count, grid)) == count
+        assert counting.dimensions == dimensions
 
 
 class TestIonizationPotential:
