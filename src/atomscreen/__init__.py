@@ -40,6 +40,7 @@ from .model import (
     effective_charge,
     hydrogenic_energy,
     partition_alpha,
+    potential_terms,
     potential_value,
     screening_factor,
 )

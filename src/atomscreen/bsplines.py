@@ -187,6 +187,8 @@ def make_knots(
         raise ValueError(f"order_k must lie in [{low}, {high}]")
     if n_splines <= 2 * order_k:
         raise ValueError("n_splines must exceed 2 * order_k")
+    if not math.isfinite(r_max):
+        raise ValueError("r_max must be finite")
     if r_max <= 0:
         raise ValueError("r_max must be positive")
     n_breakpoints = n_splines - order_k + 2

@@ -29,6 +29,7 @@ __all__ = [
     "hydrogenic_energy",
     "screening_factor",
     "central_screening_amplitude",
+    "potential_terms",
     "potential_value",
     "atom_catalog",
     "catalog_atom",
@@ -202,28 +203,40 @@ def central_screening_amplitude(z: float, n_electrons: int) -> float:
     return (n_electrons - 1) ** 0.4 * (z / 2.0) ** 0.6
 
 
+def potential_terms(model: Pseudopotential, atom: AtomSpec, l: int = 0) -> tuple[float, float]:
+    """Coulomb charge q and screening amplitude a of the chosen potential,
+
+        V(r) = -q / r + a * screening_factor(r, Z) / r.
+
+    SYMMETRY_DEPENDENT has q = Z_eff(l) and a = 0 (raises ModelDomainError
+    where Z_eff <= 0). CENTRAL_SCREENING has q = Z and a =
+    central_screening_amplitude, which is 0 for a single electron.
+    BARE_COULOMB has q = Z and a = 0.
+    """
+    if model is Pseudopotential.SYMMETRY_DEPENDENT:
+        return effective_charge(atom.Z, atom.n_electrons, l), 0.0
+    if model is Pseudopotential.CENTRAL_SCREENING:
+        return float(atom.Z), central_screening_amplitude(atom.Z, atom.n_electrons)
+    if model is Pseudopotential.BARE_COULOMB:
+        return float(atom.Z), 0.0
+    raise ValueError(f"unknown pseudopotential model: {model!r}")
+
+
 def potential_value(model: Pseudopotential, r, atom: AtomSpec, l: int = 0):
     """Evaluate the chosen effective potential at radius r (hartree).
 
     SYMMETRY_DEPENDENT is purely Coulombic with an l-dependent effective
     charge. CENTRAL_SCREENING is l-independent with a radial screening
-    profile. BARE_COULOMB is -Z/r. Accepts scalar or array r > 0.
+    profile. BARE_COULOMB is -Z/r. See :func:`potential_terms`. Accepts
+    scalar or array r > 0.
     """
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0):
         raise ValueError("potential_value requires r > 0")
-    if model is Pseudopotential.SYMMETRY_DEPENDENT:
-        z_eff = effective_charge(atom.Z, atom.n_electrons, l)
-        value = -z_eff / r_arr
-    elif model is Pseudopotential.CENTRAL_SCREENING:
-        amp = central_screening_amplitude(atom.Z, atom.n_electrons)
-        value = -atom.Z / r_arr
-        if amp != 0.0:
-            value = value + amp * screening_factor(r_arr, atom.Z) / r_arr
-    elif model is Pseudopotential.BARE_COULOMB:
-        value = -atom.Z / r_arr
-    else:
-        raise ValueError(f"unknown pseudopotential model: {model!r}")
+    charge, amplitude = potential_terms(model, atom, l)
+    value = -charge / r_arr
+    if amplitude != 0.0:
+        value = value + amplitude * screening_factor(r_arr, atom.Z) / r_arr
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(value)
     return value

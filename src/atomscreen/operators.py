@@ -6,12 +6,29 @@ The reduced radial problem for angular momentum l is
     S[i,j] = int B_i B_j dr
 
 with the kinetic term integrated by parts (boundary terms vanish because the
-boundary splines are trimmed). Matrices are stored in symmetric upper-banded
-layout, ``band[bw - d, j] = A[j - d, j]`` with bandwidth bw = order_k - 1,
-the same convention scipy's banded routines use.
+boundary splines are trimmed). Every model potential is V(r) = -q/r +
+a f_Z(r)/r (model.potential_terms), so H is a sum of grid bands,
 
-A pair restricted to a coarser spline space (``_seed_pair``) seeds the
-eigensolver at a fraction of the cost of seeding on the pair itself.
+    H = T + l(l+1)/2 R2 - q R1 + a W_Z,
+
+with T = 1/2 <B'|B'>, R2 = <B|1/r^2|B>, R1 = <B|1/r|B>, W_Z = <B|f_Z/r|B>
+and f_Z = model.screening_factor. No channel integrates anything. Each band
+is built on first use, memoised and shared read-only:
+
+* per workspace: S, T, R2 and R1 (``_grid_bands(ws, False)``);
+* per workspace and Z: W_Z (``_screening_band(ws, z, False)``);
+* the same bands restricted to the seed space (``seed=True``), and the
+  restriction itself (``_seed_restriction``).
+
+The pair restricted to the seed space (``_seed_pair``) is the same band sum
+over the restricted bands; it seeds the eigensolver at a fraction of the
+cost of seeding on the pair itself.
+
+Matrices are stored in symmetric upper-banded layout, ``band[bw - d, j] =
+A[j - d, j]`` with bandwidth bw = order_k - 1, the same convention scipy's
+banded routines use. ``band_to_general`` converts a band to LAPACK's
+general band layout and ``general_matvec`` multiplies in that layout; the
+eigensolver converts H and S once per solve.
 """
 
 from __future__ import annotations
@@ -23,22 +40,38 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bsplines import Workspace, _seed_space
-from .model import AtomSpec, Pseudopotential, potential_value
+from .model import AtomSpec, Pseudopotential, potential_terms, screening_factor
 
 __all__ = [
     "OperatorPair",
     "assemble",
     "band_to_general",
+    "general_matvec",
     "band_matvec",
 ]
 
 
+@dataclass(frozen=True)
+class _Terms:
+    """Coefficients of H = T + centrifugal R2 - charge R1 + screening W_z."""
+
+    centrifugal: float
+    charge: float
+    screening: float
+    z: int
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorPair:
-    """Banded Hamiltonian and overlap for one (atom, l, model) channel."""
+    """Banded Hamiltonian and overlap for one (atom, l, model) channel.
+
+    ``terms`` are the coefficients of H in the grid bands when the pair
+    was assembled, and None for a pair built directly from its bands.
+    """
 
     h_band: np.ndarray
     s_band: np.ndarray
+    terms: _Terms | None = None
 
     @property
     def dimension(self) -> int:
@@ -66,15 +99,18 @@ def _band_sum(local: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _GridBands:
-    """Channel-independent bands for one workspace.
+    """Channel-independent bands for one workspace, or their restrictions
+    to its seed space.
 
-    ``s_band``, ``t_band`` (1/2 <B'|B'>) and ``r2_band`` (<B|1/r^2|B>) are
-    shared by every channel on the grid and therefore read-only.
+    ``s_band``, ``t_band`` (1/2 <B'|B'>), ``r2_band`` (<B|1/r^2|B>) and
+    ``r1_band`` (<B|1/r|B>) are shared by every channel on the grid and
+    therefore read-only.
     """
 
     s_band: np.ndarray
     t_band: np.ndarray
     r2_band: np.ndarray
+    r1_band: np.ndarray
 
 
 def _gram(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -82,21 +118,54 @@ def _gram(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.matmul(table.transpose(0, 2, 1) * weights[:, None, :], table)
 
 
-@lru_cache(maxsize=16)
-def _grid_bands(ws: Workspace) -> _GridBands:
-    """Build (and memoise) the grid-only bands; the workspace hashes by identity."""
-    def shared(local: np.ndarray) -> np.ndarray:
-        band = _band_sum(local, ws.basis.n_active)
-        band.setflags(write=False)
-        return band
+def _shared(band: np.ndarray) -> np.ndarray:
+    band.setflags(write=False)
+    return band
 
-    tables = ws.tables
+
+@lru_cache(maxsize=32)
+def _grid_bands(ws: Workspace, seed: bool) -> _GridBands:
+    """Build (and memoise) the grid-only bands of ``ws``, or with ``seed``
+    their restrictions to its seed space; the workspace hashes by identity."""
+    if seed:
+        restrict = _seed_restriction(ws).restrict
+        full = _grid_bands(ws, False)
+        return _GridBands(
+            s_band=_shared(restrict(full.s_band)),
+            t_band=_shared(restrict(full.t_band)),
+            r2_band=_shared(restrict(full.r2_band)),
+            r1_band=_shared(restrict(full.r1_band)),
+        )
+    tables, n = ws.tables, ws.basis.n_active
     w, r = ws.quad.weights, ws.quad.nodes
     return _GridBands(
-        s_band=shared(_gram(w, tables.values)),
-        t_band=shared(_gram(0.5 * w, tables.derivs)),
-        r2_band=shared(_gram(w / (r * r), tables.values)),
+        s_band=_shared(_band_sum(_gram(w, tables.values), n)),
+        t_band=_shared(_band_sum(_gram(0.5 * w, tables.derivs), n)),
+        r2_band=_shared(_band_sum(_gram(w / (r * r), tables.values), n)),
+        r1_band=_shared(_band_sum(_gram(w / r, tables.values), n)),
     )
+
+
+@lru_cache(maxsize=128)
+def _screening_band(ws: Workspace, z: int, seed: bool) -> np.ndarray:
+    """W_z = <B|f_z(r)/r|B> with f_z = model.screening_factor, memoised per
+    workspace and charge like ``_grid_bands`` and restricted alike."""
+    if seed:
+        return _shared(_seed_restriction(ws).restrict(_screening_band(ws, z, False)))
+    w, r = ws.quad.weights, ws.quad.nodes
+    local = _gram(w * screening_factor(r, z) / r, ws.tables.values)
+    return _shared(_band_sum(local, ws.basis.n_active))
+
+
+def _hamiltonian(ws: Workspace, terms: _Terms, seed: bool) -> np.ndarray:
+    """H summed from the grid bands of ``ws``, or from their restrictions."""
+    bands = _grid_bands(ws, seed)
+    h_band = bands.t_band - terms.charge * bands.r1_band
+    if terms.screening:
+        h_band += terms.screening * _screening_band(ws, terms.z, seed)
+    if terms.centrifugal:
+        h_band += terms.centrifugal * bands.r2_band
+    return h_band
 
 
 def assemble(
@@ -104,18 +173,15 @@ def assemble(
 ) -> OperatorPair:
     """Assemble the banded (H, S) pair for one angular-momentum channel.
 
-    H = T + <V> + l(l+1)/2 R2: only the potential term is integrated per
-    channel; S, T and R2 are built once per workspace and shared (read-only).
+    H = T + l(l+1)/2 R2 - q R1 + a W_Z: a sum of memoised grid bands
+    (module docstring); S is shared (read-only).
     """
     if l < 0:
         raise ValueError("l must be non-negative")
-
-    grid = _grid_bands(ws)
-    wv = ws.quad.weights * potential_value(model, ws.quad.nodes, atom, l)
-    h_band = grid.t_band + _band_sum(_gram(wv, ws.tables.values), ws.basis.n_active)
-    if l > 0:
-        h_band += 0.5 * l * (l + 1) * grid.r2_band
-    return OperatorPair(h_band=h_band, s_band=grid.s_band)
+    charge, screening = potential_terms(model, atom, l)
+    terms = _Terms(centrifugal=0.5 * l * (l + 1), charge=charge, screening=screening, z=atom.Z)
+    return OperatorPair(h_band=_hamiltonian(ws, terms, False),
+                        s_band=_grid_bands(ws, False).s_band, terms=terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,21 +249,15 @@ def _seed_restriction(ws: Workspace) -> _SeedRestriction:
                             n_seed=n_seed)
 
 
-@lru_cache(maxsize=16)
-def _seed_overlap(ws: Workspace) -> np.ndarray:
-    """The overlap restricted to the seed space, shared (read-only) like S."""
-    band = _seed_restriction(ws).restrict(_grid_bands(ws).s_band)
-    band.setflags(write=False)
-    return band
-
-
 def _seed_pair(ws: Workspace, pair: OperatorPair) -> OperatorPair:
     """``pair``, assembled on ``ws``, restricted to the seed space: the same
     channel on the splines of every bsplines._SEED_STRIDE-th breakpoint,
-    without a second assembly. Its eigenvalues are upper bounds of the
-    pair's (Courant-Fischer) and seed its solve (eigensolve, step 1)."""
-    return OperatorPair(h_band=_seed_restriction(ws).restrict(pair.h_band),
-                        s_band=_seed_overlap(ws))
+    summed from the restricted grid bands. Its eigenvalues are upper bounds
+    of the pair's (Courant-Fischer) and seed its solve (eigensolve, step 1)."""
+    if pair.terms is None:
+        raise ValueError("only an assembled pair has a seed pair")
+    return OperatorPair(h_band=_hamiltonian(ws, pair.terms, True),
+                        s_band=_grid_bands(ws, True).s_band)
 
 
 def band_to_general(band: np.ndarray) -> np.ndarray:
@@ -211,11 +271,17 @@ def band_to_general(band: np.ndarray) -> np.ndarray:
     return rows
 
 
+def general_matvec(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Multiply a matrix in general band layout (``band_to_general``) by a
+    vector, or by each row of a stack of vectors, in their common precision."""
+    bw, n = (rows.shape[0] - 1) // 2, rows.shape[1]
+    padded = np.zeros(x.shape[:-1] + (n + 2 * bw,), dtype=np.result_type(rows, x))
+    padded[..., bw : bw + n] = x
+    windows = sliding_window_view(padded, 2 * bw + 1, axis=-1)  # [..., i, o] = x[i + o - bw]
+    return np.einsum("...io,oi->...i", windows, rows)
+
+
 def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Multiply a symmetric upper-banded matrix by a vector, or by each row
     of a stack of vectors, in the precision of ``x``."""
-    bw, n = band.shape[0] - 1, band.shape[1]
-    padded = np.zeros(x.shape[:-1] + (n + 2 * bw,), dtype=np.result_type(band, x))
-    padded[..., bw : bw + n] = x
-    windows = sliding_window_view(padded, 2 * bw + 1, axis=-1)  # [..., i, o] = x[i + o - bw]
-    return np.einsum("...io,oi->...i", windows, band_to_general(band))
+    return general_matvec(band_to_general(band), x)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Sequence
 
 from .bsplines import GridSpec, PAPER_GRID, build_workspace
@@ -324,8 +323,9 @@ def _parse_reference_text(text: str) -> tuple[ReferenceRecord, ...]:
     return tuple(records)
 
 
-@lru_cache(maxsize=4)
-def _bundled_records() -> tuple[ReferenceRecord, ...]:
+@lru_cache(maxsize=1)
+def load_reference_records() -> tuple[ReferenceRecord, ...]:
+    """The bundled golden records, in file order."""
     text = (
         resources.files("atomscreen")
         .joinpath("data/reference_tables_v1.txt")
@@ -334,15 +334,8 @@ def _bundled_records() -> tuple[ReferenceRecord, ...]:
     return _parse_reference_text(text)
 
 
-def load_reference_records(path: str | Path | None = None) -> tuple[ReferenceRecord, ...]:
-    """Load golden records from ``path`` or from the bundled data file."""
-    if path is None:
-        return _bundled_records()
-    return _parse_reference_text(Path(path).read_text(encoding="utf-8"))
-
-
 def reference_records(table: str) -> tuple[ReferenceRecord, ...]:
     """Bundled golden rows of one table ('I', 'II' or 'III'), printed order."""
     if table not in ("I", "II", "III"):
         raise ValueError("table must be 'I', 'II' or 'III'")
-    return tuple(r for r in _bundled_records() if r.table == table)
+    return tuple(r for r in load_reference_records() if r.table == table)

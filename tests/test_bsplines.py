@@ -82,6 +82,12 @@ class TestMakeKnots:
         with pytest.raises(ValueError):
             make_knots(-1.0, 600, 10)
 
+    @pytest.mark.parametrize("kind", ["exp-linear", "linear"])
+    @pytest.mark.parametrize("r_max", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_box(self, r_max, kind):
+        with pytest.raises(ValueError, match=r"^r_max must be finite$"):
+            make_knots(r_max, 600, 10, kind)
+
 
 class TestEvalBspline:
     def test_partition_of_unity_random_radii(self, paper_basis):

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 
 from conftest import CountingSeeds, band_to_dense, dense_to_band, random_banded_pair
 
-from atomscreen import eigensolve
+from atomscreen import eigensolve, operators
 from atomscreen.bsplines import PAPER_GRID, GridSpec, build_workspace
 from atomscreen.cli import _resolve_solve_atom
 from atomscreen.eigensolve import (
@@ -195,6 +195,24 @@ class TestBandedPath:
         solve_lowest(pair, k)
         assert counting.factorizations == 2 * k
 
+    @pytest.mark.parametrize("k", [1, 12])
+    def test_one_layout_conversion_per_solve(self, k, monkeypatch):
+        # H and S are converted to the general band layout once each; every
+        # LU, band product and the inertia count read those layouts
+        ws = build_workspace()
+        pair = assemble(ws, catalog_atom("Na"), 1, Pseudopotential.CENTRAL_SCREENING)
+        coarse = _seed_pair(ws, pair)
+        conversions, convert = [], operators.band_to_general
+
+        def counting(band):
+            conversions.append(band.shape)
+            return convert(band)
+
+        monkeypatch.setattr(eigensolve, "band_to_general", counting)
+        monkeypatch.setattr(operators, "band_to_general", counting)
+        solve_lowest(pair, k, coarse=coarse)
+        assert conversions == [pair.h_band.shape] * 2
+
     def test_seeds_exact_to_the_last_bit(self):
         # integer eigenvalues make every shifted LU exactly singular
         n = 8
@@ -214,16 +232,18 @@ class TestInertiaCount:
                               eigvals_only=True)
             shifts = np.concatenate([[values[0] - 1.0], 0.5 * (values[1:] + values[:-1]),
                                      [values[-1] + 1.0]])
+            pencil = eigensolve._pencil(pair)
             for below, sigma in enumerate(shifts):
-                assert eigensolve._count_below(pair, sigma) == below, (dim, bandwidth, below)
+                assert eigensolve._count_below(pencil, sigma) == below, (dim, bandwidth, below)
 
     def test_singular_pivot_is_refused(self):
         n = 8
         pair = OperatorPair(h_band=dense_to_band(np.diag(np.arange(1.0, n + 1)), 2),
                             s_band=dense_to_band(np.eye(n), 2))
-        assert eigensolve._count_below(pair, 1.5) == 1
+        pencil = eigensolve._pencil(pair)
+        assert eigensolve._count_below(pencil, 1.5) == 1
         # H - 1 S has a zero first pivot
-        assert eigensolve._count_below(pair, 1.0) is None
+        assert eigensolve._count_below(pencil, 1.0) is None
 
     def test_growing_pivot_update_is_refused(self):
         # blocks of one row: a first pivot of 1e-9 makes the second block's
@@ -231,8 +251,9 @@ class TestInertiaCount:
         h = np.diag([1.0 + 1e-9, 2.0, 3.0, 4.0]) + np.diag([1.0, 0.0, 0.0], 1)
         pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
                             s_band=dense_to_band(np.eye(4), 1))
-        assert eigensolve._count_below(pair, 0.5) == 1
-        assert eigensolve._count_below(pair, 1.0) is None
+        pencil = eigensolve._pencil(pair)
+        assert eigensolve._count_below(pencil, 0.5) == 1
+        assert eigensolve._count_below(pencil, 1.0) is None
 
     def test_agrees_with_dsbgvx_on_channel_scan_draws(self):
         ws = build_workspace()
@@ -241,13 +262,14 @@ class TestInertiaCount:
             l, k = request["l"], request["k"]
             atom = _resolve_solve_atom(request["Z"], request["n"], l, 3)[0]
             pair = assemble(ws, atom, l, Pseudopotential(request["model"]))
+            pencil = eigensolve._pencil(pair)
             seeds = eigensolve._sturm_seeds(pair, k + 1)
-            refined = eigensolve._refined_pairs(pair, k, seeds).eigenvalues
+            refined = eigensolve._refined_pairs(pencil, k, seeds).eigenvalues
             for j in range(k):
                 midpoint = 0.5 * (seeds[j] + seeds[j + 1])
-                assert eigensolve._count_below(pair, midpoint) == j + 1, (request, j)
-                assert eigensolve._count_below(pair, refined[j] - 1e-10) == j, (request, j)
-                assert eigensolve._count_below(pair, refined[j] + 1e-10) == j + 1, (request, j)
+                assert eigensolve._count_below(pencil, midpoint) == j + 1, (request, j)
+                assert eigensolve._count_below(pencil, refined[j] - 1e-10) == j, (request, j)
+                assert eigensolve._count_below(pencil, refined[j] + 1e-10) == j + 1, (request, j)
             draws += 1
         assert draws == 100
 

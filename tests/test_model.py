@@ -18,6 +18,7 @@ from atomscreen.model import (
     effective_charge,
     hydrogenic_energy,
     partition_alpha,
+    potential_terms,
     potential_value,
     screening_factor,
 )
@@ -182,6 +183,32 @@ class TestPotentialValue:
         helium = catalog_atom("He")
         with pytest.raises(ValueError):
             potential_value(Pseudopotential.BARE_COULOMB, 0.0, helium, 0)
+
+
+class TestPotentialTerms:
+    """V(r) = -q/r + a screening_factor(r, Z)/r: the split operators
+    assembles H from."""
+
+    @pytest.mark.parametrize("model", list(Pseudopotential))
+    @pytest.mark.parametrize(("z", "n", "l"), [(2, 2, 0), (3, 3, 1), (11, 11, 2), (12, 12, 3),
+                                               (5, 1, 0), (1, 1, 1)])
+    def test_reproduce_potential_value_at_random_radii(self, model, z, n, l):
+        atom = AtomSpec("X", z, n, l + 1, l, 1)
+        charge, amplitude = potential_terms(model, atom, l)
+        radii = np.random.default_rng(17).uniform(1e-4, 200.0, 64)
+        expected = potential_value(model, radii, atom, l)
+        split = -charge / radii + amplitude * screening_factor(radii, z) / radii
+        assert np.max(np.abs(split - expected) / np.abs(expected)) <= 1e-15
+
+    def test_closed_forms_per_model(self):
+        sodium = catalog_atom("Na")
+        assert potential_terms(Pseudopotential.SYMMETRY_DEPENDENT, sodium, 2) == (
+            effective_charge(11, 11, 2), 0.0)
+        assert potential_terms(Pseudopotential.CENTRAL_SCREENING, sodium, 2) == (
+            11.0, central_screening_amplitude(11, 11))
+        assert potential_terms(Pseudopotential.BARE_COULOMB, sodium, 2) == (11.0, 0.0)
+        hydrogen = AtomSpec("H", 1, 1, 1, 0, 1)
+        assert potential_terms(Pseudopotential.CENTRAL_SCREENING, hydrogen, 0) == (1.0, 0.0)
 
 
 class TestCatalog:

@@ -8,13 +8,15 @@ from atomscreen.bsplines import GridSpec, _seed_space, build_workspace
 from atomscreen.eigensolve import solve_lowest
 from atomscreen.model import (
     AtomSpec,
+    ModelDomainError,
     Pseudopotential,
     catalog_atom,
     effective_charge,
     hydrogenic_energy,
     potential_value,
 )
-from atomscreen.operators import _seed_pair, assemble, band_matvec
+from atomscreen import operators
+from atomscreen.operators import OperatorPair, _seed_pair, assemble, band_matvec
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
@@ -132,6 +134,12 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(coarse_ws, HYDROGEN, -1, Pseudopotential.BARE_COULOMB)
 
+    def test_non_binding_effective_charge_is_refused(self, coarse_ws):
+        # Z = 1 with three electrons screens the s channel to Z_eff = 0
+        atom = AtomSpec("X", 1, 3, 1, 0, 1)
+        with pytest.raises(ModelDomainError):
+            assemble(coarse_ws, atom, 0, Pseudopotential.SYMMETRY_DEPENDENT)
+
 
 def _per_channel_pair(ws, atom, l, model):
     """(H, S) bands built per channel with three einsums and a looped scatter."""
@@ -194,6 +202,18 @@ class TestSharedGridBands:
         third = assemble(coarse_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
         assert np.any(third.h_band != 0.0)
 
+    @pytest.mark.parametrize("seed", [False, True], ids=["basis", "seed-space"])
+    def test_memoised_bands_are_shared_and_read_only(self, coarse_ws, seed):
+        bands = operators._grid_bands(coarse_ws, seed)
+        assert operators._grid_bands(coarse_ws, seed) is bands
+        screening = operators._screening_band(coarse_ws, 3, seed)
+        assert operators._screening_band(coarse_ws, 3, seed) is screening
+        assert operators._screening_band(coarse_ws, 4, seed) is not screening
+        for band in (bands.s_band, bands.t_band, bands.r2_band, bands.r1_band, screening):
+            assert band.shape == bands.s_band.shape
+            with pytest.raises(ValueError):
+                band[0, -1] = 1.0
+
 
 class TestBandHelpers:
     def test_band_shape_paper_settings(self, paper_ws):
@@ -242,6 +262,11 @@ class TestSeedPair:
                           eigvals_only=True)
         assert seed.dimension < pair.dimension
         assert np.all(coarse[:5] >= full[:5] - 1e-12)
+
+    def test_pair_built_from_bands_has_no_seed_pair(self, coarse_ws):
+        pair = assemble(coarse_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
+        with pytest.raises(ValueError, match="assembled"):
+            _seed_pair(coarse_ws, OperatorPair(h_band=pair.h_band, s_band=pair.s_band))
 
     def test_seed_overlap_is_shared_and_read_only(self, coarse_ws):
         first, second = (

@@ -1,8 +1,6 @@
-from importlib import resources
-
 import pytest
 
-from atomscreen.spectra import load_reference_records, reference_records
+from atomscreen.spectra import _parse_reference_text, load_reference_records, reference_records
 
 
 class TestBundledData:
@@ -27,40 +25,24 @@ class TestBundledData:
         assert table3["4f"].present1_ev == -0.834
         assert table3["4f"].reference_ev == -0.848
 
-    def test_load_from_explicit_path(self, tmp_path):
-        bundled = resources.files("atomscreen").joinpath("data/reference_tables_v1.txt")
-        path = tmp_path / "golden.txt"
-        path.write_bytes(bundled.read_bytes())
-        assert load_reference_records(path) == load_reference_records()
-
 
 class TestParsing:
-    def test_rejects_wrong_field_count(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# version: 1\nHe 24.76 35.21 I\n", encoding="utf-8")
+    def test_rejects_wrong_field_count(self):
         with pytest.raises(ValueError, match="expected 5 fields"):
-            load_reference_records(path)
+            _parse_reference_text("# version: 1\nHe 24.76 35.21 I\n")
 
-    def test_rejects_unknown_table(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# version: 1\nHe 1 2 3 IV\n", encoding="utf-8")
+    def test_rejects_unknown_table(self):
         with pytest.raises(ValueError, match="unknown table"):
-            load_reference_records(path)
+            _parse_reference_text("# version: 1\nHe 1 2 3 IV\n")
 
-    def test_rejects_bad_number(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# version: 1\nHe x 35.21 24.60 I\n", encoding="utf-8")
+    def test_rejects_bad_number(self):
         with pytest.raises(ValueError, match="bad number"):
-            load_reference_records(path)
+            _parse_reference_text("# version: 1\nHe x 35.21 24.60 I\n")
 
-    def test_rejects_missing_version(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("He 24.76 35.21 24.60 I\n", encoding="utf-8")
+    def test_rejects_missing_version(self):
         with pytest.raises(ValueError, match="version"):
-            load_reference_records(path)
+            _parse_reference_text("He 24.76 35.21 24.60 I\n")
 
-    def test_rejects_empty_file(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# version: 1\n", encoding="utf-8")
+    def test_rejects_empty_file(self):
         with pytest.raises(ValueError, match="no reference records"):
-            load_reference_records(path)
+            _parse_reference_text("# version: 1\n")
