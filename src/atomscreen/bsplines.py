@@ -5,6 +5,12 @@ order-k clamped knot sequence. The first and last spline are dropped to
 enforce zero boundary values, leaving ``n_splines - 2`` active functions.
 Gauss-Legendre nodes on every breakpoint interval stay strictly interior,
 so integrands singular at r = 0 are never sampled there.
+
+Each workspace has a seed workspace (``_seed_workspace``): the same order on
+every fourth breakpoint, integrated with the same nodes and weights. Its
+splines lie in the workspace's spline space, so the eigenvalues of a channel
+assembled on it bound the workspace's from above and seed its solve
+(eigensolve, step 1).
 """
 
 from __future__ import annotations
@@ -203,6 +209,11 @@ def make_knots(
         raise ValueError(f"unknown knot kind: {kind!r}")
     if not np.all(np.diff(breakpoints) > 0):
         raise ValueError("degenerate grid: breakpoints are not strictly increasing")
+    return _clamped_basis(breakpoints, order_k, r_max)
+
+
+def _clamped_basis(breakpoints: np.ndarray, order_k: int, r_max: float) -> KnotBasis:
+    """The order-k basis on ``breakpoints``, both ends repeated k times."""
     knots = np.concatenate(
         [
             np.zeros(order_k - 1),
@@ -212,7 +223,7 @@ def make_knots(
     )
     return KnotBasis(
         order_k=order_k,
-        n_splines=n_splines,
+        n_splines=len(breakpoints) + order_k - 2,
         r_max=r_max,
         breakpoints=breakpoints,
         knots=knots,
@@ -248,31 +259,6 @@ def _raise_order(
         carry = d_left[..., j - 1 - i] * term
     step[..., j] = carry
     return step
-
-
-def _seed_space(basis: KnotBasis) -> tuple[np.ndarray, np.ndarray, int]:
-    """The splines of the same order on every _SEED_STRIDE-th breakpoint
-    (and the last), written in ``basis``.
-
-    Their knots are a subset of the basis knots, so each seed spline is
-    exactly C_j = sum_i A[i, j] B_i. Row i of A is the Oslo algorithm: the
-    Cox-de Boor recursion of the seed splines on the seed span holding
-    t[i], run at the knots t[i + 1], ..., t[i + k - 1] in turn.
-
-    Returns (first, values, count): A[i, first[i] + a] = values[i, a] for
-    every spline i of ``basis``, and the number of seed splines.
-    """
-    k, t = basis.order_k, basis.knots
-    kept = np.append(np.arange(0, basis.n_intervals, _SEED_STRIDE), basis.n_intervals)
-    seed_knots = np.concatenate(
-        [np.zeros(k - 1), basis.breakpoints[kept], np.full(k - 1, basis.r_max)]
-    )
-    rows = np.arange(basis.n_splines)
-    spans = np.searchsorted(seed_knots, t[rows], side="right") - 1
-    values = np.ones((rows.size, 1, 1))
-    for step in range(1, k):
-        values = _raise_order(seed_knots, values, spans, t[rows + step][:, None])
-    return spans - k + 1, values[:, 0, :], seed_knots.size - k
 
 
 def _values_and_derivs(
@@ -366,3 +352,27 @@ def build_workspace(grid: GridSpec = PAPER_GRID) -> Workspace:
     quad = make_quadrature(basis, grid.nodes_per_interval)
     tables = design_tables(basis, quad)
     return Workspace(basis=basis, quad=quad, tables=tables)
+
+
+@lru_cache(maxsize=16)
+def _seed_workspace(ws: Workspace) -> Workspace:
+    """The grid of ``ws`` on every _SEED_STRIDE-th breakpoint (and the last),
+    with the quadrature of ``ws``; memoised per workspace, by identity.
+
+    Its knots are a subset of the knots of ``ws``, so its splines lie in the
+    spline space of ``ws``. Each of its intervals holds the nodes and weights
+    of the _SEED_STRIDE intervals of ``ws`` it covers; the last, shorter
+    group is padded with zero-weight copies of its last interval's nodes.
+    Integrals on it are therefore the Galerkin restrictions of those on
+    ``ws`` to its splines.
+    """
+    basis, quad = ws.basis, ws.quad
+    n_intervals = basis.n_intervals
+    kept = np.append(np.arange(0, n_intervals, _SEED_STRIDE), n_intervals)
+    seed = _clamped_basis(basis.breakpoints[kept], basis.order_k, basis.r_max)
+    pad = -n_intervals % _SEED_STRIDE
+    nodes = np.concatenate([quad.nodes, np.repeat(quad.nodes[-1:], pad, axis=0)])
+    weights = np.concatenate([quad.weights, np.zeros((pad, quad.weights.shape[1]))])
+    shape = (seed.n_intervals, -1)
+    regrouped = QuadratureRule(nodes=nodes.reshape(shape), weights=weights.reshape(shape))
+    return Workspace(basis=seed, quad=regrouped, tables=design_tables(seed, regrouped))

@@ -12,8 +12,9 @@ reads the bands.
    seed pencil. Given ``coarse``, a smaller pencil of the same channel,
    that is the seed pencil: its band reduction costs O(n_c^2 bw) instead of
    the O(n^2 bw) that dominates a solve on (H, S) itself. spectra passes
-   (H, S) restricted to the splines on every fourth breakpoint
-   (operators._seed_pair). Its eigenvalues bound those of (H, S) from
+   the channel assembled on the splines of every fourth breakpoint, with
+   the same quadrature (operators._seed_pair). Those splines span a
+   subspace of the pair's, so its eigenvalues bound those of (H, S) from
    above (Courant-Fischer), and its seeds lie within ~1e-5 hartree of them
    on the paper grid. Seeds from (H, S) itself carry the reduction's
    absolute error, which grows with the spectral range: ~1e-6 hartree on
@@ -373,8 +374,8 @@ def solve_lowest(
 ) -> EigenSolution:
     """Compute the k_states algebraically smallest eigenpairs of (H, S).
 
-    ``coarse`` is a smaller pencil of the same channel, such as its
-    restriction to a coarser spline space. When it holds k_states + 1
+    ``coarse`` is a smaller pencil of the same channel, such as the
+    channel on a coarser, nested spline space. When it holds k_states + 1
     states its eigenvalues seed the solve, and an inertia count on (H, S)
     certifies the result (module docstring, step 5); otherwise, or if that
     fails, the seeds come from (H, S) itself.

@@ -15,14 +15,13 @@ with T = 1/2 <B'|B'>, R2 = <B|1/r^2|B>, R1 = <B|1/r|B>, W_Z = <B|f_Z/r|B>
 and f_Z = model.screening_factor. No channel integrates anything. Each band
 is built on first use, memoised and shared read-only:
 
-* per workspace: S, T, R2 and R1 (``_grid_bands(ws, False)``);
-* per workspace and Z: W_Z (``_screening_band(ws, z, False)``);
-* the same bands restricted to the seed space (``seed=True``), and the
-  restriction itself (``_seed_restriction``).
+* per workspace: S, T, R2 and R1 (``_grid_bands``);
+* per workspace and Z: W_Z (``_screening_band``).
 
-The pair restricted to the seed space (``_seed_pair``) is the same band sum
-over the restricted bands; it seeds the eigensolver at a fraction of the
-cost of seeding on the pair itself.
+The seed pair (``_seed_pair``) is the same band sum over the bands of the
+seed workspace (bsplines._seed_workspace), the channel on every fourth
+breakpoint; it seeds the eigensolver at a fraction of the cost of seeding
+on the pair itself.
 
 Matrices are stored in symmetric upper-banded layout, ``band[bw - d, j] =
 A[j - d, j]`` with bandwidth bw = order_k - 1, the same convention scipy's
@@ -39,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bsplines import Workspace, _seed_space
+from .bsplines import Workspace, _seed_workspace
 from .model import AtomSpec, Pseudopotential, potential_terms, screening_factor
 
 __all__ = [
@@ -99,8 +98,7 @@ def _band_sum(local: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _GridBands:
-    """Channel-independent bands for one workspace, or their restrictions
-    to its seed space.
+    """Channel-independent bands for one workspace.
 
     ``s_band``, ``t_band`` (1/2 <B'|B'>), ``r2_band`` (<B|1/r^2|B>) and
     ``r1_band`` (<B|1/r|B>) are shared by every channel on the grid and
@@ -124,18 +122,9 @@ def _shared(band: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _grid_bands(ws: Workspace, seed: bool) -> _GridBands:
-    """Build (and memoise) the grid-only bands of ``ws``, or with ``seed``
-    their restrictions to its seed space; the workspace hashes by identity."""
-    if seed:
-        restrict = _seed_restriction(ws).restrict
-        full = _grid_bands(ws, False)
-        return _GridBands(
-            s_band=_shared(restrict(full.s_band)),
-            t_band=_shared(restrict(full.t_band)),
-            r2_band=_shared(restrict(full.r2_band)),
-            r1_band=_shared(restrict(full.r1_band)),
-        )
+def _grid_bands(ws: Workspace) -> _GridBands:
+    """Build (and memoise) the grid-only bands of ``ws``; the workspace
+    hashes by identity."""
     tables, n = ws.tables, ws.basis.n_active
     w, r = ws.quad.weights, ws.quad.nodes
     return _GridBands(
@@ -147,22 +136,20 @@ def _grid_bands(ws: Workspace, seed: bool) -> _GridBands:
 
 
 @lru_cache(maxsize=128)
-def _screening_band(ws: Workspace, z: int, seed: bool) -> np.ndarray:
+def _screening_band(ws: Workspace, z: int) -> np.ndarray:
     """W_z = <B|f_z(r)/r|B> with f_z = model.screening_factor, memoised per
-    workspace and charge like ``_grid_bands`` and restricted alike."""
-    if seed:
-        return _shared(_seed_restriction(ws).restrict(_screening_band(ws, z, False)))
+    workspace and charge like ``_grid_bands``."""
     w, r = ws.quad.weights, ws.quad.nodes
     local = _gram(w * screening_factor(r, z) / r, ws.tables.values)
     return _shared(_band_sum(local, ws.basis.n_active))
 
 
-def _hamiltonian(ws: Workspace, terms: _Terms, seed: bool) -> np.ndarray:
-    """H summed from the grid bands of ``ws``, or from their restrictions."""
-    bands = _grid_bands(ws, seed)
+def _hamiltonian(ws: Workspace, terms: _Terms) -> np.ndarray:
+    """H summed from the grid bands of ``ws``."""
+    bands = _grid_bands(ws)
     h_band = bands.t_band - terms.charge * bands.r1_band
     if terms.screening:
-        h_band += terms.screening * _screening_band(ws, terms.z, seed)
+        h_band += terms.screening * _screening_band(ws, terms.z)
     if terms.centrifugal:
         h_band += terms.centrifugal * bands.r2_band
     return h_band
@@ -180,84 +167,18 @@ def assemble(
         raise ValueError("l must be non-negative")
     charge, screening = potential_terms(model, atom, l)
     terms = _Terms(centrifugal=0.5 * l * (l + 1), charge=charge, screening=screening, z=atom.Z)
-    return OperatorPair(h_band=_hamiltonian(ws, terms, False),
-                        s_band=_grid_bands(ws, False).s_band, terms=terms)
-
-
-@dataclass(frozen=True, eq=False)
-class _SeedRestriction:
-    """Galerkin restriction A -> P^T A P onto the seed space of one workspace.
-
-    P holds the active seed splines' coefficients in the active splines
-    (bsplines._seed_space): row i is ``values[i]`` in columns first[i] + a,
-    a < k. first starts at 0 and rises by 0 or 1 from row to row, as each
-    seed knot is a knot of the basis, so rows i - bw .. i + bw of P lie in
-    columns first[i] - reach .. first[i] + reach + k - 1.
-    ``spread[i, bw + d, c]`` is P[i + d, first[i] - reach + c], which makes
-    (A P)[i, first[i] - reach + c] = sum_d A[i, i + d] spread[i, bw + d, c]
-    one small matrix product per row. ``starts`` are the first rows of the
-    runs of equal first[i]; run r has first[i] = r. Seed indices count all
-    seed splines; the two boundary ones have no coefficients and are
-    dropped from the result.
-    """
-
-    values: np.ndarray
-    spread: np.ndarray
-    starts: np.ndarray
-    reach: int
-    n_seed: int
-
-    def restrict(self, band: np.ndarray) -> np.ndarray:
-        """P^T A P in upper-banded layout, for A in upper-banded layout."""
-        bw, k = band.shape[0] - 1, self.values.shape[1]
-        neighbours = band_to_general(band).T  # [i, bw + d] = A[i, i + d]
-        image = np.matmul(neighbours[:, None, :], self.spread)[:, 0, :]
-        image = np.pad(image, ((0, 0), (0, bw)))
-        windows = sliding_window_view(image, bw + 1, axis=1)[:, self.reach : self.reach + k]
-        # [i, a, e] = P[i, j] (A P)[i, j + e] at j = first[i] + a, summed
-        # over each run of rows that share first[i]
-        runs = np.add.reduceat(self.values[:, :, None] * windows, self.starts)
-        rows = np.zeros((self.n_seed, bw + 1))  # [j, e] = (P^T A P)[j, j + e]
-        for a in range(k):
-            rows[a : a + len(self.starts)] += runs[:, a]
-        full = np.zeros((bw + 1, self.n_seed))
-        for e in range(bw + 1):
-            full[bw - e, e:] = rows[: self.n_seed - e, e]
-        return full[:, 1:-1].copy()
-
-
-@lru_cache(maxsize=16)
-def _seed_restriction(ws: Workspace) -> _SeedRestriction:
-    """Build (and memoise) the restriction onto the seed space of ``ws``."""
-    first, values, n_seed = _seed_space(ws.basis)
-    first, values = first[1:-1], values[1:-1]  # the active splines
-    k = values.shape[1]
-    columns = first[:, None] + np.arange(k)
-    values = np.where((columns >= 1) & (columns <= n_seed - 2), values, 0.0)
-    n, bw = values.shape[0], k - 1
-
-    reach = int(np.max(first[bw:] - first[:-bw]))
-    spread = np.zeros((n, 2 * bw + 1, 2 * reach + k))
-    for d in range(-bw, bw + 1):
-        rows = np.arange(max(0, -d), min(n, n - d))
-        window = (reach + first[rows + d] - first[rows])[:, None] + np.arange(k)
-        spread[rows[:, None], bw + d, window] = values[rows + d]
-    starts = np.flatnonzero(np.diff(first, prepend=-1))
-    for shared in (values, spread, starts):
-        shared.setflags(write=False)
-    return _SeedRestriction(values=values, spread=spread, starts=starts, reach=reach,
-                            n_seed=n_seed)
+    return OperatorPair(h_band=_hamiltonian(ws, terms), s_band=_grid_bands(ws).s_band,
+                        terms=terms)
 
 
 def _seed_pair(ws: Workspace, pair: OperatorPair) -> OperatorPair:
-    """``pair``, assembled on ``ws``, restricted to the seed space: the same
-    channel on the splines of every bsplines._SEED_STRIDE-th breakpoint,
-    summed from the restricted grid bands. Its eigenvalues are upper bounds
+    """``pair``, assembled on ``ws``, as the same band sum on its seed
+    workspace (bsplines._seed_workspace). Its eigenvalues are upper bounds
     of the pair's (Courant-Fischer) and seed its solve (eigensolve, step 1)."""
     if pair.terms is None:
         raise ValueError("only an assembled pair has a seed pair")
-    return OperatorPair(h_band=_hamiltonian(ws, pair.terms, True),
-                        s_band=_grid_bands(ws, True).s_band)
+    seed = _seed_workspace(ws)
+    return OperatorPair(h_band=_hamiltonian(seed, pair.terms), s_band=_grid_bands(seed).s_band)
 
 
 def band_to_general(band: np.ndarray) -> np.ndarray:

@@ -5,14 +5,13 @@ import pytest
 
 from atomscreen.bsplines import (
     GridSpec,
-    KnotBasis,
     PAPER_GRID,
     build_workspace,
     design_tables,
     eval_bspline,
     make_knots,
     make_quadrature,
-    _seed_space,
+    _seed_workspace,
 )
 
 
@@ -219,30 +218,54 @@ class TestDesignTables:
         assert build_workspace(PAPER_GRID).basis.n_splines == 600
 
 
-class TestSeedSpace:
-    @pytest.mark.parametrize("basis", [
-        make_knots(10.0, 23, 3, "linear"),
-        make_knots(30.0, 60, 6, "exp-linear", 1e-3),
-        make_knots(200.0, 36, 10, "exp-linear", 1e-4),
-    ], ids=["linear-k3", "exp-linear-k6", "exp-linear-k10"])
-    def test_rows_write_the_seed_splines_exactly(self, basis):
-        k = basis.order_k
-        first, values, count = _seed_space(basis)
-        kept = basis.breakpoints[np.append(np.arange(0, basis.n_intervals, 4),
-                                           basis.n_intervals)]
-        seed = KnotBasis(order_k=k, n_splines=count, r_max=basis.r_max, breakpoints=kept,
-                         knots=np.concatenate([np.zeros(k - 1), kept, np.full(k - 1, basis.r_max)]))
-        assert count == len(kept) + k - 2
-        insertion = np.zeros((basis.n_splines, count))
-        for i in range(basis.n_splines):
-            insertion[i, first[i]:first[i] + k] = values[i]
-        rng = np.random.default_rng(8)
-        radii = np.concatenate([rng.uniform(0.0, basis.r_max, 40),
-                                rng.uniform(0.0, kept[2], 20), [0.0, basis.r_max]])
-        for r in radii:
-            fine = np.array([eval_bspline(basis, i, r) for i in range(basis.n_splines)])
-            coarse = np.array([eval_bspline(seed, j, r) for j in range(count)])
-            assert np.max(np.abs(fine @ insertion - coarse)) <= 1e-13, r
+class TestSeedWorkspace:
+    # 21 and 40 intervals: a last group of one interval, and none to pad
+    @pytest.fixture(scope="class", params=[
+        GridSpec(n_splines=23, order_k=3, r_max=10.0, knot_kind="linear", nodes_per_interval=4),
+        GridSpec(n_splines=49, order_k=10, r_max=200.0, nodes_per_interval=12),
+    ], ids=["linear-k3-padded", "exp-linear-k10-whole"])
+    def spaces(self, request):
+        ws = build_workspace(request.param)
+        return ws, _seed_workspace(ws)
+
+    def test_knots_are_every_fourth_breakpoint_of_the_basis(self, spaces):
+        ws, seed = spaces
+        fine, coarse = ws.basis, seed.basis
+        kept = np.append(np.arange(0, fine.n_intervals, 4), fine.n_intervals)
+        assert np.array_equal(coarse.breakpoints, fine.breakpoints[kept])
+        assert np.all(np.isin(coarse.knots, fine.knots))
+        assert coarse.order_k == fine.order_k and coarse.r_max == fine.r_max
+        assert coarse.n_splines == len(coarse.knots) - coarse.order_k
+
+    def test_quadrature_is_the_basis_rule_regrouped(self, spaces):
+        ws, seed = spaces
+        n, nq = ws.quad.nodes.shape
+        groups = seed.basis.n_intervals
+        assert seed.quad.nodes.shape == seed.quad.weights.shape == (groups, 4 * nq)
+        nodes = seed.quad.nodes.reshape(4 * groups, nq)
+        weights = seed.quad.weights.reshape(4 * groups, nq)
+        assert np.array_equal(nodes[:n], ws.quad.nodes)
+        assert np.array_equal(weights[:n], ws.quad.weights)
+        # the short last group repeats its last interval's nodes at weight 0
+        assert np.array_equal(nodes[n:], np.broadcast_to(ws.quad.nodes[-1], nodes[n:].shape))
+        assert np.all(weights[n:] == 0.0)
+        bp = seed.basis.breakpoints
+        assert np.all((bp[:-1, None] < seed.quad.nodes) & (seed.quad.nodes < bp[1:, None]))
+
+    def test_tables_match_pointwise_evaluation(self, spaces):
+        _, seed = spaces
+        basis, k = seed.basis, seed.basis.order_k
+        last = seed.quad.nodes.shape[1] - 1
+        for iv in range(basis.n_intervals):
+            for q in (0, last // 2, last):
+                r = seed.quad.nodes[iv, q]
+                for a in range(k):
+                    assert seed.tables.values[iv, q, a] == pytest.approx(
+                        eval_bspline(basis, iv + a, r), abs=1e-14
+                    )
+                    assert seed.tables.derivs[iv, q, a] == pytest.approx(
+                        eval_bspline(basis, iv + a, r, 1), rel=1e-12, abs=1e-11
+                    )
 
 
 def _span_values(t, k, span, x):

@@ -84,12 +84,12 @@ class TestSeedSpace:
         (GridSpec(n_splines=100), 29, [30, 98]),
         (GridSpec(n_splines=100), 30, [98]),
         # A grid of a quarter of its splines would need a geometric ratio past
-        # 1e9. The seed space always exists; here its seeds fail and the
+        # 1e9. The seed workspace always exists; here its seeds fail and the
         # solve falls back to the full pencil.
         (GridSpec(n_splines=20, order_k=2, r_first=1e-17), 1, [4, 18]),
     ], ids=["seeded", "fallback", "no-room-for-count", "steep-grid"])
-    def test_seed_space_is_tried_where_it_holds_count_plus_one(self, grid, count, dimensions,
-                                                           monkeypatch):
+    def test_seed_workspace_is_tried_where_it_holds_count_plus_one(self, grid, count,
+                                                                   dimensions, monkeypatch):
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
         spectra._solve_channel_cached.cache_clear()
