@@ -285,30 +285,41 @@ def _divide_where_wide(column: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return np.divide(column, widths, out=np.zeros_like(column), where=widths > 0)
 
 
-def _find_interval(basis: KnotBasis, r: float) -> int:
-    iv = int(np.searchsorted(basis.breakpoints, r, side="right")) - 1
-    return min(max(iv, 0), basis.n_intervals - 1)
+def _find_interval(basis: KnotBasis, r: np.ndarray) -> np.ndarray:
+    iv = np.searchsorted(basis.breakpoints, r, side="right") - 1
+    return np.clip(iv, 0, basis.n_intervals - 1)
 
 
-def eval_bspline(basis: KnotBasis, index: int, r: float, derivative_order: int = 0) -> float:
-    """Evaluate one basis function (or its first derivative) at radius r."""
+def eval_bspline(basis: KnotBasis, index: int, r, derivative_order: int = 0):
+    """Evaluate one basis function (or its first derivative) at radius r.
+
+    ``r`` may be a float, which gives a float, or an array of radii, which
+    gives an array of their values; each point is evaluated on its own span.
+    """
     if not 0 <= index < basis.n_splines:
         raise ValueError(f"spline index {index} out of range")
-    if not 0 <= r <= basis.r_max:
-        raise ValueError(f"radius {r} outside [0, {basis.r_max}]")
+    radii = np.asarray(r, dtype=float)
+    outside = ~((radii >= 0) & (radii <= basis.r_max))  # also catches NaN
+    if outside.any():
+        raise ValueError(f"radius {radii[outside].flat[0]} outside [0, {basis.r_max}]")
     if derivative_order not in (0, 1):
         raise ValueError("derivative_order must be 0 or 1")
     k = basis.order_k
-    span = k - 1 + _find_interval(basis, r)
-    first = span - k + 1
-    if not first <= index <= span:
-        return 0.0
-    spans, x = np.array([span]), np.array([[float(r)]])
-    if derivative_order == 0:
-        row = _nonzero_values(basis.knots, k, spans, x)
-    else:
-        row = _values_and_derivs(basis.knots, k, spans, x)[1]
-    return float(row[0, 0, index - first])
+    points = radii.ravel()
+    spans = k - 1 + _find_interval(basis, points)
+    position = index - (spans - k + 1)  # among the k splines nonzero on the span
+    inside = (position >= 0) & (position < k)
+    values = np.zeros(points.shape)
+    if inside.any():
+        spans, x = spans[inside], points[inside, None]
+        if derivative_order == 0:
+            rows = _nonzero_values(basis.knots, k, spans, x)
+        else:
+            rows = _values_and_derivs(basis.knots, k, spans, x)[1]
+        values[inside] = rows[np.arange(len(spans)), 0, position[inside]]
+    if radii.ndim == 0:
+        return float(values[0])
+    return values.reshape(radii.shape)
 
 
 @lru_cache(maxsize=32)

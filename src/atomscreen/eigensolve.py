@@ -7,35 +7,37 @@ difference of the two layouts), band product and inertia count of the
 solve reads them, a redo from the pair's own seeds included; only dsbgvx
 reads the bands.
 
-1. Seeds. LAPACK ``dsbgvx`` (split-Cholesky band reduction, reduction to
-   tridiagonal form, bisection) gives the k + 1 lowest eigenvalues of a
-   seed pencil. Given ``coarse``, a smaller pencil of the same channel,
-   that is the seed pencil: its band reduction costs O(n_c^2 bw) instead of
-   the O(n^2 bw) that dominates a solve on (H, S) itself. spectra passes
-   the channel assembled on the splines of every fourth breakpoint, with
-   the same quadrature (operators._seed_pair). Those splines span a
-   subspace of the pair's, so its eigenvalues bound those of (H, S) from
-   above (Courant-Fischer), and its seeds lie within ~1e-5 hartree of them
-   on the paper grid. Seeds from (H, S) itself carry the reduction's
-   absolute error, which grows with the spectral range: ~1e-6 hartree on
-   the paper grid.
+1. Seeds. The caller may supply ``seeds``, k + 1 estimates of the lowest
+   eigenvalues from anywhere: spectra passes the closed-form Coulomb
+   levels for unscreened channels, and for screened ones the ``dsbgvx``
+   eigenvalues of the channel on the splines of every fourth breakpoint
+   (operators._seed_pair), whose band reduction costs O(n_c^2 bw) instead
+   of the O(n^2 bw) of one on (H, S). Without them, or if they fail below,
+   LAPACK ``dsbgvx`` (split-Cholesky band reduction, reduction to
+   tridiagonal form, bisection) gives the k + 1 lowest eigenvalues of
+   (H, S) itself; they carry the reduction's absolute error, which grows
+   with the spectral range: ~1e-6 hartree on the paper grid.
 2. Vectors. Inverse iteration per seed at the fixed shift sigma = seed,
    on H - sigma S LU-factored once in general band storage.
 3. Rayleigh-Ritz on the k vectors makes them S-orthonormal.
-4. Refinement. One step c <- c - (H - sigma_seed S)^-1 r, with the residual
-   r = H c - eps S c accumulated in extended precision. The returned
-   eigenvalues and residual norms are extended-precision Rayleigh quotients
-   and residuals of the refined vectors, which restores accuracy near
-   machine precision for the low states (verified against the analytic
-   Coulomb spectrum in the test suite).
+4. Refinement, one extended-precision pass. H c and S c are formed once in
+   long double. One step c <- c - d, with d = (H - sigma_seed S)^-1 r and
+   the residual r = H c - eps S c, then updates c, H c and S c by d and
+   its double-precision products H d and S d: d is small, so working
+   precision suffices for them (mixed-precision iterative refinement). The
+   returned eigenvalues and residual norms are the extended-precision
+   Rayleigh quotients and residuals read from the updated products, which
+   restores accuracy near machine precision for the low states (verified
+   against the analytic Coulomb spectrum in the test suite).
 5. Guards and the "k lowest" certificate. Each eigenvalue must lie nearest
    its own seed, the spectrum must be simple and every residual small.
-   Seeds from (H, S) come with dsbgvx's Sturm count, so they are the k + 1
-   lowest; a failed guard then raises. Coarse seeds carry no such count on
-   (H, S): one inertia count of H - sigma S (Sylvester's law), at sigma
-   halfway from the k-th eigenvalue to the (k + 1)-th seed, must find
-   exactly k eigenvalues below sigma. If that count, or any guard, fails on
-   coarse seeds, the solve is redone from seeds of (H, S).
+   Seeds from dsbgvx on (H, S) come with its Sturm count, so they are the
+   k + 1 lowest; a failed guard then raises. Supplied seeds carry no count
+   on (H, S), whatever their source: one inertia count of H - sigma S
+   (Sylvester's law), at sigma halfway from the k-th eigenvalue to the
+   (k + 1)-th seed, must find exactly k eigenvalues below sigma. If that
+   count, or any guard, fails on supplied seeds, the solve is redone from
+   dsbgvx seeds of (H, S).
 
 scipy exports ``dsbgvx`` only through ``scipy.linalg.cython_lapack``; it is
 bound once, with ctypes, from the function pointer in that module's capsule
@@ -252,18 +254,14 @@ def _inverse_iteration(pencil: _Pencil, seed: float) -> tuple[np.ndarray, np.nda
     return x, sx
 
 
-def _extended_pairs(pencil: _Pencil, vectors: np.ndarray):
-    """Rayleigh quotients and residual rows of long-double rows of vectors,
-    which are S-normalised in place."""
-    hc = general_matvec(pencil.h_ext, vectors)
-    sc = general_matvec(pencil.s_ext, vectors)
+def _normalised_quotients(vectors: np.ndarray, hc: np.ndarray, sc: np.ndarray) -> np.ndarray:
+    """S-normalise long-double rows of vectors, with their products H c and
+    S c, in place; returns their Rayleigh quotients."""
     norms = np.sqrt(np.einsum("ij,ij->i", vectors, sc))[:, None]
     vectors /= norms
     hc /= norms
     sc /= norms
-    values = np.einsum("ij,ij->i", vectors, hc)
-    hc -= values[:, None] * sc
-    return values, hc
+    return np.einsum("ij,ij->i", vectors, hc)
 
 
 def _count_below(pencil: _Pencil, sigma: float) -> int | None:
@@ -309,8 +307,8 @@ def _count_below(pencil: _Pencil, sigma: float) -> int | None:
 
 
 def _refined_pairs(pencil: _Pencil, k_states: int, seeds: np.ndarray) -> EigenSolution:
-    """Steps 2-5 from ``seeds``: the k_states + 1 lowest eigenvalues of a
-    seed pencil, or all n of them when k_states = n."""
+    """Steps 2-5 from ``seeds``: k_states + 1 estimates of the lowest
+    eigenvalues, or all n of them when k_states = n."""
     if k_states > 1:
         min_gap = np.diff(seeds[:k_states]).min()
         if min_gap < DEGENERACY_TOL:
@@ -331,14 +329,23 @@ def _refined_pairs(pencil: _Pencil, k_states: int, seeds: np.ndarray) -> EigenSo
     vectors = rotation.T @ vectors
 
     vectors = vectors.astype(np.longdouble)
-    _, residual = _extended_pairs(pencil, vectors)
+    hc = general_matvec(pencil.h_ext, vectors)
+    sc = general_matvec(pencil.s_ext, vectors)
+    values = _normalised_quotients(vectors, hc, sc)
+    corrections = np.empty(vectors.shape)
     # Factoring again at the seed costs one LU per state; keeping the k
     # factorizations from step 2 instead would hold k (3 bw + 1) n doubles,
     # some 80 MB on the paper grid at k = 598.
     for j in range(k_states):
         factors = _shifted_lu(pencil, seeds[j])
-        vectors[j] -= _band_solve(pencil, factors, residual[j].astype(np.float64))
-    values, residual = _extended_pairs(pencil, vectors)
+        residual = (hc[j] - values[j] * sc[j]).astype(np.float64)
+        corrections[j] = _band_solve(pencil, factors, residual)
+    vectors -= corrections
+    hc -= general_matvec(pencil.h, corrections)
+    sc -= general_matvec(pencil.s, corrections)
+    values = _normalised_quotients(vectors, hc, sc)
+    residual = hc
+    residual -= values[:, None] * sc
     eigenvalues = values.astype(np.float64)
     residuals = np.sqrt(np.einsum("ij,ij->i", residual, residual)) / pencil.h_norm1
     residuals = residuals.astype(np.float64)
@@ -370,27 +377,26 @@ def _refined_pairs(pencil: _Pencil, k_states: int, seeds: np.ndarray) -> EigenSo
 
 
 def solve_lowest(
-    pair: OperatorPair, k_states: int, coarse: OperatorPair | None = None
+    pair: OperatorPair, k_states: int, seeds: np.ndarray | None = None
 ) -> EigenSolution:
     """Compute the k_states algebraically smallest eigenpairs of (H, S).
 
-    ``coarse`` is a smaller pencil of the same channel, such as the
-    channel on a coarser, nested spline space. When it holds k_states + 1
-    states its eigenvalues seed the solve, and an inertia count on (H, S)
-    certifies the result (module docstring, step 5); otherwise, or if that
-    fails, the seeds come from (H, S) itself.
+    ``seeds`` are k_states + 1 ascending estimates of the lowest
+    eigenvalues of (H, S), from any source, such as a coarser nested spline
+    space or a closed form. An inertia count on (H, S) certifies the result
+    they give (module docstring, step 5). Without exactly k_states + 1 of
+    them, or if any check fails, the seeds come from (H, S) itself.
     """
     dim = pair.dimension
     if not 1 <= k_states <= dim:
         raise ValueError(f"k_states must lie in [1, {dim}]")
-    for checked in (pair, coarse):
-        if checked is not None and checked.h_band.shape != checked.s_band.shape:
-            raise ValueError("h_band and s_band must have the same banded shape")
+    if pair.h_band.shape != pair.s_band.shape:
+        raise ValueError("h_band and s_band must have the same banded shape")
 
     pencil = _pencil(pair)
-    if coarse is not None and coarse.dimension > k_states:
+    if seeds is not None and len(seeds) == k_states + 1:
+        seeds = np.asarray(seeds, dtype=np.float64)
         try:
-            seeds = _sturm_seeds(coarse, k_states + 1)
             solution = _refined_pairs(pencil, k_states, seeds)
         except EigensolverError:
             pass

@@ -6,6 +6,15 @@ Ionization potentials and the two bundled excited-state tables are built on
 top of that, and :func:`compare` checks any computed table against the
 golden records shipped in ``data/reference_tables_v1.txt``.
 
+Each channel solve is seeded (eigensolve, step 1) by ``_seeds``. A channel
+with no screening term (every symmetry-model and bare channel, and the
+central model for one electron) is a pure Coulomb channel, V = -q/r, and
+takes its closed-form levels -q^2 / (2 nu^2). A screened channel takes the
+dsbgvx eigenvalues of its seed pair, the channel on every fourth
+breakpoint (operators._seed_pair). The eigensolver certifies the k lowest
+levels whatever the seeds' source, and redoes the solve from seeds of the
+full pencil if they fail.
+
 Sign conventions follow the golden tables: ionization potentials and helium
 binding energies are positive magnitudes, lithium excited eigenvalues are
 negative.
@@ -18,7 +27,10 @@ from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
-from .bsplines import GridSpec, PAPER_GRID, build_workspace
+import numpy as np
+
+from . import eigensolve
+from .bsplines import GridSpec, PAPER_GRID, Workspace, build_workspace
 from .eigensolve import solve_lowest
 from .model import (
     AtomSpec,
@@ -27,8 +39,9 @@ from .model import (
     UnitSystem,
     atom_catalog,
     catalog_atom,
+    hydrogenic_energy,
 )
-from .operators import _seed_pair, assemble
+from .operators import OperatorPair, _seed_pair, assemble
 
 __all__ = [
     "LabeledState",
@@ -122,6 +135,29 @@ class ComparisonReport:
         return tuple(row for row in self.rows if not row.passed)
 
 
+def _seeds(ws: Workspace, pair: OperatorPair, l: int, count: int) -> np.ndarray | None:
+    """The count + 1 seeds of the solve of ``pair``, assembled on ``ws``
+    (eigensolve, step 1), or None where it has none but its own.
+
+    An unscreened channel, V = -q/r, has the closed-form levels
+    -q^2 / (2 nu^2), nu = l + 1, l + 2, ...; its Galerkin levels lie just
+    above them (~1e-12 hartree on the paper grid, for every state the box
+    holds). A screened channel is seeded from its seed pair, where that
+    holds count + 1 states and dsbgvx succeeds on it.
+    """
+    terms = pair.terms
+    if not terms.screening:
+        levels = range(l + 1, l + count + 2)
+        return np.array([hydrogenic_energy(terms.charge, nu) for nu in levels])
+    seed = _seed_pair(ws, pair)
+    if seed.dimension <= count:
+        return None
+    try:
+        return eigensolve._sturm_seeds(seed, count + 1)
+    except eigensolve.EigensolverError:
+        return None
+
+
 @lru_cache(maxsize=256)
 def _solve_channel_cached(
     atom: AtomSpec,
@@ -132,7 +168,7 @@ def _solve_channel_cached(
 ) -> tuple[LabeledState, ...]:
     ws = build_workspace(grid)
     pair = assemble(ws, atom, l, model)
-    solution = solve_lowest(pair, count, coarse=_seed_pair(ws, pair))
+    solution = solve_lowest(pair, count, seeds=_seeds(ws, pair, l, count))
     scale = atom.m_over_n
     states = []
     for i in range(count):

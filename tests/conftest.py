@@ -85,16 +85,15 @@ def random_banded_pair(rng: np.random.Generator, dim: int, bandwidth: int) -> Op
 def brute_force_matrix(
     basis: KnotBasis, quad: QuadratureRule, weight_of_r, derivative: bool = False
 ) -> np.ndarray:
-    """Dense Galerkin matrix built point by point from eval_bspline.
+    """Dense Galerkin matrix built from eval_bspline values at every node.
 
-    Deliberately slow and independent of the design-table assembly path:
-    every value comes from a separate de Boor evaluation at each node.
+    Independent of the design-table assembly path: each spline is evaluated
+    by its own de Boor recursion at every node, one span per node.
     """
-    n_active = basis.n_active
     order = 1 if derivative else 0
     radii = quad.nodes.ravel()
     weights = quad.weights.ravel() * weight_of_r(radii)
-    table = np.zeros((len(radii), n_active))
-    for j, global_index in enumerate(basis.active_range):
-        table[:, j] = [eval_bspline(basis, global_index, r, order) for r in radii]
+    table = np.column_stack(
+        [eval_bspline(basis, global_index, radii, order) for global_index in basis.active_range]
+    )
     return table.T @ (weights[:, None] * table)

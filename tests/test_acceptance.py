@@ -175,9 +175,9 @@ def test_criterion_6_property_suite():
     sums = ws.tables.values.sum(axis=2)
     rng = np.random.default_rng(17)
     unity_dev = float(np.max(np.abs(sums - 1.0)))
-    for r in rng.uniform(0.0, 200.0, 100):
-        total = sum(eval_bspline(ws.basis, i, r) for i in range(ws.basis.n_splines))
-        unity_dev = max(unity_dev, abs(total - 1.0))
+    radii = rng.uniform(0.0, 200.0, 100)
+    total = sum(eval_bspline(ws.basis, i, radii) for i in range(ws.basis.n_splines))
+    unity_dev = max(unity_dev, float(np.max(np.abs(total - 1.0))))
     ok &= unity_dev <= 1e-12
     details.append(f"partition-of-unity {unity_dev:.2e}")
 

@@ -201,7 +201,7 @@ class TestBandedPath:
         # LU, band product and the inertia count read those layouts
         ws = build_workspace()
         pair = assemble(ws, catalog_atom("Na"), 1, Pseudopotential.CENTRAL_SCREENING)
-        coarse = _seed_pair(ws, pair)
+        seeds = eigensolve._sturm_seeds(_seed_pair(ws, pair), k + 1)
         conversions, convert = [], operators.band_to_general
 
         def counting(band):
@@ -210,8 +210,27 @@ class TestBandedPath:
 
         monkeypatch.setattr(eigensolve, "band_to_general", counting)
         monkeypatch.setattr(operators, "band_to_general", counting)
-        solve_lowest(pair, k, coarse=coarse)
+        solve_lowest(pair, k, seeds=seeds)
         assert conversions == [pair.h_band.shape] * 2
+
+    @pytest.mark.parametrize("k", [1, 12])
+    def test_one_extended_precision_pass(self, k, monkeypatch):
+        # the refinement forms H c and S c once in long double and updates
+        # them by double-precision products of the correction
+        ws = build_workspace()
+        pair = assemble(ws, catalog_atom("Na"), 1, Pseudopotential.CENTRAL_SCREENING)
+        seeds = eigensolve._sturm_seeds(_seed_pair(ws, pair), k + 1)
+        extended, multiply = [], operators.general_matvec
+
+        def counting(rows, x):
+            if np.result_type(rows, x) == np.longdouble:
+                extended.append(x.shape)
+            return multiply(rows, x)
+
+        monkeypatch.setattr(eigensolve, "general_matvec", counting)
+        solution = solve_lowest(pair, k, seeds=seeds)
+        assert extended == [(k, pair.dimension)] * 2
+        assert np.all(solution.residual_norms <= 1e-10)
 
     def test_seeds_exact_to_the_last_bit(self):
         # integer eigenvalues make every shifted LU exactly singular
@@ -289,7 +308,7 @@ class TestCoarseSeeds:
         coarse = _seed_pair(ws, assemble(ws, seed_atom, seed_l, model))
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
-        seeded = solve_lowest(pair, 3, coarse=coarse)
+        seeded = solve_lowest(pair, 3, seeds=eigensolve._sturm_seeds(coarse, 4))
         assert counting.dimensions == [coarse.dimension, pair.dimension]
         plain = solve_lowest(pair, 3)
         for field in ("eigenvalues", "vectors", "residual_norms"):
@@ -308,18 +327,20 @@ class TestCoarseSeeds:
         factoring = _CountingLapack(eigensolve.lapack)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", seeding)
         monkeypatch.setattr(eigensolve, "lapack", factoring)
-        seeded = solve_lowest(pair, k, coarse=coarse).eigenvalues
+        seeded = solve_lowest(pair, k, seeds=eigensolve._sturm_seeds(coarse, k + 1)).eigenvalues
         assert seeding.dimensions == [coarse.dimension]
         # as on fine seeds, two LUs per state: the inertia count factors no band LU
         assert factoring.factorizations == 2 * k
         assert np.max(np.abs(seeded - solve_lowest(pair, k).eigenvalues)) <= 1e-13
 
     def test_too_small_coarse_pair_is_not_used(self, monkeypatch):
+        # its 4 seeds leave no (k + 1)-th seed to place the count's shift
         pair = random_banded_pair(np.random.default_rng(3), 20, 2)
         coarse = random_banded_pair(np.random.default_rng(4), 4, 2)
+        seeds = eigensolve._sturm_seeds(coarse, coarse.dimension)
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
-        solve_lowest(pair, 4, coarse=coarse)
+        solve_lowest(pair, 4, seeds=seeds)
         assert counting.dimensions == [pair.dimension]
 
 

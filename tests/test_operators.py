@@ -238,14 +238,9 @@ class TestBandHelpers:
         assert band_matvec(pair.h_band, x) == pytest.approx(dense @ x, rel=1e-13)
 
 
-def _nonzero_row(basis, r):
-    """Every spline of ``basis`` at r: eval_bspline for the k whose spans can
-    hold r, 0 for the rest."""
-    row = np.zeros(basis.n_splines)
-    span = min(int(np.searchsorted(basis.knots, r, side="right")) - 1, basis.n_splines - 1)
-    for i in range(span - basis.order_k + 1, span + 1):
-        row[i] = eval_bspline(basis, i, r)
-    return row
+def _active_values(basis, points):
+    """The active splines of ``basis`` at ``points``, one column each."""
+    return np.column_stack([eval_bspline(basis, i, points) for i in basis.active_range])
 
 
 def _seed_coefficients(ws):
@@ -262,9 +257,9 @@ def _seed_coefficients(ws):
     kept = basis.breakpoints[np.append(np.arange(0, basis.n_intervals, 4), basis.n_intervals)]
     seed = KnotBasis(order_k=k, n_splines=len(kept) + k - 2, r_max=basis.r_max, breakpoints=kept,
                      knots=np.concatenate([np.zeros(k - 1), kept, np.full(k - 1, basis.r_max)]))
-    points = [basis.knots[i + 1 : i + k].mean() for i in basis.active_range]
-    fine = np.array([_nonzero_row(basis, r)[1:-1] for r in points])
-    coarse = np.array([_nonzero_row(seed, r)[1:-1] for r in points])
+    points = np.array([basis.knots[i + 1 : i + k].mean() for i in basis.active_range])
+    fine = _active_values(basis, points)
+    coarse = _active_values(seed, points)
     p = np.linalg.lstsq(fine, coarse, rcond=None)[0]
     p += np.linalg.lstsq(fine, coarse - fine @ p, rcond=None)[0]
     assert np.max(np.abs(fine @ p - coarse)) <= 1e-14

@@ -1,16 +1,20 @@
+import numpy as np
 import pytest
 
 from conftest import CountingSeeds
 
 from atomscreen import eigensolve, spectra
-from atomscreen.bsplines import GridSpec, PAPER_GRID
+from atomscreen.bsplines import GridSpec, PAPER_GRID, build_workspace
+from atomscreen.eigensolve import solve_lowest
 from atomscreen.model import (
     AtomSpec,
     CODATA_UNITS,
     PAPER_UNITS,
     Pseudopotential,
     catalog_atom,
+    hydrogenic_energy,
 )
+from atomscreen.operators import _seed_pair, assemble
 from atomscreen.spectra import (
     HELIUM_TABLE_STATES,
     LITHIUM_TABLE_STATES,
@@ -75,8 +79,9 @@ class TestSeedSpace:
         spectra._solve_channel_cached.cache_clear()
         for name, model, l, count in (("He", A, 0, 3), ("Li", B, 1, 12), ("Mg", A, 2, 1)):
             solve_channel(catalog_atom(name), model, l, count)
-        # 591 intervals keep 148 breakpoints past the origin: 157 splines, 155 active
-        assert counting.dimensions == [155] * 3
+        # 591 intervals keep 148 breakpoints past the origin: 157 splines, 155
+        # active. Only the screened channel (Li central p) is seeded there.
+        assert counting.dimensions == [155]
 
     # 91 intervals keep 23 breakpoints past the origin: 32 splines, 30 active
     @pytest.mark.parametrize(("grid", "count", "dimensions"), [
@@ -93,8 +98,77 @@ class TestSeedSpace:
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
         spectra._solve_channel_cached.cache_clear()
-        assert len(solve_channel(catalog_atom("Li"), A, 0, count, grid)) == count
+        assert len(solve_channel(catalog_atom("Li"), B, 0, count, grid)) == count
         assert counting.dimensions == dimensions
+
+    def test_failed_seed_pencil_falls_back_to_fine_seeds(self, monkeypatch):
+        # a dsbgvx failure on the seed pencil leaves the solve to seed itself
+        sodium = catalog_atom("Na")
+        pair = assemble(build_workspace(), sodium, 1, B)
+        plain = solve_lowest(pair, 6).eigenvalues
+        fine, routine = [], eigensolve._sturm_seeds
+
+        def failing_on_the_seed_pencil(seeded, count):
+            if seeded.dimension < pair.dimension:
+                raise eigensolve.EigensolverError("dsbgvx failed")
+            fine.append(seeded.dimension)
+            return routine(seeded, count)
+
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", failing_on_the_seed_pencil)
+        spectra._solve_channel_cached.cache_clear()
+        states = solve_channel(sodium, B, 1, 6)
+        assert fine == [pair.dimension]
+        assert [s.raw_energy for s in states] == list(plain)
+
+
+class TestClosedFormSeeds:
+    @pytest.mark.parametrize(("atom", "model", "l", "count", "dimensions"), [
+        (catalog_atom("Li"), A, 0, 12, []),
+        (catalog_atom("Na"), Pseudopotential.BARE_COULOMB, 2, 6, []),
+        (AtomSpec("H", 1, 1, 1, 0, 1), B, 0, 6, []),
+        (catalog_atom("Na"), B, 1, 6, [155]),
+    ], ids=["symmetry", "bare", "one-electron-central", "central"])
+    def test_only_screened_channels_call_dsbgvx(self, atom, model, l, count, dimensions,
+                                                monkeypatch):
+        # Coulomb channels are seeded from -q^2 / (2 nu^2); a screened one
+        # makes one dsbgvx call, on its seed pencil
+        counting = CountingSeeds(eigensolve._sturm_seeds)
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
+        spectra._solve_channel_cached.cache_clear()
+        assert len(solve_channel(atom, model, l, count)) == count
+        assert counting.dimensions == dimensions
+
+    # the channels of test_eigensolve.py::TestCoarseSeeds; Na p takes the
+    # symmetry model there, as its central channel has no closed form
+    @pytest.mark.parametrize(("name", "model", "l", "k"), [
+        ("Li", A, 0, 12),
+        ("Na", A, 1, 6),
+        ("Mg", Pseudopotential.BARE_COULOMB, 2, 3),
+    ], ids=["Li-symmetry-s", "Na-symmetry-p", "Mg-bare-d"])
+    def test_agree_with_seed_pencil_seeds(self, name, model, l, k):
+        ws = build_workspace()
+        pair = assemble(ws, catalog_atom(name), l, model)
+        closed = spectra._seeds(ws, pair, l, k)
+        charge = pair.terms.charge
+        assert list(closed) == [hydrogenic_energy(charge, nu) for nu in range(l + 1, l + k + 2)]
+        seeded = solve_lowest(pair, k, seeds=closed).eigenvalues
+        coarse = eigensolve._sturm_seeds(_seed_pair(ws, pair), k + 1)
+        assert np.max(np.abs(seeded - solve_lowest(pair, k, seeds=coarse).eigenvalues)) <= 1e-13
+
+    def test_box_states_redo_from_fine_seeds(self, monkeypatch):
+        # bare H l = 0 at k = 14 holds two positive-energy box states, far
+        # from their closed-form levels: the guards refuse those seeds, and
+        # one dsbgvx on the full pencil gives what a solve without seeds gives
+        hydrogen = AtomSpec("H", 1, 1, 1, 0, 1)
+        pair = assemble(build_workspace(), hydrogen, 0, Pseudopotential.BARE_COULOMB)
+        plain = solve_lowest(pair, 14).eigenvalues
+        counting = CountingSeeds(eigensolve._sturm_seeds)
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
+        spectra._solve_channel_cached.cache_clear()
+        states = solve_channel(hydrogen, Pseudopotential.BARE_COULOMB, 0, 14)
+        assert counting.dimensions == [pair.dimension]
+        assert [s.raw_energy for s in states] == list(plain)
+        assert states[-1].raw_energy > 0
 
 
 class TestIonizationPotential:
