@@ -47,7 +47,6 @@ from .model import (
 from .operators import (
     OperatorPair,
     assemble,
-    band_matvec,
 )
 from .spectra import (
     ComparisonReport,

@@ -328,7 +328,12 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule:
-    """Gauss-Legendre rule mapped onto every breakpoint interval."""
+    """Gauss-Legendre rule mapped onto every breakpoint interval.
+
+    Refuses a grid whose first breakpoint (r_first) is so small that the
+    weighted 1/r^2 integrand of the centrifugal band is not finite at some
+    node.
+    """
     if nodes_per_interval < 1:
         raise ValueError("nodes_per_interval must be >= 1")
     x, w = _legendre_rule(nodes_per_interval)
@@ -337,6 +342,13 @@ def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule
     half = 0.5 * (bp[1:] - bp[:-1])
     nodes = mid[:, None] + half[:, None] * x[None, :]
     weights = half[:, None] * w[None, :]
+    with np.errstate(divide="ignore", over="ignore"):
+        inverse_square = weights / (nodes * nodes)
+    if not np.isfinite(inverse_square).all():
+        raise ValueError(
+            f"first breakpoint {bp[1]:g} too small (r_first on an exp-linear grid):"
+            " 1/r^2 overflows at the first quadrature nodes"
+        )
     return QuadratureRule(nodes=nodes, weights=weights)
 
 

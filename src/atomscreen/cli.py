@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .bsplines import PAPER_GRID, GridSpec, _ORDER_RANGE
+from .bsplines import PAPER_GRID, GridSpec, _ORDER_RANGE, build_workspace
 from .eigensolve import EigensolverError
 from .model import (
     AtomSpec,
@@ -175,6 +175,10 @@ def _checked_grid(grid: GridSpec) -> GridSpec:
     low, high = _ORDER_RANGE
     if not low <= grid.order_k <= high:
         raise ConfigError(f"order must lie in [{low}, {high}]")
+    try:
+        build_workspace(grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return grid
 
 

@@ -1,11 +1,10 @@
 """Lowest eigenpairs of the symmetric-definite banded pencil H c = eps S c.
 
-The pencil is never densified: memory is O(n bw) per state. Each solve
-converts H and S to LAPACK's general band layout once (``_Pencil``), plus
-a long-double copy of both for step 4. Every LU (H - sigma S formed as a
-difference of the two layouts), band product and inertia count of the
-solve reads them, a redo from the pair's own seeds included; only dsbgvx
-reads the bands.
+The pencil is never densified: memory is O(n bw) per state. The pair
+holds H and S in LAPACK's general band layout (operators), which every LU
+(H - sigma S formed as a difference of the two bands), band product and
+inertia count reads as it is; dsbgvx reads the top bw + 1 rows, the upper
+banded form. Step 4 makes a long-double copy of both bands.
 
 1. Seeds. The caller may supply ``seeds``, k + 1 estimates of the lowest
    eigenvalues from anywhere: spectra passes the closed-form Coulomb
@@ -53,7 +52,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import cython_lapack, lapack
 
-from .operators import OperatorPair, band_to_general, general_matvec
+from .operators import OperatorPair, general_matvec
 
 __all__ = [
     "EigensolverError",
@@ -127,12 +126,13 @@ _dsbgvx = _bind_dsbgvx()
 def _sturm_seeds(pair: OperatorPair, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues of the pencil, ascending (dsbgvx).
 
-    The bands are copied to Fortran order because dsbgvx overwrites both
-    (and ``s_band`` is shared and read-only).
+    dsbgvx reads the upper banded form, the top bw + 1 rows of each band.
+    They are copied to Fortran order because dsbgvx overwrites both (and
+    ``s_band`` is shared and read-only).
     """
-    bw, n = pair.h_band.shape[0] - 1, pair.dimension
-    ab = np.array(pair.h_band, dtype=np.float64, order="F")
-    bb = np.array(pair.s_band, dtype=np.float64, order="F")
+    bw, n = pair.bandwidth, pair.dimension
+    ab = np.array(pair.h_band[: bw + 1], dtype=np.float64, order="F")
+    bb = np.array(pair.s_band[: bw + 1], dtype=np.float64, order="F")
     w = np.zeros(n)
     work = np.zeros(7 * n)
     iwork = np.zeros(5 * n, dtype=np.intc)
@@ -172,45 +172,14 @@ def _sturm_seeds(pair: OperatorPair, count: int) -> np.ndarray:
     return np.sort(w[:count])
 
 
-@dataclass(frozen=True, eq=False)
-class _Pencil:
-    """(H, S) of one solve in general band layout (operators.band_to_general),
-    their long-double copies and ``h_norm1`` = ||H||_1."""
-
-    h: np.ndarray
-    s: np.ndarray
-    h_ext: np.ndarray
-    s_ext: np.ndarray
-    h_norm1: float
-
-    @property
-    def bandwidth(self) -> int:
-        return (self.h.shape[0] - 1) // 2
-
-    @property
-    def dimension(self) -> int:
-        return self.h.shape[1]
-
-
-def _pencil(pair: OperatorPair) -> _Pencil:
-    h, s = band_to_general(pair.h_band), band_to_general(pair.s_band)
-    return _Pencil(
-        h=h,
-        s=s,
-        h_ext=h.astype(np.longdouble),
-        s_ext=s.astype(np.longdouble),
-        h_norm1=general_matvec(np.abs(h), np.ones(pair.dimension)).max(),
-    )
-
-
-def _shifted_lu(pencil: _Pencil, shift: float) -> tuple[np.ndarray, np.ndarray]:
+def _shifted_lu(pair: OperatorPair, shift: float) -> tuple[np.ndarray, np.ndarray]:
     """LU factors of H - shift S in LAPACK general band storage (kl = ku = bw).
 
     An exactly zero pivot (the shift is an eigenvalue to the last bit) is
     replaced by a tiny one, as inverse iteration only needs the direction.
     """
-    bw, n = pencil.bandwidth, pencil.dimension
-    shifted = pencil.h - shift * pencil.s
+    bw, n = pair.bandwidth, pair.dimension
+    shifted = pair.h_band - shift * pair.s_band
     ab = np.zeros((3 * bw + 1, n), order="F")  # the top bw rows take the LU fill-in
     ab[bw:] = shifted
     lu, piv, info = lapack.dgbtrf(ab, bw, bw, overwrite_ab=1)
@@ -222,34 +191,36 @@ def _shifted_lu(pencil: _Pencil, shift: float) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
-def _band_solve(pencil: _Pencil, factors, rhs: np.ndarray) -> np.ndarray:
-    bw = pencil.bandwidth
+def _band_solve(pair: OperatorPair, factors, rhs: np.ndarray) -> np.ndarray:
+    bw = pair.bandwidth
     x, info = lapack.dgbtrs(factors[0], bw, bw, rhs, factors[1])
     if info != 0:
         raise EigensolverError(f"banded solve failed (dgbtrs info={info})")
     return x
 
 
-def _inverse_iteration(pencil: _Pencil, seed: float) -> tuple[np.ndarray, np.ndarray]:
+def _inverse_iteration(
+    pair: OperatorPair, seed: float, h_norm1: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvector for ``seed`` and its S-product, S-normalised, double precision.
 
     With (H - seed S) y = S x and y^T S y = 1, the Rayleigh quotient is
     seed + y^T S x and the residual is S x - (rho - seed) S y, so a step
     costs one banded solve and one product with S.
     """
-    factors = _shifted_lu(pencil, seed)
-    x = np.ones(pencil.dimension)
-    sx = general_matvec(pencil.s, x)
+    factors = _shifted_lu(pair, seed)
+    x = np.ones(pair.dimension)
+    sx = general_matvec(pair.s_band, x)
     for _ in range(_MAX_STEPS):
-        y = _band_solve(pencil, factors, sx)
-        sy = general_matvec(pencil.s, y)
+        y = _band_solve(pair, factors, sx)
+        sy = general_matvec(pair.s_band, y)
         norm = np.sqrt(y @ sy)
         y /= norm
         sy /= norm
         image = sx / norm  # (H - seed S) y
         theta = y @ image
         x, sx = y, sy
-        if np.linalg.norm(image - theta * sy) <= _STEP_TOL * pencil.h_norm1:
+        if np.linalg.norm(image - theta * sy) <= _STEP_TOL * h_norm1:
             break
     return x, sx
 
@@ -264,7 +235,7 @@ def _normalised_quotients(vectors: np.ndarray, hc: np.ndarray, sc: np.ndarray) -
     return np.einsum("ij,ij->i", vectors, hc)
 
 
-def _count_below(pencil: _Pencil, sigma: float) -> int | None:
+def _count_below(pair: OperatorPair, sigma: float) -> int | None:
     """Number of eigenvalues of the pencil below ``sigma``; None if untrusted.
 
     By Sylvester's law of inertia this is the number of negative eigenvalues
@@ -275,10 +246,10 @@ def _count_below(pencil: _Pencil, sigma: float) -> int | None:
     negative eigenvalue. A singular pivot, or an update that grows past
     _PIVOT_GROWTH_LIMIT, makes the count untrusted.
     """
-    bw, n = pencil.bandwidth, pencil.dimension
+    bw, n = pair.bandwidth, pair.dimension
     n_blocks = -(-n // bw)
     general = np.zeros((2 * bw + 1, n_blocks * bw))
-    general[:, :n] = pencil.h - sigma * pencil.s
+    general[:, :n] = pair.h_band - sigma * pair.s_band
     general[bw, n:] = 1.0  # identity padding adds no negative eigenvalue
     offsets = np.arange(bw)
     lag = offsets[:, None] - offsets[None, :]
@@ -306,7 +277,7 @@ def _count_below(pencil: _Pencil, sigma: float) -> int | None:
     return int(np.count_nonzero(ones & (diagonals < 0)) + np.count_nonzero(~ones) // 2)
 
 
-def _refined_pairs(pencil: _Pencil, k_states: int, seeds: np.ndarray) -> EigenSolution:
+def _refined_pairs(pair: OperatorPair, k_states: int, seeds: np.ndarray) -> EigenSolution:
     """Steps 2-5 from ``seeds``: k_states + 1 estimates of the lowest
     eigenvalues, or all n of them when k_states = n."""
     if k_states > 1:
@@ -316,10 +287,11 @@ def _refined_pairs(pencil: _Pencil, k_states: int, seeds: np.ndarray) -> EigenSo
                 f"eigenvalues not simple/ascending: min seed gap {min_gap:.3e}"
             )
 
-    rows = [_inverse_iteration(pencil, seeds[j]) for j in range(k_states)]
+    h_norm1 = general_matvec(np.abs(pair.h_band), np.ones(pair.dimension)).max()
+    rows = [_inverse_iteration(pair, seeds[j], h_norm1) for j in range(k_states)]
     vectors = np.array([row[0] for row in rows])
     s_vectors = np.array([row[1] for row in rows])
-    h_vectors = general_matvec(pencil.h, vectors)
+    h_vectors = general_matvec(pair.h_band, vectors)
     h_ritz = vectors @ h_vectors.T
     s_ritz = vectors @ s_vectors.T
     try:
@@ -329,25 +301,25 @@ def _refined_pairs(pencil: _Pencil, k_states: int, seeds: np.ndarray) -> EigenSo
     vectors = rotation.T @ vectors
 
     vectors = vectors.astype(np.longdouble)
-    hc = general_matvec(pencil.h_ext, vectors)
-    sc = general_matvec(pencil.s_ext, vectors)
+    hc = general_matvec(pair.h_band.astype(np.longdouble), vectors)
+    sc = general_matvec(pair.s_band.astype(np.longdouble), vectors)
     values = _normalised_quotients(vectors, hc, sc)
     corrections = np.empty(vectors.shape)
     # Factoring again at the seed costs one LU per state; keeping the k
     # factorizations from step 2 instead would hold k (3 bw + 1) n doubles,
     # some 80 MB on the paper grid at k = 598.
     for j in range(k_states):
-        factors = _shifted_lu(pencil, seeds[j])
+        factors = _shifted_lu(pair, seeds[j])
         residual = (hc[j] - values[j] * sc[j]).astype(np.float64)
-        corrections[j] = _band_solve(pencil, factors, residual)
+        corrections[j] = _band_solve(pair, factors, residual)
     vectors -= corrections
-    hc -= general_matvec(pencil.h, corrections)
-    sc -= general_matvec(pencil.s, corrections)
+    hc -= general_matvec(pair.h_band, corrections)
+    sc -= general_matvec(pair.s_band, corrections)
     values = _normalised_quotients(vectors, hc, sc)
     residual = hc
     residual -= values[:, None] * sc
     eigenvalues = values.astype(np.float64)
-    residuals = np.sqrt(np.einsum("ij,ij->i", residual, residual)) / pencil.h_norm1
+    residuals = np.sqrt(np.einsum("ij,ij->i", residual, residual)) / h_norm1
     residuals = residuals.astype(np.float64)
 
     nearest = np.abs(eigenvalues[:, None] - seeds[None, :]).argmin(axis=1)
@@ -390,19 +362,16 @@ def solve_lowest(
     dim = pair.dimension
     if not 1 <= k_states <= dim:
         raise ValueError(f"k_states must lie in [1, {dim}]")
-    if pair.h_band.shape != pair.s_band.shape:
-        raise ValueError("h_band and s_band must have the same banded shape")
 
-    pencil = _pencil(pair)
     if seeds is not None and len(seeds) == k_states + 1:
         seeds = np.asarray(seeds, dtype=np.float64)
         try:
-            solution = _refined_pairs(pencil, k_states, seeds)
+            solution = _refined_pairs(pair, k_states, seeds)
         except EigensolverError:
             pass
         else:
             last = solution.eigenvalues[-1]
-            if _count_below(pencil, last + 0.5 * (seeds[-1] - last)) == k_states:
+            if _count_below(pair, last + 0.5 * (seeds[-1] - last)) == k_states:
                 return solution
     # one seed past the k-th gives the last state a neighbour in the nearest-seed guard
-    return _refined_pairs(pencil, k_states, _sturm_seeds(pair, min(k_states + 1, dim)))
+    return _refined_pairs(pair, k_states, _sturm_seeds(pair, min(k_states + 1, dim)))

@@ -23,11 +23,13 @@ seed workspace (bsplines._seed_workspace), the channel on every fourth
 breakpoint; it seeds the eigensolver at a fraction of the cost of seeding
 on the pair itself.
 
-Matrices are stored in symmetric upper-banded layout, ``band[bw - d, j] =
-A[j - d, j]`` with bandwidth bw = order_k - 1, the same convention scipy's
-banded routines use. ``band_to_general`` converts a band to LAPACK's
-general band layout and ``general_matvec`` multiplies in that layout; the
-eigensolver converts H and S once per solve.
+Every band is stored in LAPACK's general band layout with kl = ku = bw,
+``band[bw + d, j] = A[j + d, j]`` for d in [-bw, bw] and bandwidth
+bw = order_k - 1: 2 bw + 1 rows, the lower bw mirroring the upper bw.
+``_band_sum`` writes both triangles once per memoised band, so every
+LU, band product and inertia count of the eigensolver reads the bands as
+they are. The top bw + 1 rows are scipy's (and dsbgvx's) upper banded
+form. ``general_matvec`` multiplies in this layout.
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ from .model import AtomSpec, Pseudopotential, potential_terms, screening_factor
 __all__ = [
     "OperatorPair",
     "assemble",
-    "band_to_general",
     "general_matvec",
-    "band_matvec",
 ]
 
 
@@ -64,13 +64,31 @@ class _Terms:
 class OperatorPair:
     """Banded Hamiltonian and overlap for one (atom, l, model) channel.
 
-    ``terms`` are the coefficients of H in the grid bands when the pair
-    was assembled, and None for a pair built directly from its bands.
+    Both bands are in general band layout (module docstring); a pair
+    refuses bands of different shapes, an even row count or lower rows
+    that do not mirror the upper ones. ``terms`` are the coefficients of H
+    in the grid bands when the pair was assembled, and None for a pair
+    built directly from its bands.
     """
 
     h_band: np.ndarray
     s_band: np.ndarray
     terms: _Terms | None = None
+
+    def __post_init__(self):
+        if self.h_band.shape != self.s_band.shape:
+            raise ValueError("h_band and s_band must have the same banded shape")
+        if self.h_band.shape[0] % 2 == 0:
+            raise ValueError("a general band has an odd number of rows, 2 bw + 1")
+        bw, n = self.bandwidth, self.dimension
+        for band in (self.h_band, self.s_band):
+            for d in range(1, min(bw + 1, n)):
+                if not np.array_equal(band[bw + d, : n - d], band[bw - d, d:]):
+                    raise ValueError("the lower band rows must mirror the upper ones")
+
+    @property
+    def bandwidth(self) -> int:
+        return (self.s_band.shape[0] - 1) // 2
 
     @property
     def dimension(self) -> int:
@@ -78,21 +96,25 @@ class OperatorPair:
 
 
 def _band_sum(local: np.ndarray, dim: int) -> np.ndarray:
-    """Sum per-interval blocks of shape (n_intervals, k, k) into the upper band.
+    """Sum per-interval blocks of shape (n_intervals, k, k) into a general band.
 
     Local block (iv, a, b) couples global splines iv+a and iv+b; active
     (trimmed) indices are the global ones shifted down by one, with the
     first and last spline discarded. The loop runs over a, then the offset
-    d = b - a, so each band cell sums its terms in ascending a.
+    d = b - a, so each upper band cell sums its terms in ascending a; the
+    lower rows are then copied from the upper ones.
     """
     n_iv, k = local.shape[:2]
-    band = np.zeros((k, dim))
+    bw = k - 1
+    band = np.zeros((2 * bw + 1, dim))
     for a in range(k):
         first = max(0, 1 - a)
         for d in range(k - a):
             b = a + d
             last = min(n_iv, dim + 1 - b)
-            band[k - 1 - d, first + b - 1 : last + b - 1] += local[first:last, a, b]
+            band[bw - d, first + b - 1 : last + b - 1] += local[first:last, a, b]
+    for d in range(1, k):
+        band[bw + d, : dim - d] = band[bw - d, d:]
     return band
 
 
@@ -181,28 +203,13 @@ def _seed_pair(ws: Workspace, pair: OperatorPair) -> OperatorPair:
     return OperatorPair(h_band=_hamiltonian(seed, pair.terms), s_band=_grid_bands(seed).s_band)
 
 
-def band_to_general(band: np.ndarray) -> np.ndarray:
-    """Both triangles of a symmetric upper band, ``rows[bw + d, j] = A[j + d, j]``
-    for d in [-bw, bw]: LAPACK's general band layout with kl = ku = bw."""
-    bw, n = band.shape[0] - 1, band.shape[1]
-    rows = np.zeros((2 * bw + 1, n), dtype=band.dtype)
-    for d in range(bw + 1):
-        rows[bw - d, d:] = band[bw - d, d:]
-        rows[bw + d, : n - d] = band[bw - d, d:]
-    return rows
-
-
 def general_matvec(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multiply a matrix in general band layout (``band_to_general``) by a
-    vector, or by each row of a stack of vectors, in their common precision."""
+    """Multiply a symmetric matrix in general band layout (module docstring)
+    by a vector, or by each row of a stack of vectors, in their common
+    precision. Column j of ``rows`` is read as row j of the matrix, which
+    is column j only because the matrix is symmetric."""
     bw, n = (rows.shape[0] - 1) // 2, rows.shape[1]
     padded = np.zeros(x.shape[:-1] + (n + 2 * bw,), dtype=np.result_type(rows, x))
     padded[..., bw : bw + n] = x
     windows = sliding_window_view(padded, 2 * bw + 1, axis=-1)  # [..., i, o] = x[i + o - bw]
     return np.einsum("...io,oi->...i", windows, rows)
-
-
-def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multiply a symmetric upper-banded matrix by a vector, or by each row
-    of a stack of vectors, in the precision of ``x``."""
-    return general_matvec(band_to_general(band), x)

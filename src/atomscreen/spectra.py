@@ -205,10 +205,7 @@ def _channel_state(
     l: int,
     grid: GridSpec,
 ) -> LabeledState:
-    states = solve_channel(atom, model, l, nu - l, grid)
-    state = states[nu - l - 1]
-    assert state.nu == nu
-    return state
+    return solve_channel(atom, model, l, nu - l, grid)[nu - l - 1]
 
 
 def ionization_potential(

@@ -10,15 +10,14 @@ from atomscreen.operators import OperatorPair
 
 
 def band_to_dense(band: np.ndarray) -> np.ndarray:
-    """Expand symmetric upper-banded storage to a full dense matrix."""
+    """Expand general band storage, ``band[bw + d, j] = A[j + d, j]``, to a
+    full dense matrix, reading both triangles."""
     rows, n = band.shape
-    bw = rows - 1
+    bw = (rows - 1) // 2
     dense = np.zeros((n, n))
-    for d in range(bw + 1):
-        diag = band[bw - d, d:]
-        idx = np.arange(n - d)
-        dense[idx, idx + d] = diag
-        dense[idx + d, idx] = diag
+    for d in range(-bw, bw + 1):
+        columns = np.arange(max(0, -d), min(n, n - d))
+        dense[columns + d, columns] = band[bw + d, columns]
     return dense
 
 
@@ -59,11 +58,12 @@ class CountingSeeds:
 
 
 def dense_to_band(dense: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Pack a symmetric dense matrix into upper-banded storage."""
+    """Pack a dense matrix into general band storage with kl = ku = bandwidth."""
     n = dense.shape[0]
-    band = np.zeros((bandwidth + 1, n))
-    for d in range(bandwidth + 1):
-        band[bandwidth - d, d:] = np.diag(dense, d)
+    band = np.zeros((2 * bandwidth + 1, n))
+    for d in range(-bandwidth, bandwidth + 1):
+        columns = np.arange(max(0, -d), min(n, n - d))
+        band[bandwidth + d, columns] = dense[columns + d, columns]
     return band
 
 

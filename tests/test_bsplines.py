@@ -186,6 +186,20 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             make_quadrature(paper_basis, 0)
 
+    @pytest.mark.parametrize("r_first", [1e-160, 1e-300])
+    def test_rejects_r_first_whose_inverse_square_overflows(self, r_first):
+        basis = make_knots(200.0, 600, 10, "exp-linear", r_first)
+        with pytest.raises(ValueError, match="r_first"):
+            make_quadrature(basis, 20)
+        with pytest.raises(ValueError, match="r_first"):
+            build_workspace(GridSpec(r_first=r_first))
+
+    def test_accepts_r_first_while_the_inverse_square_is_finite(self):
+        # w / r^2 at the first node is still finite at r_first = 1e-158
+        basis = make_knots(200.0, 600, 10, "exp-linear", 1e-158)
+        quad = make_quadrature(basis, 20)
+        assert np.isfinite(quad.weights / quad.nodes**2).all()
+
 
 class TestDesignTables:
     def test_partition_of_unity_at_nodes(self, paper_basis):

@@ -324,10 +324,16 @@ class TestExitContract:
         ["solve", "3", "3", "0", "--knots", "linear", "--rmax", "inf"],
         ["converge", "--state", "700s", "--sweep-nodes", "10,20"],
         ["converge", "--state", "599s", "--sweep-splines", "600,400"],
+        ["solve", "3", "3", "0", "--rfirst", "150"],
+        ["solve", "3", "3", "0", "--rfirst", "100", "--splines", "30", "--order", "4"],
+        ["solve", "3", "3", "1", "--rfirst", "1e-160"],
+        ["solve", "3", "3", "0", "--rfirst", "1e-300"],
     ], ids=["order-1", "order-16", "sweep-nodes-0", "sweep-splines-10", "unknown-atom",
             "kstates-1000", "quad-nodes-3", "rmax-0", "rmax-negative", "rmax-nan",
             "rmax-inf", "rmax-overflow", "rmax-inf-linear",
-            "converge-state-past-grid", "converge-state-past-smallest-grid"])
+            "converge-state-past-grid", "converge-state-past-smallest-grid",
+            "rfirst-degenerate-grid", "rfirst-degenerate-small-grid",
+            "rfirst-1e-160-p", "rfirst-1e-300-s"])
     def test_bad_option_values_exit_two(self, args, capsys):
         assert main(args) == 2
         assert capsys.readouterr().out == ""

@@ -24,7 +24,7 @@ from atomscreen.model import (
     effective_charge,
     hydrogenic_energy,
 )
-from atomscreen.operators import OperatorPair, _seed_pair, assemble, band_matvec
+from atomscreen.operators import OperatorPair, _seed_pair, assemble, general_matvec
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -114,7 +114,7 @@ class TestSolveLowest:
         pair, solution = hydrogen_solution
         gram = np.empty((solution.count, solution.count))
         for i in range(solution.count):
-            s_ci = band_matvec(pair.s_band, solution.vectors[:, i])
+            s_ci = general_matvec(pair.s_band, solution.vectors[:, i])
             for j in range(solution.count):
                 gram[i, j] = solution.vectors[:, j] @ s_ci
         assert np.max(np.abs(gram - np.eye(solution.count))) <= 1e-10
@@ -196,24 +196,6 @@ class TestBandedPath:
         assert counting.factorizations == 2 * k
 
     @pytest.mark.parametrize("k", [1, 12])
-    def test_one_layout_conversion_per_solve(self, k, monkeypatch):
-        # H and S are converted to the general band layout once each; every
-        # LU, band product and the inertia count read those layouts
-        ws = build_workspace()
-        pair = assemble(ws, catalog_atom("Na"), 1, Pseudopotential.CENTRAL_SCREENING)
-        seeds = eigensolve._sturm_seeds(_seed_pair(ws, pair), k + 1)
-        conversions, convert = [], operators.band_to_general
-
-        def counting(band):
-            conversions.append(band.shape)
-            return convert(band)
-
-        monkeypatch.setattr(eigensolve, "band_to_general", counting)
-        monkeypatch.setattr(operators, "band_to_general", counting)
-        solve_lowest(pair, k, seeds=seeds)
-        assert conversions == [pair.h_band.shape] * 2
-
-    @pytest.mark.parametrize("k", [1, 12])
     def test_one_extended_precision_pass(self, k, monkeypatch):
         # the refinement forms H c and S c once in long double and updates
         # them by double-precision products of the correction
@@ -251,18 +233,16 @@ class TestInertiaCount:
                               eigvals_only=True)
             shifts = np.concatenate([[values[0] - 1.0], 0.5 * (values[1:] + values[:-1]),
                                      [values[-1] + 1.0]])
-            pencil = eigensolve._pencil(pair)
             for below, sigma in enumerate(shifts):
-                assert eigensolve._count_below(pencil, sigma) == below, (dim, bandwidth, below)
+                assert eigensolve._count_below(pair, sigma) == below, (dim, bandwidth, below)
 
     def test_singular_pivot_is_refused(self):
         n = 8
         pair = OperatorPair(h_band=dense_to_band(np.diag(np.arange(1.0, n + 1)), 2),
                             s_band=dense_to_band(np.eye(n), 2))
-        pencil = eigensolve._pencil(pair)
-        assert eigensolve._count_below(pencil, 1.5) == 1
+        assert eigensolve._count_below(pair, 1.5) == 1
         # H - 1 S has a zero first pivot
-        assert eigensolve._count_below(pencil, 1.0) is None
+        assert eigensolve._count_below(pair, 1.0) is None
 
     def test_growing_pivot_update_is_refused(self):
         # blocks of one row: a first pivot of 1e-9 makes the second block's
@@ -270,9 +250,8 @@ class TestInertiaCount:
         h = np.diag([1.0 + 1e-9, 2.0, 3.0, 4.0]) + np.diag([1.0, 0.0, 0.0], 1)
         pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
                             s_band=dense_to_band(np.eye(4), 1))
-        pencil = eigensolve._pencil(pair)
-        assert eigensolve._count_below(pencil, 0.5) == 1
-        assert eigensolve._count_below(pencil, 1.0) is None
+        assert eigensolve._count_below(pair, 0.5) == 1
+        assert eigensolve._count_below(pair, 1.0) is None
 
     def test_agrees_with_dsbgvx_on_channel_scan_draws(self):
         ws = build_workspace()
@@ -281,14 +260,13 @@ class TestInertiaCount:
             l, k = request["l"], request["k"]
             atom = _resolve_solve_atom(request["Z"], request["n"], l, 3)[0]
             pair = assemble(ws, atom, l, Pseudopotential(request["model"]))
-            pencil = eigensolve._pencil(pair)
             seeds = eigensolve._sturm_seeds(pair, k + 1)
-            refined = eigensolve._refined_pairs(pencil, k, seeds).eigenvalues
+            refined = eigensolve._refined_pairs(pair, k, seeds).eigenvalues
             for j in range(k):
                 midpoint = 0.5 * (seeds[j] + seeds[j + 1])
-                assert eigensolve._count_below(pencil, midpoint) == j + 1, (request, j)
-                assert eigensolve._count_below(pencil, refined[j] - 1e-10) == j, (request, j)
-                assert eigensolve._count_below(pencil, refined[j] + 1e-10) == j + 1, (request, j)
+                assert eigensolve._count_below(pair, midpoint) == j + 1, (request, j)
+                assert eigensolve._count_below(pair, refined[j] - 1e-10) == j, (request, j)
+                assert eigensolve._count_below(pair, refined[j] + 1e-10) == j + 1, (request, j)
             draws += 1
         assert draws == 100
 
@@ -348,7 +326,23 @@ class TestOperatorPair:
     def test_dimension_is_the_overlap_column_count(self):
         pair = random_banded_pair(np.random.default_rng(5), 12, 3)
         assert pair.dimension == pair.s_band.shape[1] == 12
-        assert pair.h_band.shape == pair.s_band.shape == (4, 12)
+        assert pair.bandwidth == 3
+        assert pair.h_band.shape == pair.s_band.shape == (7, 12)
+
+    def test_refuses_bands_it_would_misread(self):
+        rng = np.random.default_rng(6)
+        general = random_banded_pair(rng, 12, 3)
+        with pytest.raises(ValueError, match="same banded shape"):
+            OperatorPair(h_band=general.h_band, s_band=general.s_band[:, :-1])
+        # upper banded storage: bw + 1 rows, read as a general band
+        for bw, match in ((3, "odd number of rows"), (2, "mirror")):
+            upper = random_banded_pair(rng, 12, bw)
+            with pytest.raises(ValueError, match=match):
+                OperatorPair(h_band=upper.h_band[: bw + 1], s_band=upper.s_band[: bw + 1])
+        asymmetric = general.h_band.copy()
+        asymmetric[4, 2] += 1.0
+        with pytest.raises(ValueError, match="mirror"):
+            OperatorPair(h_band=asymmetric, s_band=general.s_band)
 
 
 class TestRayleighQuotient:
@@ -356,5 +350,5 @@ class TestRayleighQuotient:
         pair, solution = hydrogen_solution
         for state in range(solution.count):
             c = solution.vectors[:, state]
-            quotient = (c @ band_matvec(pair.h_band, c)) / (c @ band_matvec(pair.s_band, c))
+            quotient = (c @ general_matvec(pair.h_band, c)) / (c @ general_matvec(pair.s_band, c))
             assert quotient == pytest.approx(solution.eigenvalues[state], abs=1e-10)

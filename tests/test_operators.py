@@ -22,7 +22,7 @@ from atomscreen.model import (
     potential_value,
 )
 from atomscreen import operators
-from atomscreen.operators import OperatorPair, _seed_pair, assemble, band_matvec
+from atomscreen.operators import OperatorPair, _seed_pair, assemble, general_matvec
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
@@ -162,12 +162,14 @@ def _per_channel_pair(ws, atom, l, model):
     n_iv, bw = h_local.shape[0], k - 1
 
     def scatter(local):
-        band = np.zeros((k, n_splines - 2))
+        band = np.zeros((2 * bw + 1, n_splines - 2))
         for a in range(k):
             for d in range(k - a):
                 b = a + d
                 lo, hi = max(0, 1 - a), min(n_iv - 1, n_splines - 2 - b)
                 band[bw - d, lo + b - 1 : hi + b] += local[lo : hi + 1, a, b]
+                if d:
+                    band[bw + d, lo + a - 1 : hi + a] += local[lo : hi + 1, b, a]
         return band
 
     return scatter(h_local), scatter(s_local)
@@ -228,14 +230,15 @@ class TestBandHelpers:
     def test_band_shape_paper_settings(self, paper_ws):
         pair = assemble(paper_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
         assert pair.dimension == 598
-        assert pair.h_band.shape == pair.s_band.shape == (10, 598)
+        assert pair.bandwidth == 9
+        assert pair.h_band.shape == pair.s_band.shape == (19, 598)
 
     def test_band_matvec_matches_dense(self, coarse_ws):
         pair = assemble(coarse_ws, HYDROGEN, 1, Pseudopotential.BARE_COULOMB)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(pair.dimension)
         dense = band_to_dense(pair.h_band)
-        assert band_matvec(pair.h_band, x) == pytest.approx(dense @ x, rel=1e-13)
+        assert general_matvec(pair.h_band, x) == pytest.approx(dense @ x, rel=1e-13)
 
 
 def _active_values(basis, points):
