@@ -34,6 +34,7 @@ from .model import (
     partition_alpha,
 )
 from .spectra import (
+    bound_count,
     compare,
     helium_binding_table,
     ionization_table,
@@ -392,6 +393,12 @@ def run_solve(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]:
     model = config.pseudopotential()
     units = config.unit_system()
     atom, in_catalog = _resolve_solve_atom(args.Z, args.n_electrons, args.l, config.mg_mn)
+    bound = bound_count(atom, model, args.l, config.grid)
+    if bound is not None and args.kstates > bound:
+        raise EigensolverError(
+            f"kstates {args.kstates} exceeds the {bound} bound (negative) levels of"
+            " this channel on this grid; the states above them are box states"
+        )
     states = solve_channel(atom, model, args.l, args.kstates, config.grid)
 
     meta = {

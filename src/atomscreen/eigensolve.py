@@ -17,7 +17,8 @@ banded form. Step 4 makes a long-double copy of both bands.
    (H, S) itself; they carry the reduction's absolute error, which grows
    with the spectral range: ~1e-6 hartree on the paper grid.
 2. Vectors. Inverse iteration per seed at the fixed shift sigma = seed,
-   on H - sigma S LU-factored once in general band storage.
+   on H - sigma S LU-factored once per seed in general band storage, from
+   the all-ones vector, whose S-product is formed once for every seed.
 3. Rayleigh-Ritz on the k vectors makes them S-orthonormal.
 4. Refinement, one extended-precision pass. H c and S c are formed once in
    long double. One step c <- c - d, with d = (H - sigma_seed S)^-1 r and
@@ -27,7 +28,9 @@ banded form. Step 4 makes a long-double copy of both bands.
    returned eigenvalues and residual norms are the extended-precision
    Rayleigh quotients and residuals read from the updated products, which
    restores accuracy near machine precision for the low states (verified
-   against the analytic Coulomb spectrum in the test suite).
+   against the analytic Coulomb spectrum in the test suite). d is solved
+   on step 2's factors, kept until now, so each seed shift is factored
+   once per solve.
 5. Guards and the "k lowest" certificate. Each eigenvalue must lie nearest
    its own seed, the spectrum must be simple and every residual small.
    Seeds from dsbgvx on (H, S) come with its Sturm count, so they are the
@@ -200,17 +203,17 @@ def _band_solve(pair: OperatorPair, factors, rhs: np.ndarray) -> np.ndarray:
 
 
 def _inverse_iteration(
-    pair: OperatorPair, seed: float, h_norm1: float
+    pair: OperatorPair, factors, s_ones: np.ndarray, h_norm1: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvector for ``seed`` and its S-product, S-normalised, double precision.
+    """Eigenvector at the seed that ``factors`` (of H - seed S) were made at,
+    and its S-product, S-normalised, double precision.
 
-    With (H - seed S) y = S x and y^T S y = 1, the Rayleigh quotient is
-    seed + y^T S x and the residual is S x - (rho - seed) S y, so a step
+    The start vector is all ones, whose S-product ``s_ones`` every state
+    shares. With (H - seed S) y = S x and y^T S y = 1, the Rayleigh quotient
+    is seed + y^T S x and the residual is S x - (rho - seed) S y, so a step
     costs one banded solve and one product with S.
     """
-    factors = _shifted_lu(pair, seed)
-    x = np.ones(pair.dimension)
-    sx = general_matvec(pair.s_band, x)
+    sx = s_ones
     for _ in range(_MAX_STEPS):
         y = _band_solve(pair, factors, sx)
         sy = general_matvec(pair.s_band, y)
@@ -261,17 +264,18 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
 
     diagonals = np.empty((n_blocks, bw))
     interchanges = np.empty((n_blocks, bw), dtype=np.int64)
+    updates = np.zeros_like(pivots)
     schur = pivots[0]
     for p in range(n_blocks):
         if p:
-            update = couplings[p - 1].T @ solved
-            if not np.abs(update).max() <= limits[p]:  # also refuses NaN
-                return None
-            schur = pivots[p] - update
+            updates[p] = couplings[p - 1].T @ solved
+            schur = pivots[p] - updates[p]
         factor, interchanges[p], solved, info = lapack.dsysv(schur, couplings[p])
         if info != 0:
             return None
         diagonals[p] = factor.diagonal()
+    if not np.all(np.abs(updates).max(axis=(1, 2)) <= limits):  # also refuses NaN
+        return None
     # dsysv marks each 2 x 2 block by two negative interchange entries
     ones = interchanges > 0
     return int(np.count_nonzero(ones & (diagonals < 0)) + np.count_nonzero(~ones) // 2)
@@ -287,8 +291,11 @@ def _refined_pairs(pair: OperatorPair, k_states: int, seeds: np.ndarray) -> Eige
                 f"eigenvalues not simple/ascending: min seed gap {min_gap:.3e}"
             )
 
-    h_norm1 = general_matvec(np.abs(pair.h_band), np.ones(pair.dimension)).max()
-    rows = [_inverse_iteration(pair, seeds[j], h_norm1) for j in range(k_states)]
+    ones = np.ones(pair.dimension)
+    h_norm1 = general_matvec(np.abs(pair.h_band), ones).max()
+    s_ones = general_matvec(pair.s_band, ones)
+    factors = [_shifted_lu(pair, seed) for seed in seeds[:k_states]]
+    rows = [_inverse_iteration(pair, lu, s_ones, h_norm1) for lu in factors]
     vectors = np.array([row[0] for row in rows])
     s_vectors = np.array([row[1] for row in rows])
     h_vectors = general_matvec(pair.h_band, vectors)
@@ -305,13 +312,14 @@ def _refined_pairs(pair: OperatorPair, k_states: int, seeds: np.ndarray) -> Eige
     sc = general_matvec(pair.s_band.astype(np.longdouble), vectors)
     values = _normalised_quotients(vectors, hc, sc)
     corrections = np.empty(vectors.shape)
-    # Factoring again at the seed costs one LU per state; keeping the k
-    # factorizations from step 2 instead would hold k (3 bw + 1) n doubles,
-    # some 80 MB on the paper grid at k = 598.
+    # The corrections reuse step 2's factors, so the solve holds k (3 bw + 1) n
+    # doubles of them: 1.6 MB on the paper grid at k = 12. The CLI refuses a
+    # k above the channel's count of negative levels (on the paper grid 12
+    # for bare H s, 43 for bare Mg s, 127 for bare Z = 100 s), which keeps a
+    # request far below the ~80 MB that k = n = 598 would hold.
     for j in range(k_states):
-        factors = _shifted_lu(pair, seeds[j])
         residual = (hc[j] - values[j] * sc[j]).astype(np.float64)
-        corrections[j] = _band_solve(pair, factors, residual)
+        corrections[j] = _band_solve(pair, factors[j], residual)
     vectors -= corrections
     hc -= general_matvec(pair.h_band, corrections)
     sc -= general_matvec(pair.s_band, corrections)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .bsplines import Workspace, _seed_workspace
 from .model import AtomSpec, Pseudopotential, potential_terms, screening_factor
@@ -211,5 +211,8 @@ def general_matvec(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     bw, n = (rows.shape[0] - 1) // 2, rows.shape[1]
     padded = np.zeros(x.shape[:-1] + (n + 2 * bw,), dtype=np.result_type(rows, x))
     padded[..., bw : bw + n] = x
-    windows = sliding_window_view(padded, 2 * bw + 1, axis=-1)  # [..., i, o] = x[i + o - bw]
+    windows = as_strided(  # [..., i, o] = x[i + o - bw]
+        padded, x.shape[:-1] + (n, 2 * bw + 1), padded.strides + padded.strides[-1:],
+        writeable=False,
+    )
     return np.einsum("...io,oi->...i", windows, rows)

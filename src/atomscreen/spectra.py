@@ -49,6 +49,7 @@ __all__ = [
     "ComparisonRow",
     "ComparisonReport",
     "solve_channel",
+    "bound_count",
     "ionization_potential",
     "ionization_table",
     "helium_binding_table",
@@ -196,6 +197,17 @@ def solve_channel(
     if count < 1:
         raise ValueError("count must be >= 1")
     return _solve_channel_cached(atom, model, l, count, grid)
+
+
+def bound_count(
+    atom: AtomSpec,
+    model: Pseudopotential,
+    l: int,
+    grid: GridSpec = PAPER_GRID,
+) -> int | None:
+    """Number of negative levels of one l channel, from one inertia count of
+    its pencil at 0 (eigensolve._count_below); None if the count is untrusted."""
+    return eigensolve._count_below(assemble(build_workspace(grid), atom, l, model), 0.0)
 
 
 def _channel_state(

@@ -338,6 +338,29 @@ class TestExitContract:
         assert main(args) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(("args", "bound"), [
+        (["solve", "1", "1", "0", "--model", "bare", "--kstates", "14"], 12),
+        (["solve", "3", "3", "0", "--kstates", "40"], 15),
+        (["solve", "2", "2", "0", "--model", "central", "--kstates", "30"], 12),
+        (["solve", "3", "3", "0", "--kstates", "598"], 15),
+    ], ids=["bare-H-14", "Li-s-40", "He-central-30", "Li-s-598"])
+    def test_kstates_past_the_bound_levels_exit_one(self, args, bound, capsys, monkeypatch):
+        def no_solve(*_):
+            raise AssertionError("the refusal must come before any solve")
+
+        monkeypatch.setattr(cli, "solve_channel", no_solve)
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"exceeds the {bound} bound (negative) levels" in captured.err
+
+    def test_kstates_up_to_the_bound_levels_solves(self, capsys):
+        assert main(["solve", "1", "1", "0", "--model", "bare", "--kstates", "12",
+                     "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 12
+        assert all(float(row.split(",")[1]) < 0 for row in rows)
+
     def test_rfirst_is_ignored_on_linear_knots(self, capsys):
         base = ["solve", "3", "3", "0", "--knots", "linear", "--format", "csv"]
         assert main(base) == 0

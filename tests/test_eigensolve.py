@@ -187,13 +187,28 @@ class TestBandedPath:
         ("Li", Pseudopotential.SYMMETRY_DEPENDENT, 0, 6),
         ("Na", Pseudopotential.CENTRAL_SCREENING, 1, 12),
     ], ids=["Li-symmetry-s", "Na-central-p"])
-    def test_two_factorizations_per_state(self, name, model, l, k, monkeypatch):
-        # one LU at the seed for inverse iteration, one for the refinement
+    def test_one_factorization_per_state(self, name, model, l, k, monkeypatch):
+        # one LU at the seed, for inverse iteration and again for the refinement
         pair = assemble(build_workspace(), catalog_atom(name), l, model)
         counting = _CountingLapack(eigensolve.lapack)
         monkeypatch.setattr(eigensolve, "lapack", counting)
         solve_lowest(pair, k)
-        assert counting.factorizations == 2 * k
+        assert counting.factorizations == k
+
+    def test_kept_factors_stay_within_their_bound(self):
+        # the solve holds k (3 bw + 1) n doubles of factors from step 2 to
+        # step 4; twice that bounds its peak
+        pair = assemble(build_workspace(), catalog_atom("Li"), 0,
+                        Pseudopotential.SYMMETRY_DEPENDENT)
+        k = 12
+        factors_bytes = k * (3 * pair.bandwidth + 1) * pair.dimension * 8
+        tracemalloc.start()
+        try:
+            solve_lowest(pair, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * factors_bytes
 
     @pytest.mark.parametrize("k", [1, 12])
     def test_one_extended_precision_pass(self, k, monkeypatch):
@@ -253,6 +268,15 @@ class TestInertiaCount:
         assert eigensolve._count_below(pair, 0.5) == 1
         assert eigensolve._count_below(pair, 1.0) is None
 
+    def test_nan_on_the_diagonal_is_refused(self):
+        # the NaN makes its block's pivot and every later update NaN; dsysv
+        # reports such a pivot singular, and the growth test after the block
+        # loop refuses a NaN update or limit, so either way the count is None
+        h = np.diag([1.0, 2.0, np.nan, 4.0]) + np.diag([1.0, 1.0, 1.0], 1)
+        pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
+                            s_band=dense_to_band(np.eye(4), 1))
+        assert eigensolve._count_below(pair, 0.5) is None
+
     def test_agrees_with_dsbgvx_on_channel_scan_draws(self):
         ws = build_workspace()
         draws = 0
@@ -307,8 +331,8 @@ class TestCoarseSeeds:
         monkeypatch.setattr(eigensolve, "lapack", factoring)
         seeded = solve_lowest(pair, k, seeds=eigensolve._sturm_seeds(coarse, k + 1)).eigenvalues
         assert seeding.dimensions == [coarse.dimension]
-        # as on fine seeds, two LUs per state: the inertia count factors no band LU
-        assert factoring.factorizations == 2 * k
+        # as on fine seeds, one LU per state: the inertia count factors no band LU
+        assert factoring.factorizations == k
         assert np.max(np.abs(seeded - solve_lowest(pair, k).eigenvalues)) <= 1e-13
 
     def test_too_small_coarse_pair_is_not_used(self, monkeypatch):

@@ -238,7 +238,21 @@ class TestBandHelpers:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(pair.dimension)
         dense = band_to_dense(pair.h_band)
-        assert general_matvec(pair.h_band, x) == pytest.approx(dense @ x, rel=1e-13)
+        product = general_matvec(pair.h_band, x)
+        assert product == pytest.approx(dense @ x, rel=1e-13)
+        # a stack multiplies row by row, each exactly as on its own
+        stack = np.vstack([x, rng.standard_normal((3, pair.dimension))])
+        rows = general_matvec(pair.h_band, stack)
+        assert rows.shape == stack.shape
+        for row, vector in zip(rows, stack):
+            assert np.array_equal(row, general_matvec(pair.h_band, vector))
+        assert np.array_equal(rows[0], product)
+        # long double in, long double out, to long-double rounding
+        extended = general_matvec(pair.h_band.astype(np.longdouble), x.astype(np.longdouble))
+        assert extended.dtype == np.longdouble
+        reference = dense.astype(np.longdouble) @ x.astype(np.longdouble)
+        scale = np.abs(dense).astype(np.longdouble) @ np.abs(x).astype(np.longdouble)
+        assert np.all(np.abs(extended - reference) <= 64 * np.finfo(np.longdouble).eps * scale)
 
 
 def _active_values(basis, points):
