@@ -3,8 +3,9 @@
 The pencil is never densified: memory is O(n bw) per state. The pair
 holds H and S in LAPACK's general band layout (operators), which every LU
 (H - sigma S formed as a difference of the two bands), band product and
-inertia count reads as it is; dsbgvx reads the top bw + 1 rows, the upper
-banded form. Step 4 makes a long-double copy of both bands.
+inertia count reads as it is; dsbgvx, and the count's banded Cholesky,
+read the top bw + 1 rows, the upper banded form. Step 4 makes a
+long-double copy of both bands.
 
 1. Seeds. The caller may supply ``seeds``, k + 1 estimates of the lowest
    eigenvalues from anywhere: spectra passes the closed-form Coulomb
@@ -21,25 +22,31 @@ banded form. Step 4 makes a long-double copy of both bands.
    the all-ones vector, whose S-product is formed once for every seed.
 3. Rayleigh-Ritz on the k vectors makes them S-orthonormal.
 4. Refinement, one extended-precision pass. H c and S c are formed once in
-   long double. One step c <- c - d, with d = (H - sigma_seed S)^-1 r and
-   the residual r = H c - eps S c, then updates c, H c and S c by d and
-   its double-precision products H d and S d: d is small, so working
-   precision suffices for them (mixed-precision iterative refinement). The
-   returned eigenvalues and residual norms are the extended-precision
-   Rayleigh quotients and residuals read from the updated products, which
-   restores accuracy near machine precision for the low states (verified
-   against the analytic Coulomb spectrum in the test suite). d is solved
-   on step 2's factors, kept until now, so each seed shift is factored
-   once per solve.
+   long double, and the residuals r = H c - eps S c once for the whole
+   stack; the Rayleigh quotient eps and the step are scale-invariant, so c
+   is S-normalised only at the end. One step c <- c - d, with
+   d = (H - sigma_seed S)^-1 r, then updates c, H c and S c: S d is one
+   double-precision product, and H d = r + sigma_seed S d comes from the
+   correction's own equation. d is small, so working precision suffices
+   for both (mixed-precision iterative refinement). The returned
+   eigenvalues and residual norms are the extended-precision Rayleigh
+   quotients and residuals read from the updated products, which restores
+   accuracy near machine precision for the low states (verified against
+   the analytic Coulomb spectrum in the test suite). d is solved on step
+   2's factors, kept until now, so each seed shift is factored once per
+   solve.
 5. Guards and the "k lowest" certificate. Each eigenvalue must lie nearest
    its own seed, the spectrum must be simple and every residual small.
    Seeds from dsbgvx on (H, S) come with its Sturm count, so they are the
    k + 1 lowest; a failed guard then raises. Supplied seeds carry no count
    on (H, S), whatever their source: one inertia count of H - sigma S
    (Sylvester's law), at sigma halfway from the k-th eigenvalue to the
-   (k + 1)-th seed, must find exactly k eigenvalues below sigma. If that
-   count, or any guard, fails on supplied seeds, the solve is redone from
-   dsbgvx seeds of (H, S).
+   (k + 1)-th seed, must find exactly k eigenvalues below sigma. The count
+   runs a banded Cholesky (dpbtrf) from the top and one from the bottom
+   over the runs where H - sigma S is positive definite, and a block
+   LDL^T over the blocks between them: on the paper grid a median 12 of
+   its 67 blocks. If that count, or any guard, fails on supplied seeds,
+   the solve is redone from dsbgvx seeds of (H, S).
 
 scipy exports ``dsbgvx`` only through ``scipy.linalg.cython_lapack``; it is
 bound once, with ctypes, from the function pointer in that module's capsule
@@ -228,52 +235,98 @@ def _inverse_iteration(
     return x, sx
 
 
-def _normalised_quotients(vectors: np.ndarray, hc: np.ndarray, sc: np.ndarray) -> np.ndarray:
-    """S-normalise long-double rows of vectors, with their products H c and
-    S c, in place; returns their Rayleigh quotients."""
-    norms = np.sqrt(np.einsum("ij,ij->i", vectors, sc))[:, None]
-    vectors /= norms
-    hc /= norms
-    sc /= norms
-    return np.einsum("ij,ij->i", vectors, hc)
+def _factor_block(factor: np.ndarray, bw: int, p: int) -> np.ndarray:
+    """Diagonal block p (rows and columns p bw to p bw + bw - 1) of the upper
+    Cholesky factor U that dpbtrf leaves in upper band storage,
+    ``factor[bw + i - j, j] = U[i, j]`` for i <= j."""
+    offsets = np.arange(bw)
+    lag = offsets[:, None] - offsets[None, :]
+    return np.where(lag <= 0, factor[np.minimum(bw + lag, bw), p * bw + offsets], 0.0)
 
 
 def _count_below(pair: OperatorPair, sigma: float) -> int | None:
     """Number of eigenvalues of the pencil below ``sigma``; None if untrusted.
 
     By Sylvester's law of inertia this is the number of negative eigenvalues
-    of A = H - sigma S, as S is positive definite. In blocks of bw rows A is
-    block tridiagonal, and an unpivoted block LDL^T gives its inertia as the
-    sum of the inertias of the Schur complement pivots. Each pivot is
-    factored by Bunch-Kaufman (dsysv), whose 2 x 2 blocks always have one
-    negative eigenvalue. A singular pivot, or an update that grows past
-    _PIVOT_GROWTH_LIMIT, makes the count untrusted.
+    of A = H - sigma S, as S is positive definite; any congruent
+    factorization gives it. In blocks of bw rows (A padded with identity
+    rows to whole blocks) A is block tridiagonal.
+
+    * Head and tail. A banded Cholesky (dpbtrf) of A from the top, and of
+      its reversal from the bottom, runs until a leading (trailing)
+      principal submatrix stops being positive definite. If either factors
+      all of A, the count is 0. Otherwise the whole blocks that either run
+      has factored add no negative eigenvalue and need no pivoting.
+    * Middle. An unpivoted block LDL^T runs from the head's last Cholesky
+      block, whose Schur complement pivot is U^T U with U its diagonal
+      block of the factor, to the block before the tail, from whose pivot
+      the tail's Schur update C T^-1 C^T is subtracted, where C couples the
+      two blocks and T = R^T R is the tail's pivot at its first block. The
+      count is the sum of the inertias of these pivots, each factored by
+      Bunch-Kaufman (dsysv), whose 2 x 2 blocks always have one negative
+      eigenvalue.
+
+    A non-finite entry, a singular pivot, or a Schur update (the head's and
+    the tail's at the junctions included) that grows past
+    _PIVOT_GROWTH_LIMIT times its block makes the count untrusted.
     """
     bw, n = pair.bandwidth, pair.dimension
     n_blocks = -(-n // bw)
     general = np.zeros((2 * bw + 1, n_blocks * bw))
     general[:, :n] = pair.h_band - sigma * pair.s_band
     general[bw, n:] = 1.0  # identity padding adds no negative eigenvalue
+    if not np.isfinite(general).all():  # dpbtrf would take a NaN pivot as positive
+        return None
+    head, info = lapack.dpbtrf(general[: bw + 1])  # the upper band form
+    if info == 0:
+        return 0
+    # rows before the failing one are factored, also by the blocked dpbtrf
+    # of bandwidths past 64; the reversal of a general band is band[::-1, ::-1]
+    tail, tail_info = lapack.dpbtrf(general[::-1, ::-1][: bw + 1])
+    if info < 0 or tail_info < 0:
+        raise EigensolverError(f"banded Cholesky failed (dpbtrf info={min(info, tail_info)})")
+    head_blocks = (info - 1) // bw
+    tail_blocks = n_blocks if tail_info == 0 else (tail_info - 1) // bw
+    first = max(head_blocks - 1, 0)
+    last = max(n_blocks - tail_blocks - 1, first)
+
     offsets = np.arange(bw)
     lag = offsets[:, None] - offsets[None, :]
-    columns = bw * np.arange(n_blocks)[:, None, None] + offsets
-    pivots = general[bw + lag, columns]  # [p, a, e] = A[p bw + a, p bw + e]
-    couplings = np.zeros_like(pivots)  # [p, a, e] = A[p bw + a, (p + 1) bw + e]
-    couplings[:-1] = np.where(lag >= 0, general[lag.clip(0), columns[1:]], 0.0)
+    columns = bw * np.arange(first, min(last + 2, n_blocks))[:, None, None] + offsets
+    size = last - first + 1
+    pivots = general[bw + lag, columns[:size]]  # [i, a, e] = A[p bw + a, p bw + e], p = first + i
+    couplings = np.zeros_like(pivots)  # [i, a, e] = A[p bw + a, (p + 1) bw + e]
+    couplings[: len(columns) - 1] = np.where(lag >= 0, general[lag.clip(0), columns[1:]], 0.0)
     limits = _PIVOT_GROWTH_LIMIT * np.abs(pivots).max(axis=(1, 2))
+    # updates[i] is pivot i's Schur update (the head's at i = 0); the extra
+    # last slot holds the tail's, held to the last block's limit
+    updates = np.zeros((size + 1, bw, bw))
+    limits = np.append(limits, limits[-1])
+    if head_blocks:
+        factor = _factor_block(head, bw, first)
+        updates[0] = pivots[0] - factor.T @ factor
+        pivots[0] = factor.T @ factor
+    if last < n_blocks - 1:
+        factor = _factor_block(tail, bw, n_blocks - 2 - last)
+        # T is R^T R with R's rows and columns reversed, so C T^-1 C^T = X^T X
+        # with R^T X = the reversed rows of C^T
+        scaled, solve_info = lapack.dtrtrs(factor, couplings[-1][:, ::-1].T, trans=1)
+        if solve_info != 0:
+            return None
+        updates[-1] = scaled.T @ scaled
+        pivots[-1] -= updates[-1]
 
-    diagonals = np.empty((n_blocks, bw))
-    interchanges = np.empty((n_blocks, bw), dtype=np.int64)
-    updates = np.zeros_like(pivots)
+    diagonals = np.empty((size, bw))
+    interchanges = np.empty((size, bw), dtype=np.int64)
     schur = pivots[0]
-    for p in range(n_blocks):
-        if p:
-            updates[p] = couplings[p - 1].T @ solved
-            schur = pivots[p] - updates[p]
-        factor, interchanges[p], solved, info = lapack.dsysv(schur, couplings[p])
+    for i in range(size):
+        if i:
+            updates[i] = couplings[i - 1].T @ solved
+            schur = pivots[i] - updates[i]
+        factor, interchanges[i], solved, info = lapack.dsysv(schur, couplings[i])
         if info != 0:
             return None
-        diagonals[p] = factor.diagonal()
+        diagonals[i] = factor.diagonal()
     if not np.all(np.abs(updates).max(axis=(1, 2)) <= limits):  # also refuses NaN
         return None
     # dsysv marks each 2 x 2 block by two negative interchange entries
@@ -291,10 +344,10 @@ def _refined_pairs(pair: OperatorPair, k_states: int, seeds: np.ndarray) -> Eige
                 f"eigenvalues not simple/ascending: min seed gap {min_gap:.3e}"
             )
 
-    ones = np.ones(pair.dimension)
-    h_norm1 = general_matvec(np.abs(pair.h_band), ones).max()
-    s_ones = general_matvec(pair.s_band, ones)
-    factors = [_shifted_lu(pair, seed) for seed in seeds[:k_states]]
+    h_norm1 = np.abs(pair.h_band).sum(axis=0).max()  # column sums: the 1-norm
+    s_ones = pair.s_band.sum(axis=0)  # S 1, as S is symmetric
+    shifts = seeds[:k_states]
+    factors = [_shifted_lu(pair, seed) for seed in shifts]
     rows = [_inverse_iteration(pair, lu, s_ones, h_norm1) for lu in factors]
     vectors = np.array([row[0] for row in rows])
     s_vectors = np.array([row[1] for row in rows])
@@ -307,27 +360,31 @@ def _refined_pairs(pair: OperatorPair, k_states: int, seeds: np.ndarray) -> Eige
         raise EigensolverError(f"Rayleigh-Ritz step failed: {exc}") from exc
     vectors = rotation.T @ vectors
 
+    # Rayleigh quotients and corrections are scale-invariant, so the rows
+    # are S-normalised once, after the correction.
     vectors = vectors.astype(np.longdouble)
     hc = general_matvec(pair.h_band.astype(np.longdouble), vectors)
     sc = general_matvec(pair.s_band.astype(np.longdouble), vectors)
-    values = _normalised_quotients(vectors, hc, sc)
-    corrections = np.empty(vectors.shape)
+    values = np.einsum("ij,ij->i", vectors, hc) / np.einsum("ij,ij->i", vectors, sc)
+    rhs = (hc - values[:, None] * sc).astype(np.float64)  # the residuals r
     # The corrections reuse step 2's factors, so the solve holds k (3 bw + 1) n
     # doubles of them: 1.6 MB on the paper grid at k = 12. The CLI refuses a
     # k above the channel's count of negative levels (on the paper grid 12
     # for bare H s, 43 for bare Mg s, 127 for bare Z = 100 s), which keeps a
     # request far below the ~80 MB that k = n = 598 would hold.
-    for j in range(k_states):
-        residual = (hc[j] - values[j] * sc[j]).astype(np.float64)
-        corrections[j] = _band_solve(pair, factors[j], residual)
+    corrections = np.array([_band_solve(pair, lu, r) for lu, r in zip(factors, rhs)])
+    s_corrections = general_matvec(pair.s_band, corrections)
     vectors -= corrections
-    hc -= general_matvec(pair.h_band, corrections)
-    sc -= general_matvec(pair.s_band, corrections)
-    values = _normalised_quotients(vectors, hc, sc)
+    hc -= rhs + shifts[:, None] * s_corrections  # H d, as (H - shift S) d = r
+    sc -= s_corrections
+    squared_norms = np.einsum("ij,ij->i", vectors, sc)
+    values = np.einsum("ij,ij->i", vectors, hc) / squared_norms
     residual = hc
     residual -= values[:, None] * sc
+    norms = np.sqrt(squared_norms)
+    vectors /= norms[:, None]
     eigenvalues = values.astype(np.float64)
-    residuals = np.sqrt(np.einsum("ij,ij->i", residual, residual)) / h_norm1
+    residuals = np.sqrt(np.einsum("ij,ij->i", residual, residual)) / (norms * h_norm1)
     residuals = residuals.astype(np.float64)
 
     nearest = np.abs(eigenvalues[:, None] - seeds[None, :]).argmin(axis=1)

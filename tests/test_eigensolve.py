@@ -1,11 +1,13 @@
 import importlib.util
 import tracemalloc
+from collections import Counter
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from conftest import CountingSeeds, band_to_dense, dense_to_band, random_banded_pair
 
@@ -39,18 +41,26 @@ def channel_requests(seed):
 
 
 class _CountingLapack:
-    """Stands in for the ``lapack`` module the solver calls, counting dgbtrf."""
+    """Stands in for the ``lapack`` module the solver calls, counting the
+    calls of each routine."""
 
     def __init__(self, module):
         self._module = module
-        self.factorizations = 0
+        self.calls = Counter()
 
     def __getattr__(self, name):
-        return getattr(self._module, name)
+        routine = getattr(self._module, name)
 
-    def dgbtrf(self, *args, **kwargs):
-        self.factorizations += 1
-        return self._module.dgbtrf(*args, **kwargs)
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return routine(*args, **kwargs)
+
+        return counted
+
+    @property
+    def factorizations(self):
+        """Band LUs (dgbtrf); the inertia count's dpbtrf is a Cholesky."""
+        return self.calls["dgbtrf"]
 
 
 @pytest.fixture(scope="module")
@@ -212,22 +222,46 @@ class TestBandedPath:
 
     @pytest.mark.parametrize("k", [1, 12])
     def test_one_extended_precision_pass(self, k, monkeypatch):
-        # the refinement forms H c and S c once in long double and updates
-        # them by double-precision products of the correction
+        # the refinement forms H c and S c once in long double; after the
+        # corrections d it forms only S d, as H d = r + seed S d
         ws = build_workspace()
         pair = assemble(ws, catalog_atom("Na"), 1, Pseudopotential.CENTRAL_SCREENING)
         seeds = eigensolve._sturm_seeds(_seed_pair(ws, pair), k + 1)
-        extended, multiply = [], operators.general_matvec
+        products, multiply = [], operators.general_matvec
 
         def counting(rows, x):
-            if np.result_type(rows, x) == np.longdouble:
-                extended.append(x.shape)
+            products.append((np.result_type(rows, x), x.shape))
             return multiply(rows, x)
 
         monkeypatch.setattr(eigensolve, "general_matvec", counting)
         solution = solve_lowest(pair, k, seeds=seeds)
-        assert extended == [(k, pair.dimension)] * 2
+        stack = (k, pair.dimension)
+        extended = [i for i, (dtype, _) in enumerate(products) if dtype == np.longdouble]
+        assert [products[i][1] for i in extended] == [stack] * 2
+        assert products[extended[-1] + 1:] == [(np.float64, stack)]
         assert np.all(solution.residual_norms <= 1e-10)
+
+    @pytest.mark.parametrize(("name", "model", "l", "k"), [
+        ("Na", Pseudopotential.CENTRAL_SCREENING, 1, 12),
+        ("Li", Pseudopotential.SYMMETRY_DEPENDENT, 0, 6),
+        ("Mg", Pseudopotential.CENTRAL_SCREENING, 0, 3),
+    ], ids=["Na-central-p", "Li-symmetry-s", "Mg-central-s"])
+    def test_residual_norms_are_those_of_the_returned_pairs(self, name, model, l, k):
+        # the norms are read from the updated products, not recomputed;
+        # rounding the vectors to double moves a residual by about eps
+        ws = build_workspace()
+        pair = assemble(ws, catalog_atom(name), l, model)
+        solution = solve_lowest(pair, k, seeds=eigensolve._sturm_seeds(_seed_pair(ws, pair), k + 1))
+        vectors = solution.vectors.T.astype(np.longdouble)
+        hc = general_matvec(pair.h_band.astype(np.longdouble), vectors)
+        sc = general_matvec(pair.s_band.astype(np.longdouble), vectors)
+        residual = hc - solution.eigenvalues[:, None] * sc
+        h_norm1 = band_to_dense(np.abs(pair.h_band)).sum(axis=0).max()
+        recomputed = np.sqrt(np.einsum("ij,ij->i", residual, residual)) / h_norm1
+        assert solution.residual_norms == pytest.approx(recomputed.astype(np.float64),
+                                                        abs=np.finfo(np.float64).eps)
+        gram = (vectors @ sc.T).astype(np.float64)
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-14
 
     def test_seeds_exact_to_the_last_bit(self):
         # integer eigenvalues make every shifted LU exactly singular
@@ -251,6 +285,59 @@ class TestInertiaCount:
             for below, sigma in enumerate(shifts):
                 assert eigensolve._count_below(pair, sigma) == below, (dim, bandwidth, below)
 
+    @settings(deadline=None)
+    @given(bw=st.integers(1, 6), blocks=st.integers(1, 6), data=st.data())
+    def test_matches_dense_count_with_positive_definite_head_and_tail(self, bw, blocks, data):
+        # H is diagonally dominant: positive rows on a head and a tail run of
+        # drawn length, negative rows between them, so each run is positive
+        # definite exactly as drawn. A drawn junction (1, 5, 1) with couplings
+        # 2 makes three rows indefinite though each pair of them is positive
+        # definite, so the head and tail runs overlap.
+        n = bw * blocks + data.draw(st.integers(1, max(bw - 1, 1)))  # n % bw != 0 if bw > 1
+        runs = st.one_of(st.just(0), st.just(bw), st.integers(0, n), st.just(n))
+        head, tail = data.draw(runs), data.draw(runs)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        diagonal = -rng.uniform(1.0, 2.0, n)
+        diagonal[:head] *= -1.0
+        diagonal[n - tail:] = np.abs(diagonal[n - tail:])
+        h = np.diag(diagonal)
+        if n >= 3 and data.draw(st.booleans()):
+            j = data.draw(st.integers(1, n - 2))
+            h[j - 1:j + 2, j - 1:j + 2] = [[1.0, 2.0, 0.0], [2.0, 5.0, 2.0], [0.0, 2.0, 1.0]]
+        scale = 0.05 / bw
+        for d in range(1, bw + 1):
+            h += np.diag(rng.uniform(-scale, scale, n - d), d)
+        h = np.triu(h) + np.triu(h, 1).T
+        s = np.eye(n) + np.diag(rng.uniform(-scale, scale, n - 1), 1)
+        s = 0.5 * (s + s.T)
+        pair = OperatorPair(h_band=dense_to_band(h, bw), s_band=dense_to_band(s, bw))
+        values = sla.eigh(h, s, eigvals_only=True)
+        # a shift near an eigenvalue makes H - sigma S nearly singular
+        margin = 0.05 * np.abs(values).max()
+        for sigma in (-3.0, 0.0, 3.0):
+            if np.abs(values - sigma).min() >= margin:
+                expected = int(np.count_nonzero(values < sigma))
+                assert eigensolve._count_below(pair, sigma) == expected, sigma
+
+    def test_positive_definite_pencil_counts_from_the_head_alone(self, monkeypatch):
+        pair = random_banded_pair(np.random.default_rng(8), 23, 4)
+        lowest = sla.eigh(band_to_dense(pair.h_band), band_to_dense(pair.s_band),
+                          eigvals_only=True)[0]
+        counting = _CountingLapack(eigensolve.lapack)
+        monkeypatch.setattr(eigensolve, "lapack", counting)
+        assert eigensolve._count_below(pair, lowest - 0.5) == 0
+        assert counting.calls == {"dpbtrf": 1}
+
+    def test_tail_update_outgrowing_its_junction_block_is_refused(self):
+        # blocks of one row: rows 0-1 are the head, rows 3-4 the tail, and
+        # the middle row 2 of H - sigma S meets the tail's update 1 / (1 - sigma):
+        # 2 against a row of 0.5 at sigma = 0.5, 1 against 1e-9 at sigma = 0
+        h = np.diag([2.0, 2.0, -1e-9, 1.0, 1.0]) + np.diag([0.5, 0.0, 1.0, 0.0], 1)
+        pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
+                            s_band=dense_to_band(np.eye(5), 1))
+        assert eigensolve._count_below(pair, 0.5) == 1
+        assert eigensolve._count_below(pair, 0.0) is None
+
     def test_singular_pivot_is_refused(self):
         n = 8
         pair = OperatorPair(h_band=dense_to_band(np.diag(np.arange(1.0, n + 1)), 2),
@@ -269,13 +356,19 @@ class TestInertiaCount:
         assert eigensolve._count_below(pair, 1.0) is None
 
     def test_nan_on_the_diagonal_is_refused(self):
-        # the NaN makes its block's pivot and every later update NaN; dsysv
-        # reports such a pivot singular, and the growth test after the block
-        # loop refuses a NaN update or limit, so either way the count is None
+        # a Cholesky run would take the NaN pivot as positive, so the count
+        # refuses a non-finite H - sigma S before it factors anything
         h = np.diag([1.0, 2.0, np.nan, 4.0]) + np.diag([1.0, 1.0, 1.0], 1)
         pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
                             s_band=dense_to_band(np.eye(4), 1))
         assert eigensolve._count_below(pair, 0.5) is None
+
+    def test_nan_inside_a_positive_definite_run_is_refused(self):
+        # dpbtrf takes a NaN pivot as positive and factors this H to the end
+        h = np.diag([2.0, 2.0, np.nan, 2.0]) + np.diag([0.1, 0.1, 0.1], 1)
+        pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
+                            s_band=dense_to_band(np.eye(4), 1))
+        assert eigensolve._count_below(pair, 0.0) is None
 
     def test_agrees_with_dsbgvx_on_channel_scan_draws(self):
         ws = build_workspace()

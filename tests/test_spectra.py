@@ -171,6 +171,20 @@ class TestClosedFormSeeds:
         assert states[-1].raw_energy > 0
 
 
+class TestBoundCount:
+    # the counts the CLI's --kstates refusal quotes (test_cli.py::TestExitContract)
+    @pytest.mark.parametrize(("atom", "model", "l", "bound"), [
+        (AtomSpec("H", 1, 1, 1, 0, 1), Pseudopotential.BARE_COULOMB, 0, 12),
+        (catalog_atom("Li"), A, 0, 15),
+        (catalog_atom("He"), B, 0, 12),
+        (catalog_atom("Mg"), Pseudopotential.BARE_COULOMB, 3, 40),
+    ], ids=["bare-H-s", "Li-symmetry-s", "He-central-s", "bare-Mg-f"])
+    def test_counts_the_negative_levels(self, atom, model, l, bound):
+        assert spectra.bound_count(atom, model, l) == bound
+        levels = solve_lowest(assemble(build_workspace(), atom, l, model), bound + 1).eigenvalues
+        assert levels[bound - 1] < 0.0 <= levels[bound]
+
+
 class TestIonizationPotential:
     @pytest.mark.parametrize(
         "name,printed",
