@@ -4,7 +4,9 @@ The radial box [0, r_max] is partitioned into breakpoints carrying an
 order-k clamped knot sequence. The first and last spline are dropped to
 enforce zero boundary values, leaving ``n_splines - 2`` active functions.
 Gauss-Legendre nodes on every breakpoint interval stay strictly interior,
-so integrands singular at r = 0 are never sampled there.
+so integrands singular at r = 0 are never sampled there. One Cox-de Boor
+routine (``_values_and_derivs``) evaluates the splines everywhere: the
+design tables of both workspaces and ``eval_bspline``.
 
 Each workspace has a seed workspace (``_seed_workspace``): the same order on
 every fourth breakpoint, integrated with the same nodes and weights. Its
@@ -230,53 +232,41 @@ def _clamped_basis(breakpoints: np.ndarray, order_k: int, r_max: float) -> KnotB
     )
 
 
-def _nonzero_values(t: np.ndarray, k: int, spans: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Values of the k splines that are nonzero on each knot span.
-
-    Cox-de Boor triangular recursion, vectorised over the spans (shape
-    (n,)) and over the points x (shape (n, m), row i inside span spans[i]).
-    Entry [i, q, a] holds spline spans[i] - k + 1 + a at x[i, q].
-    """
-    values = np.ones(x.shape + (1,))
-    for _ in range(k - 1):
-        values = _raise_order(t, values, spans, x)
-    return values
-
-
-def _raise_order(
-    t: np.ndarray, values: np.ndarray, spans: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """One Cox-de Boor step: order-j nonzero values to order j + 1."""
-    j = values.shape[-1]
-    offsets = np.arange(j)
-    d_right = t[spans[:, None] + 1 + offsets][:, None, :] - x[..., None]
-    d_left = x[..., None] - t[spans[:, None] - offsets][:, None, :]
-    step = np.zeros(x.shape + (j + 1,))
-    carry = np.zeros(x.shape)
-    for i in range(j):
-        term = values[..., i] / (d_right[..., i] + d_left[..., j - 1 - i])
-        step[..., i] = carry + d_right[..., i] * term
-        carry = d_left[..., j - 1 - i] * term
-    step[..., j] = carry
-    return step
-
-
 def _values_and_derivs(
     t: np.ndarray, k: int, spans: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and first derivatives of the nonzero splines on each span (k >= 2)."""
-    lower = _nonzero_values(t, k - 1, spans, x)
-    values = _raise_order(t, lower, spans, x)
-    derivs = np.zeros_like(values)
+    """Values and first derivatives of the k splines nonzero on each span.
+
+    Cox-de Boor triangular recursion (k >= 2), vectorised over the spans
+    (shape (n,)) and over the points x (shape (n, m), row i inside span
+    spans[i]), with one contiguous (n, m) array per spline. Entry [i, q, a]
+    of either table belongs to spline spans[i] - k + 1 + a at x[i, q].
+    """
+    # knot differences t[spans + 1 + i] - x and x - t[spans - i], offset i
+    # leading: one allocation per side, freed whole before the tables
+    offsets = np.arange(k - 1)[:, None, None]
+    right = t[spans[:, None] + 1 + offsets] - x
+    left = x - t[spans[:, None] - offsets]
+    values = [np.ones(x.shape)]
+    for j in range(1, k):  # order j to order j + 1
+        lower, values, carry = values, [], 0.0
+        for i in range(j):
+            term = lower[i] / (right[i] + left[j - 1 - i])
+            values.append(carry + right[i] * term)
+            carry = left[j - 1 - i] * term
+        values.append(carry)
+    del right, left
+    tables = np.empty(x.shape + (k,)), np.empty(x.shape + (k,))
     for a in range(k):
         p = spans - k + 1 + a
-        acc = np.zeros(x.shape)
+        acc = 0.0
         if a >= 1:
-            acc += _divide_where_wide(lower[..., a - 1], t[p + k - 1] - t[p])
+            acc += _divide_where_wide(lower[a - 1], t[p + k - 1] - t[p])
         if a <= k - 2:
-            acc -= _divide_where_wide(lower[..., a], t[p + k] - t[p + 1])
-        derivs[..., a] = (k - 1) * acc
-    return values, derivs
+            acc -= _divide_where_wide(lower[a], t[p + k] - t[p + 1])
+        tables[0][..., a] = values[a]
+        tables[1][..., a] = (k - 1) * acc
+    return tables
 
 
 def _divide_where_wide(column: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -312,10 +302,7 @@ def eval_bspline(basis: KnotBasis, index: int, r, derivative_order: int = 0):
     values = np.zeros(points.shape)
     if inside.any():
         spans, x = spans[inside], points[inside, None]
-        if derivative_order == 0:
-            rows = _nonzero_values(basis.knots, k, spans, x)
-        else:
-            rows = _values_and_derivs(basis.knots, k, spans, x)[1]
+        rows = _values_and_derivs(basis.knots, k, spans, x)[derivative_order]
         values[inside] = rows[np.arange(len(spans)), 0, position[inside]]
     if radii.ndim == 0:
         return float(values[0])

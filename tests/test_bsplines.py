@@ -330,8 +330,13 @@ class TestVectorisedTables:
             assert np.array_equal(tables.values[iv], values)
             assert np.array_equal(tables.derivs[iv], derivs)
 
-    def test_paper_grid_bit_identical_to_per_span_loop(self):
+    # the seed workspace has 80-node intervals (four of 20 regrouped) and a
+    # padded last group, as 591 = 4 * 147 + 3
+    @pytest.mark.parametrize("seed", [False, True], ids=["workspace", "seed-workspace"])
+    def test_paper_grid_bit_identical_to_per_span_loop(self, seed):
         ws = build_workspace(PAPER_GRID)
+        if seed:
+            ws = _seed_workspace(ws)
         k = ws.basis.order_k
         for iv in range(ws.basis.n_intervals):
             values, derivs = _span_values_and_derivs(

@@ -328,6 +328,18 @@ class TestInertiaCount:
         assert eigensolve._count_below(pair, lowest - 0.5) == 0
         assert counting.calls == {"dpbtrf": 1}
 
+    def test_tail_update_inverts_the_tail_block(self, monkeypatch):
+        # C T^-1 C^T takes one dtrtri and a product: OpenBLAS hands a
+        # multi-right-hand-side dtrtrs to its thread pool, at milliseconds a
+        # call. Rows 0-1 are the head, rows 3-4 the tail, row 2 the middle.
+        h = np.diag([2.0, 2.0, -1e-9, 1.0, 1.0]) + np.diag([0.5, 0.0, 1.0, 0.0], 1)
+        pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
+                            s_band=dense_to_band(np.eye(5), 1))
+        counting = _CountingLapack(eigensolve.lapack)
+        monkeypatch.setattr(eigensolve, "lapack", counting)
+        assert eigensolve._count_below(pair, 0.5) == 1
+        assert counting.calls == {"dpbtrf": 2, "dtrtri": 1, "dsysv": 2}
+
     def test_tail_update_outgrowing_its_junction_block_is_refused(self):
         # blocks of one row: rows 0-1 are the head, rows 3-4 the tail, and
         # the middle row 2 of H - sigma S meets the tail's update 1 / (1 - sigma):
