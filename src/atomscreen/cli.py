@@ -4,9 +4,8 @@ Exit status contract: 0 = success / all gated comparisons pass,
 1 = a numerical comparison or solver failure, 2 = usage or config error.
 
 Configuration precedence is flag > config file > default. The config file
-is line-oriented ``key = value`` with ``#`` comments; keys are the long
-flag names without dashes (splines, order, rmax, knots, rfirst, quad-nodes,
-units, model, format, out, mg-mn).
+is line-oriented ``key = value`` with ``#`` comments; its keys are the names
+of the options in ``_OPTIONS``, with ``-`` or ``_`` between words.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .bsplines import PAPER_GRID, GridSpec, _ORDER_RANGE, build_workspace
 from .eigensolve import EigensolverError
@@ -50,11 +50,6 @@ MODEL_A_TOLERANCES = {"table1": 0.01, "table2": 0.005, "table3": 0.002}
 #: Model-B rows beyond this deviation go to the discrepancy report (eV).
 MODEL_B_TOLERANCE = 0.05
 
-_MODEL_FLAGS = {
-    "symmetry": Pseudopotential.SYMMETRY_DEPENDENT,
-    "central": Pseudopotential.CENTRAL_SCREENING,
-    "bare": Pseudopotential.BARE_COULOMB,
-}
 _SPECTROSCOPIC = "spdfgh"
 
 
@@ -77,37 +72,34 @@ class RunConfig:
         return PAPER_UNITS if self.units == "paper" else CODATA_UNITS
 
     def pseudopotential(self) -> Pseudopotential:
-        return _MODEL_FLAGS[self.model]
+        return Pseudopotential(self.model)
 
 
-_FIELD_PARSERS = {
-    "splines": int,
-    "order": int,
-    "rmax": float,
-    "knots": str,
-    "rfirst": float,
-    "quad_nodes": int,
-    "units": str,
-    "model": str,
-    "format": str,
-    "out": str,
-    "mg_mn": int,
-}
-#: Flag names (and config keys) of the grid options, with the GridSpec field each sets.
-_GRID_FLAGS = {
-    "splines": "n_splines",
-    "order": "order_k",
-    "rmax": "r_max",
-    "knots": "knot_kind",
-    "rfirst": "r_first",
-    "quad_nodes": "nodes_per_interval",
-}
-_FIELD_CHOICES = {
-    "knots": ("exp-linear", "linear"),
-    "units": ("paper", "codata"),
-    "model": tuple(_MODEL_FLAGS),
-    "format": ("text", "csv", "json"),
-    "mg_mn": (2, 3),
+class _Option(NamedTuple):
+    type: Callable[[str], object]
+    choices: tuple | None
+    grid_field: str | None  # the GridSpec field it sets; None for a run option
+    help: str  # a grid option's help formats its PAPER_GRID default into {:g}
+
+
+#: Every option shared by the subcommands, keyed by its RunConfig field (or
+#: argparse dest); the flag and config key spell the name with "-".
+_OPTIONS = {
+    "splines": _Option(int, None, "n_splines", "total B-spline count (default {:g})"),
+    "order": _Option(int, None, "order_k", "spline order k (default {:g})"),
+    "rmax": _Option(float, None, "r_max", "box radius in bohr (default {:g})"),
+    "knots": _Option(str, ("exp-linear", "linear"), "knot_kind", "knot layout"),
+    "rfirst": _Option(float, None, "r_first", "first nonzero breakpoint (default {:g})"),
+    "quad_nodes": _Option(int, None, "nodes_per_interval",
+                          "Gauss-Legendre nodes per interval (default {:g})"),
+    "units": _Option(str, ("paper", "codata"), None,
+                     "eV conversion: paper-compatible or codata"),
+    "model": _Option(str, tuple(p.value for p in Pseudopotential), None,
+                     "pseudopotential for solve/converge"),
+    "format": _Option(str, ("text", "csv", "json"), None, "output format"),
+    "out": _Option(str, None, None, "write output to this path instead of stdout"),
+    "mg_mn": _Option(int, (2, 3), None,
+                     "m numerator for Mg (default 3; 2 matches the printed table)"),
 }
 
 
@@ -126,17 +118,16 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         field = key.strip().lower().replace("-", "_")
-        value = value.strip()
-        if field not in _FIELD_PARSERS:
+        option = _OPTIONS.get(field)
+        if option is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key.strip()!r}")
         try:
-            parsed = _FIELD_PARSERS[field](value)
+            parsed = option.type(value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {field}: {exc}") from exc
-        choices = _FIELD_CHOICES.get(field)
-        if choices is not None and parsed not in choices:
+        if option.choices is not None and parsed not in option.choices:
             raise ConfigError(
-                f"{path}:{lineno}: {field} must be one of {choices}, got {parsed!r}"
+                f"{path}:{lineno}: {field} must be one of {option.choices}, got {parsed!r}"
             )
         values[field] = parsed
     if not values:
@@ -149,11 +140,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged: dict[str, object] = {}
     if args.config is not None:
         merged.update(parse_config_file(args.config))
-    for field in _FIELD_PARSERS:
+    for field in _OPTIONS:
         flag_value = getattr(args, field, None)
         if flag_value is not None:
             merged[field] = flag_value
-    grid_values = {_GRID_FLAGS[f]: merged.pop(f) for f in _GRID_FLAGS if f in merged}
+    grid_values = {o.grid_field: merged.pop(f)
+                   for f, o in _OPTIONS.items() if o.grid_field is not None and f in merged}
     return RunConfig(grid=_checked_grid(replace(PAPER_GRID, **grid_values)), **merged)
 
 
@@ -184,27 +176,13 @@ def _checked_grid(grid: GridSpec) -> GridSpec:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--splines", type=int,
-                        help=f"total B-spline count (default {PAPER_GRID.n_splines:g})")
-    parser.add_argument("--order", type=int,
-                        help=f"spline order k (default {PAPER_GRID.order_k:g})")
-    parser.add_argument("--rmax", type=float,
-                        help=f"box radius in bohr (default {PAPER_GRID.r_max:g})")
-    parser.add_argument("--knots", choices=_FIELD_CHOICES["knots"], help="knot layout")
-    parser.add_argument("--rfirst", type=float,
-                        help=f"first nonzero breakpoint (default {PAPER_GRID.r_first:g})")
-    parser.add_argument("--quad-nodes", dest="quad_nodes", type=int,
-                        help="Gauss-Legendre nodes per interval"
-                        f" (default {PAPER_GRID.nodes_per_interval:g})")
-    parser.add_argument("--units", choices=_FIELD_CHOICES["units"],
-                        help="eV conversion: paper-compatible or codata")
-    parser.add_argument("--model", choices=tuple(_MODEL_FLAGS),
-                        help="pseudopotential for solve/converge")
-    parser.add_argument("--format", choices=_FIELD_CHOICES["format"], help="output format")
-    parser.add_argument("--out", help="write output to this path instead of stdout")
+    for field, option in _OPTIONS.items():
+        help_text = option.help
+        if option.grid_field is not None:
+            help_text = help_text.format(getattr(PAPER_GRID, option.grid_field))
+        parser.add_argument("--" + field.replace("_", "-"), type=option.type,
+                            choices=option.choices, help=help_text)
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--mg-mn", dest="mg_mn", type=int, choices=(2, 3),
-                        help="m numerator for Mg (default 3; 2 matches the printed table)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,27 +227,23 @@ def _fmt(value: float, places: int = 6) -> str:
     return f"{value:.{places}f}"
 
 
+#: Per table command: golden table id, row label key, title, and the builder
+#: of one model column.
 _TABLE_BUILDERS = {
-    "table1": ("I", "atom", "ground-state ionization potentials (eV)"),
-    "table2": ("II", "state", "helium binding energies (eV)"),
-    "table3": ("III", "state", "excited lithium eigenvalues (eV)"),
+    "table1": ("I", "atom", "ground-state ionization potentials (eV)",
+               lambda model, c: ionization_table(model, c.unit_system(), c.grid, c.mg_mn)),
+    "table2": ("II", "state", "helium binding energies (eV)",
+               lambda model, c: helium_binding_table(model, c.unit_system(), c.grid)),
+    "table3": ("III", "state", "excited lithium eigenvalues (eV)",
+               lambda model, c: lithium_spectrum(model, c.unit_system(), c.grid)),
 }
 
 
 def run_table(command: str, config: RunConfig) -> tuple[int, str]:
     """Compute both model columns of one table and compare against golden."""
-    table_id, label_key, title = _TABLE_BUILDERS[command]
-    grid = config.grid
-    units = config.unit_system()
-    if command == "table1":
-        rows_a = ionization_table(Pseudopotential.SYMMETRY_DEPENDENT, units, grid, config.mg_mn)
-        rows_b = ionization_table(Pseudopotential.CENTRAL_SCREENING, units, grid, config.mg_mn)
-    elif command == "table2":
-        rows_a = helium_binding_table(Pseudopotential.SYMMETRY_DEPENDENT, units, grid)
-        rows_b = helium_binding_table(Pseudopotential.CENTRAL_SCREENING, units, grid)
-    else:
-        rows_a = lithium_spectrum(Pseudopotential.SYMMETRY_DEPENDENT, units, grid)
-        rows_b = lithium_spectrum(Pseudopotential.CENTRAL_SCREENING, units, grid)
+    table_id, label_key, title, build = _TABLE_BUILDERS[command]
+    rows_a = build(Pseudopotential.SYMMETRY_DEPENDENT, config)
+    rows_b = build(Pseudopotential.CENTRAL_SCREENING, config)
 
     golden = reference_records(table_id)
     compared = config.units == "paper"
@@ -383,6 +357,18 @@ def _resolve_solve_atom(z: int, n_electrons: int, l: int, mg_m: int) -> tuple[At
     return adhoc, False
 
 
+def _refuse_box_states(what: str, k: int, atom: AtomSpec, model: Pseudopotential, l: int,
+                       grid: GridSpec) -> None:
+    """Refuse k states of a channel that holds fewer bound levels on this grid;
+    an untrusted (None) count refuses nothing."""
+    bound = bound_count(atom, model, l, grid)
+    if bound is not None and k > bound:
+        raise EigensolverError(
+            f"{what} exceeds the {bound} bound (negative) levels of"
+            " this channel on this grid; the states above them are box states"
+        )
+
+
 def run_solve(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]:
     if args.Z < 1 or args.n_electrons < 1 or args.l < 0:
         raise ConfigError("solve requires Z >= 1, n_electrons >= 1, l >= 0")
@@ -393,12 +379,8 @@ def run_solve(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]:
     model = config.pseudopotential()
     units = config.unit_system()
     atom, in_catalog = _resolve_solve_atom(args.Z, args.n_electrons, args.l, config.mg_mn)
-    bound = bound_count(atom, model, args.l, config.grid)
-    if bound is not None and args.kstates > bound:
-        raise EigensolverError(
-            f"kstates {args.kstates} exceeds the {bound} bound (negative) levels of"
-            " this channel on this grid; the states above them are box states"
-        )
+    _refuse_box_states(f"kstates {args.kstates}", args.kstates, atom, model, args.l,
+                       config.grid)
     states = solve_channel(atom, model, args.l, args.kstates, config.grid)
 
     meta = {
@@ -480,19 +462,20 @@ def run_converge(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]
         raise ConfigError(str(exc)) from exc
     model = config.pseudopotential()
     if args.sweep_splines is not None:
-        points = _parse_sweep(args.sweep_splines, "splines")
-        grids = [_checked_grid(replace(config.grid, n_splines=p)) for p in points]
-        sweep_name = "splines"
+        sweep_name, points = "splines", _parse_sweep(args.sweep_splines, "splines")
     else:
-        points = _parse_sweep(args.sweep_nodes, "nodes")
-        grids = [_checked_grid(replace(config.grid, nodes_per_interval=p)) for p in points]
-        sweep_name = "quad_nodes"
+        sweep_name, points = "quad_nodes", _parse_sweep(args.sweep_nodes, "nodes")
+    field = _OPTIONS[sweep_name].grid_field
+    grids = [_checked_grid(replace(config.grid, **{field: p})) for p in points]
     smallest = min(grid.n_splines for grid in grids)
     if nu - l > smallest - 2:
         raise ConfigError(
             f"state {args.state!r} needs {nu - l} states; a {smallest}-spline grid holds"
             f" {smallest - 2}"
         )
+    for point, grid in zip(points, grids):
+        _refuse_box_states(f"state {args.state!r} at {sweep_name} = {point}", nu - l,
+                           atom, model, l, grid)
 
     rows = []
     previous = None

@@ -10,10 +10,10 @@ import pytest
 from atomscreen import cli
 from atomscreen.bsplines import PAPER_GRID, GridSpec
 from atomscreen.cli import (
-    _FIELD_PARSERS,
-    _GRID_FLAGS,
+    _OPTIONS,
     MODEL_A_TOLERANCES,
     ConfigError,
+    RunConfig,
     _checked_grid,
     build_parser,
     main,
@@ -251,20 +251,22 @@ class TestGridConfig:
     defaults live only in GridSpec."""
 
     def test_grid_flags_cover_every_grid_spec_field(self):
-        assert sorted(_GRID_FLAGS.values()) == sorted(f.name for f in fields(GridSpec))
-        assert set(_GRID_FLAGS) <= set(_FIELD_PARSERS)
+        grid_fields = [o.grid_field for o in _OPTIONS.values() if o.grid_field is not None]
+        assert sorted(grid_fields) == sorted(f.name for f in fields(GridSpec))
 
     def test_config_file_sets_every_grid_field_and_flags_win(self, tmp_path):
         config = tmp_path / "grid.conf"
         config.write_text(
             "splines = 80\norder = 6\nrmax = 60\nknots = linear\n"
-            "rfirst = 0.01\nquad-nodes = 12\n",
+            "rfirst = 0.01\nquad-nodes = 12\nunits = codata\nmodel = bare\n"
+            "format = json\nout = rows.json\nmg-mn = 2\n",
             encoding="utf-8",
         )
         args = build_parser().parse_args(["table1", "--config", str(config), "--order", "8"])
-        assert resolve_config(args).grid == GridSpec(
-            n_splines=80, order_k=8, r_max=60.0, knot_kind="linear", r_first=0.01,
-            nodes_per_interval=12,
+        assert resolve_config(args) == RunConfig(
+            grid=GridSpec(n_splines=80, order_k=8, r_max=60.0, knot_kind="linear",
+                          r_first=0.01, nodes_per_interval=12),
+            units="codata", model="bare", format="json", out="rows.json", mg_mn=2,
         )
 
     def test_paper_grid_passes_the_checks(self):
@@ -295,7 +297,7 @@ class TestGridConfig:
         commands = next(a for a in parser._actions if a.dest == "command").choices
         for command, sub in commands.items():
             help_text = next(a.help for a in sub._actions if a.dest == flag)
-            default = getattr(shifted, _GRID_FLAGS[flag])
+            default = getattr(shifted, _OPTIONS[flag].grid_field)
             assert help_text.endswith(f"(default {default:g})"), (command, help_text)
 
 
@@ -343,7 +345,8 @@ class TestExitContract:
         (["solve", "3", "3", "0", "--kstates", "40"], 15),
         (["solve", "2", "2", "0", "--model", "central", "--kstates", "30"], 12),
         (["solve", "3", "3", "0", "--kstates", "598"], 15),
-    ], ids=["bare-H-14", "Li-s-40", "He-central-30", "Li-s-598"])
+        (["converge", "--atom", "Li", "--state", "16s", "--sweep-nodes", "10,20"], 15),
+    ], ids=["bare-H-14", "Li-s-40", "He-central-30", "Li-s-598", "converge-Li-16s"])
     def test_kstates_past_the_bound_levels_exit_one(self, args, bound, capsys, monkeypatch):
         def no_solve(*_):
             raise AssertionError("the refusal must come before any solve")
