@@ -3,9 +3,12 @@
 Exit status contract: 0 = success / all gated comparisons pass,
 1 = a numerical comparison or solver failure, 2 = usage or config error.
 
-Configuration precedence is flag > config file > default. The config file
-is line-oriented ``key = value`` with ``#`` comments; its keys are the names
-of the options in ``_OPTIONS``, with ``-`` or ``_`` between words.
+Each option is a flag only on the commands it acts on. Configuration
+precedence is flag > config file > default. The config file is line-oriented
+``key = value`` with ``#`` comments; its keys are the names of the options
+in ``_OPTIONS``, with ``-`` or ``_`` between words. Every key is validated,
+then the keys for other commands are skipped, so one file serves them all.
+Each command declares its output columns once for one column-driven renderer.
 """
 
 from __future__ import annotations
@@ -75,15 +78,20 @@ class RunConfig:
         return Pseudopotential(self.model)
 
 
+_TABLES = frozenset({"table1", "table2", "table3"})
+_COMMANDS = _TABLES | {"solve", "converge"}
+
+
 class _Option(NamedTuple):
     type: Callable[[str], object]
     choices: tuple | None
     grid_field: str | None  # the GridSpec field it sets; None for a run option
     help: str  # a grid option's help formats its PAPER_GRID default into {:g}
+    commands: frozenset = _COMMANDS  # the subcommands it acts on
 
 
-#: Every option shared by the subcommands, keyed by its RunConfig field (or
-#: argparse dest); the flag and config key spell the name with "-".
+#: Every option of the subcommands, keyed by its RunConfig field (or argparse
+#: dest); the flag and config key spell the name with "-".
 _OPTIONS = {
     "splines": _Option(int, None, "n_splines", "total B-spline count (default {:g})"),
     "order": _Option(int, None, "order_k", "spline order k (default {:g})"),
@@ -93,13 +101,14 @@ _OPTIONS = {
     "quad_nodes": _Option(int, None, "nodes_per_interval",
                           "Gauss-Legendre nodes per interval (default {:g})"),
     "units": _Option(str, ("paper", "codata"), None,
-                     "eV conversion: paper-compatible or codata"),
-    "model": _Option(str, tuple(p.value for p in Pseudopotential), None,
-                     "pseudopotential for solve/converge"),
+                     "eV conversion: paper-compatible or codata", _TABLES | {"solve"}),
+    "model": _Option(str, tuple(p.value for p in Pseudopotential), None, "pseudopotential",
+                     frozenset({"solve", "converge"})),
     "format": _Option(str, ("text", "csv", "json"), None, "output format"),
     "out": _Option(str, None, None, "write output to this path instead of stdout"),
     "mg_mn": _Option(int, (2, 3), None,
-                     "m numerator for Mg (default 3; 2 matches the printed table)"),
+                     "m numerator for Mg (default 3; 2 matches the printed table)",
+                     frozenset({"table1", "solve", "converge"})),
 }
 
 
@@ -136,10 +145,12 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config-file values and flags (flags win)."""
+    """Merge defaults, config-file values and flags (flags win). File keys
+    that do not act on ``args.command`` are skipped once validated."""
     merged: dict[str, object] = {}
     if args.config is not None:
-        merged.update(parse_config_file(args.config))
+        merged.update((field, value) for field, value in parse_config_file(args.config).items()
+                      if args.command in _OPTIONS[field].commands)
     for field in _OPTIONS:
         flag_value = getattr(args, field, None)
         if flag_value is not None:
@@ -175,8 +186,10 @@ def _checked_grid(grid: GridSpec) -> GridSpec:
     return grid
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, command: str) -> None:
     for field, option in _OPTIONS.items():
+        if command not in option.commands:
+            continue
         help_text = option.help
         if option.grid_field is not None:
             help_text = help_text.format(getattr(PAPER_GRID, option.grid_field))
@@ -196,14 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("table2", "reproduce the helium binding-energy table"),
         ("table3", "reproduce the excited-lithium table"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
+        _add_common_flags(sub.add_parser(name, help=help_text), name)
     p_solve = sub.add_parser("solve", help="solve one (Z, n, l) channel directly")
     p_solve.add_argument("Z", type=int, help="nuclear charge")
     p_solve.add_argument("n_electrons", type=int, help="electron count")
     p_solve.add_argument("l", type=int, help="orbital angular momentum")
     p_solve.add_argument("--kstates", type=int, default=3, help="states to report (default 3)")
-    _add_common_flags(p_solve)
+    _add_common_flags(p_solve, "solve")
     p_conv = sub.add_parser("converge", help="eigenvalue stability under a sweep")
     sweep = p_conv.add_mutually_exclusive_group(required=True)
     sweep.add_argument("--sweep-splines", dest="sweep_splines",
@@ -212,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated quadrature node counts, e.g. 10,20")
     p_conv.add_argument("--atom", default="Li", help="catalog atom (default Li)")
     p_conv.add_argument("--state", default="2s", help="state label, e.g. 2s (default 2s)")
-    _add_common_flags(p_conv)
+    _add_common_flags(p_conv, "converge")
     return parser
 
 
@@ -223,8 +235,35 @@ def _emit(text: str, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(value: float, places: int = 6) -> str:
-    return f"{value:.{places}f}"
+class _Column(NamedTuple):
+    key: str  # the row key; also the CSV header
+    spec: str  # format spec of a cell
+    width: str = ""  # text alignment and width of a cell and its header
+    header: str | None = None  # text header; None prints the key
+
+
+def _render(config: RunConfig, rows: list[dict], columns: list[_Column],
+            text_columns: list[_Column] | None = None, head=(), foot=(), doc=None) -> str:
+    """Render rows as JSON (``doc`` in their place, if given), as CSV, or as
+    text (``text_columns`` if given) between the ``head`` and ``foot`` lines.
+    A missing key or None prints an empty cell."""
+    if config.format == "json":
+        return json.dumps(rows if doc is None else doc, indent=2) + "\n"
+    csv = config.format == "csv"
+    if not csv and text_columns is not None:
+        columns = text_columns
+
+    def cell(value, column: _Column) -> str:
+        if isinstance(value, bool):
+            value = ("true" if value else "false") if csv else ("yes" if value else "NO")
+        text = "" if value is None else format(value, column.spec)
+        return text if csv else format(text, column.width)
+
+    sep = "," if csv else " "
+    header = sep.join(c.key if csv else format(c.header or c.key, c.width) for c in columns)
+    body = [sep.join(cell(row.get(c.key), c) for c in columns) for row in rows]
+    lines = [header, *body] if csv else [*head, header, *body, *foot]
+    return "\n".join(lines) + "\n"
 
 
 #: Per table command: golden table id, row label key, title, and the builder
@@ -237,6 +276,21 @@ _TABLE_BUILDERS = {
     "table3": ("III", "state", "excited lithium eigenvalues (eV)",
                lambda model, c: lithium_spectrum(model, c.unit_system(), c.grid)),
 }
+
+#: A table's columns after its row label, for CSV and then for text, whose order
+#: and places differ; text drops its last two (dev_a, ok) when nothing is compared.
+_TABLE_COLUMNS = [
+    _Column("model_a_ev", ".6f"), _Column("model_b_ev", ".6f"),
+    _Column("golden_a", ".3f"), _Column("golden_b", ".3f"), _Column("reference_ev", ".3f"),
+    _Column("dev_a", ".6f"), _Column("pass_a", ""), _Column("dev_b", ".6f"),
+    _Column("within_b", ""),
+]
+_TABLE_TEXT_COLUMNS = [
+    _Column("model_a_ev", ".4f", ">10", "model_a"), _Column("golden_a", ".3f", ">9"),
+    _Column("model_b_ev", ".4f", ">10", "model_b"), _Column("golden_b", ".3f", ">9"),
+    _Column("reference_ev", ".3f", ">8", "ref"), _Column("dev_a", ".4f", ">9"),
+    _Column("pass_a", "", ">4", "ok"),
+]
 
 
 def run_table(command: str, config: RunConfig) -> tuple[int, str]:
@@ -271,75 +325,30 @@ def run_table(command: str, config: RunConfig) -> tuple[int, str]:
         records.append(row)
 
     exit_code = 0 if (report_a is None or report_a.all_passed) else 1
-    text = _render_table(command, title, label_key, records, config, report_a, report_b)
-    return exit_code, text
+    label = _Column(label_key, "", "<6")
+    text_columns = _TABLE_TEXT_COLUMNS if compared else _TABLE_TEXT_COLUMNS[:-2]
+    return exit_code, _render(
+        config, records, [label, *_TABLE_COLUMNS], [label, *text_columns],
+        head=[f"# {command}: {title} [units: {config.unit_system().label}]"],
+        foot=_table_report(report_a, report_b))
 
 
-def _render_table(command, title, label_key, records, config, report_a, report_b) -> str:
-    if config.format == "json":
-        return json.dumps(records, indent=2) + "\n"
-    if config.format == "csv":
-        header = [label_key, "model_a_ev", "model_b_ev", "golden_a", "golden_b",
-                  "reference_ev", "dev_a", "pass_a", "dev_b", "within_b"]
-        lines = [",".join(header)]
-        for row in records:
-            lines.append(",".join([
-                str(row[label_key]),
-                _fmt(row["model_a_ev"]),
-                _fmt(row["model_b_ev"]),
-                _fmt(row["golden_a"], 3),
-                _fmt(row["golden_b"], 3),
-                _fmt(row["reference_ev"], 3),
-                _fmt(row["dev_a"]) if "dev_a" in row else "",
-                str(row["pass_a"]).lower() if "pass_a" in row else "",
-                _fmt(row["dev_b"]) if "dev_b" in row else "",
-                str(row["within_b"]).lower() if "within_b" in row else "",
-            ]))
-        return "\n".join(lines) + "\n"
-
-    lines = [f"# {command}: {title} [units: {config.unit_system().label}]"]
-    head = f"{label_key:<6} {'model_a':>10} {'golden_a':>9} {'model_b':>10} {'golden_b':>9} {'ref':>8}"
-    if report_a is not None:
-        head += f" {'dev_a':>9} {'ok':>4}"
-    lines.append(head)
-    for row in records:
-        line = (
-            f"{row[label_key]:<6} {_fmt(row['model_a_ev'], 4):>10} {_fmt(row['golden_a'], 3):>9}"
-            f" {_fmt(row['model_b_ev'], 4):>10} {_fmt(row['golden_b'], 3):>9}"
-            f" {_fmt(row['reference_ev'], 3):>8}"
-        )
-        if report_a is not None:
-            line += f" {_fmt(row['dev_a'], 4):>9} {'yes' if row['pass_a'] else 'NO':>4}"
-        lines.append(line)
+def _table_report(report_a, report_b) -> list[str]:
+    """A table's text footer: model A's gate verdict and model B's discrepancy report."""
     if report_a is None:
-        lines.append("note: golden comparison skipped (golden tables assume paper-compat units)")
-    else:
-        verdict = "PASS" if report_a.all_passed else "FAIL"
-        lines.append(
-            f"model A gate: {verdict} (max deviation {report_a.max_deviation:.4f} eV,"
-            f" tolerance {report_a.tolerance} eV)"
-        )
-        if report_b.failures:
-            lines.append(
-                f"model B discrepancy report ({len(report_b.failures)} of"
-                f" {len(report_b.rows)} rows beyond {report_b.tolerance} eV):"
-            )
-            for row in report_b.failures:
-                lines.append(
-                    f"  {row.label}: computed {row.computed:.4f}, printed {row.golden:.3f},"
-                    f" deviation {row.deviation:.4f}"
-                )
-            lines.append(
-                "  (reported for transparency; the gate applies to model A only, and the"
-            )
-            lines.append(
-                "   bundled model-B values carry the unstated numerics of their source)"
-            )
-        else:
-            lines.append(
-                f"model B report: all {len(report_b.rows)} rows within {report_b.tolerance} eV"
-            )
-    return "\n".join(lines) + "\n"
+        return ["note: golden comparison skipped (golden tables assume paper-compat units)"]
+    verdict = "PASS" if report_a.all_passed else "FAIL"
+    lines = [f"model A gate: {verdict} (max deviation {report_a.max_deviation:.4f} eV,"
+             f" tolerance {report_a.tolerance} eV)"]
+    if not report_b.failures:
+        return [*lines, f"model B report: all {len(report_b.rows)} rows within"
+                        f" {report_b.tolerance} eV"]
+    lines.append(f"model B discrepancy report ({len(report_b.failures)} of"
+                 f" {len(report_b.rows)} rows beyond {report_b.tolerance} eV):")
+    lines += [f"  {row.label}: computed {row.computed:.4f}, printed {row.golden:.3f},"
+              f" deviation {row.deviation:.4f}" for row in report_b.failures]
+    return [*lines, "  (reported for transparency; the gate applies to model A only, and the",
+            "   bundled model-B values carry the unstated numerics of their source)"]
 
 
 def _resolve_solve_atom(z: int, n_electrons: int, l: int, mg_m: int) -> tuple[AtomSpec, bool]:
@@ -404,33 +413,16 @@ def run_solve(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]:
         for s in states
     ]
 
-    if config.format == "json":
-        return 0, json.dumps({"meta": meta, "states": rows}, indent=2) + "\n"
-    if config.format == "csv":
-        lines = ["nu,raw_hartree,scaled_hartree,scaled_ev"]
-        for row in rows:
-            lines.append(
-                f"{row['nu']},{row['raw_hartree']:.12f},"
-                f"{row['scaled_hartree']:.12f},{row['scaled_ev']:.6f}"
-            )
-        return 0, "\n".join(lines) + "\n"
-
-    lines = [
-        f"# solve Z={args.Z} n={args.n_electrons} l={args.l}"
-        f" model={config.model} units={units.label}"
-    ]
+    head = [f"# solve Z={args.Z} n={args.n_electrons} l={args.l}"
+            f" model={config.model} units={units.label}"]
     if not in_catalog:
-        lines.append("# not a catalog atom: m/n defaulted to 1")
-    lines.append(f"# m/n = {meta['m_over_n']}")
+        head.append("# not a catalog atom: m/n defaulted to 1")
+    head.append(f"# m/n = {meta['m_over_n']}")
     if "z_eff" in meta:
-        lines.append(f"# alpha = {meta['alpha']:.9f}, Z_eff = {meta['z_eff']:.9f}")
-    lines.append(f"{'nu':<4} {'raw_hartree':>18} {'scaled_hartree':>18} {'scaled_ev':>14}")
-    for row in rows:
-        lines.append(
-            f"{row['nu']:<4} {row['raw_hartree']:>18.12f}"
-            f" {row['scaled_hartree']:>18.12f} {row['scaled_ev']:>14.6f}"
-        )
-    return 0, "\n".join(lines) + "\n"
+        head.append(f"# alpha = {meta['alpha']:.9f}, Z_eff = {meta['z_eff']:.9f}")
+    columns = [_Column("nu", "", "<4"), _Column("raw_hartree", ".12f", ">18"),
+               _Column("scaled_hartree", ".12f", ">18"), _Column("scaled_ev", ".6f", ">14")]
+    return 0, _render(config, rows, columns, head=head, doc={"meta": meta, "states": rows})
 
 
 def _parse_state_label(label: str) -> tuple[int, int]:
@@ -486,23 +478,11 @@ def run_converge(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]
         rows.append({sweep_name: point, "eigenvalue_hartree": value, "delta_hartree": delta})
         previous = value
 
-    if config.format == "json":
-        return 0, json.dumps(rows, indent=2) + "\n"
-    if config.format == "csv":
-        lines = [f"{sweep_name},eigenvalue_hartree,delta_hartree"]
-        for row in rows:
-            delta = "" if row["delta_hartree"] is None else f"{row['delta_hartree']:.3e}"
-            lines.append(f"{row[sweep_name]},{row['eigenvalue_hartree']:.15f},{delta}")
-        return 0, "\n".join(lines) + "\n"
-    lines = [
-        f"# converge atom={atom.name} state={args.state} model={config.model}"
-        f" sweep={sweep_name}"
-    ]
-    lines.append(f"{sweep_name:<12} {'eigenvalue_hartree':>22} {'|delta|':>12}")
-    for row in rows:
-        delta = "" if row["delta_hartree"] is None else f"{row['delta_hartree']:.3e}"
-        lines.append(f"{row[sweep_name]:<12} {row['eigenvalue_hartree']:>22.15f} {delta:>12}")
-    return 0, "\n".join(lines) + "\n"
+    columns = [_Column(sweep_name, "", "<12"), _Column("eigenvalue_hartree", ".15f", ">22"),
+               _Column("delta_hartree", ".3e", ">12", "|delta|")]
+    head = [f"# converge atom={atom.name} state={args.state} model={config.model}"
+            f" sweep={sweep_name}"]
+    return 0, _render(config, rows, columns, head=head)
 
 
 def main(argv: list[str] | None = None) -> int:

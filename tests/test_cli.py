@@ -26,6 +26,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 #: Table CSVs recorded byte for byte from the reference implementation.
 EXPECTED = ROOT / "perfbench" / "expected"
+#: Table text output, recorded byte for byte like the CSVs.
+RECORDED = ROOT / "tests" / "data"
 
 
 def run_cli(args, tmp_path, out_name="out.txt"):
@@ -153,6 +155,49 @@ class TestRecordedOutput:
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout == (EXPECTED / f"{command}.csv").read_bytes()
 
+    @pytest.mark.parametrize(("args", "recorded"), [
+        (["table1"], "table1.txt"),
+        (["table2"], "table2.txt"),
+        (["table3"], "table3.txt"),
+        (["table1", "--units", "codata"], "table1_codata.txt"),
+    ], ids=["table1", "table2", "table3", "table1-codata"])
+    def test_table_text_matches_recorded_bytes(self, args, recorded, tmp_path):
+        out = tmp_path / "table.txt"
+        assert main([*args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (RECORDED / recorded).read_bytes()
+
+    @pytest.mark.parametrize(("args", "places"), [
+        (["solve", "3", "3", "0"],
+         {"nu": 0, "raw_hartree": 12, "scaled_hartree": 12, "scaled_ev": 6}),
+        (["converge", "--sweep-nodes", "10,20"],
+         {"quad_nodes": 0, "eigenvalue_hartree": 15, "delta_hartree": None}),
+    ], ids=["solve", "converge"])
+    def test_csv_and_text_rows_give_back_the_json_values(self, args, places, capsys):
+        """Each printed cell is the JSON value rounded to its printed places
+        (None: three significant decimals in e-notation); None prints empty."""
+        printed = {}
+        for fmt in ("json", "csv", "text"):
+            assert main([*args, "--format", fmt]) == 0
+            printed[fmt] = capsys.readouterr().out
+        doc = json.loads(printed["json"])
+        rows = doc["states"] if isinstance(doc, dict) else doc
+        csv_lines = printed["csv"].splitlines()
+        assert csv_lines[0].split(",") == list(places)
+        text_lines = [line for line in printed["text"].splitlines() if not line.startswith("#")]
+        for cells in ([line.split(",") for line in csv_lines[1:]],
+                      [line.split() for line in text_lines[1:]]):
+            assert len(cells) == len(rows)
+            for row, row_cells in zip(rows, cells):
+                got = dict(zip(places, row_cells))
+                for key, digits in places.items():
+                    if row[key] is None:
+                        assert got.get(key, "") == ""
+                    elif digits is None:
+                        assert float(got[key]) == pytest.approx(row[key], rel=5.1e-4, abs=0)
+                    else:
+                        assert float(got[key]) == pytest.approx(
+                            row[key], rel=0, abs=0.51 * 10.0 ** -digits)
+
     def test_cli_import_leaves_scipy_special_unloaded(self):
         env = dict(os.environ, PYTHONPATH=SRC)
         probe = "import sys, atomscreen.cli; print('scipy.special' in sys.modules)"
@@ -239,6 +284,17 @@ class TestConfigFile:
         code, _ = run_cli(["table1", "--config", str(config)], tmp_path)
         assert code == 2
 
+    def test_keys_for_other_commands_are_validated_then_skipped(self, tmp_path):
+        config = tmp_path / "shared.conf"
+        config.write_text("model = bare\nmg-mn = 2\n", encoding="utf-8")
+        out = tmp_path / "table2.csv"
+        assert main(["table2", "--format", "csv", "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (EXPECTED / "table2.csv").read_bytes()
+        config.write_text("model = nonsense\nmg-mn = 2\n", encoding="utf-8")
+        code, _ = run_cli(["table2", "--format", "csv", "--config", str(config)], tmp_path)
+        assert code == 2
+
     def test_inconsistent_grid_is_usage_error(self, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("splines = 10\norder = 10\n", encoding="utf-8")
@@ -262,7 +318,8 @@ class TestGridConfig:
             "format = json\nout = rows.json\nmg-mn = 2\n",
             encoding="utf-8",
         )
-        args = build_parser().parse_args(["table1", "--config", str(config), "--order", "8"])
+        args = build_parser().parse_args(
+            ["solve", "3", "3", "0", "--config", str(config), "--order", "8"])
         assert resolve_config(args) == RunConfig(
             grid=GridSpec(n_splines=80, order_k=8, r_max=60.0, knot_kind="linear",
                           r_first=0.01, nodes_per_interval=12),
@@ -339,6 +396,21 @@ class TestExitContract:
     def test_bad_option_values_exit_two(self, args, capsys):
         assert main(args) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["table1", "--model", "bare"],
+        ["table2", "--model", "central"],
+        ["table2", "--mg-mn", "2"],
+        ["table3", "--mg-mn", "2"],
+        ["converge", "--sweep-nodes", "10,20", "--units", "codata"],
+    ], ids=["table1-model", "table2-model", "table2-mg-mn", "table3-mg-mn", "converge-units"])
+    def test_flag_the_command_does_not_take_exits_two(self, args, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     @pytest.mark.parametrize(("args", "bound"), [
         (["solve", "1", "1", "0", "--model", "bare", "--kstates", "14"], 12),
