@@ -12,17 +12,19 @@ from atomscreen import (
     lithium_spectrum,
     reference_records,
 )
+from atomscreen.cli import MODEL_A_TOLERANCES, MODEL_B_TOLERANCE
 
 A = Pseudopotential.SYMMETRY_DEPENDENT
 B = Pseudopotential.CENTRAL_SCREENING
 
 
-def reproduce(title, table_id, builder, tol_a):
+def reproduce(title, command, table_id, builder):
+    tol_a = MODEL_A_TOLERANCES[command]
     rows_a = builder(A)
     rows_b = builder(B)
     golden = reference_records(table_id)
     report_a = compare(rows_a, golden, "present1", tol_a)
-    report_b = compare(rows_b, golden, "present2", 0.05)
+    report_b = compare(rows_b, golden, "present2", MODEL_B_TOLERANCE)
     print(f"\n{title}")
     print(f"  {'row':<5} {'model A':>10} {'golden':>9} {'model B':>10} {'golden':>9}")
     for (label, value_a), (_, value_b), record in zip(rows_a, rows_b, golden):
@@ -33,17 +35,17 @@ def reproduce(title, table_id, builder, tol_a):
           f" (tolerance {tol_a})")
     if report_b.failures:
         labels = ", ".join(row.label for row in report_b.failures)
-        print(f"  model B rows beyond 0.05 eV: {labels}")
+        print(f"  model B rows beyond {MODEL_B_TOLERANCE} eV: {labels}")
         print("  (these misses are not numerical: the Li 2s eigenvalue moves by")
         print("   1.4e-10 Ha over 300-1200 splines and 1.5e-15 Ha over 10-30")
         print("   quadrature nodes, see `atomscreen converge --atom Li --state 2s")
         print("   --model central --sweep-splines 300,600,1200`; the high-l rows")
         print("   agree to a few meV, the large misses sit in core-penetrating s rows)")
     else:
-        print("  model B: every row within 0.05 eV")
+        print(f"  model B: every row within {MODEL_B_TOLERANCE} eV")
 
 
 if __name__ == "__main__":
-    reproduce("ionization potentials (eV)", "I", ionization_table, 0.01)
-    reproduce("helium binding energies (eV)", "II", helium_binding_table, 0.005)
-    reproduce("excited lithium eigenvalues (eV)", "III", lithium_spectrum, 0.002)
+    reproduce("ionization potentials (eV)", "table1", "I", ionization_table)
+    reproduce("helium binding energies (eV)", "table2", "II", helium_binding_table)
+    reproduce("excited lithium eigenvalues (eV)", "table3", "III", lithium_spectrum)

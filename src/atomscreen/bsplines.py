@@ -309,11 +309,6 @@ def eval_bspline(basis: KnotBasis, index: int, r, derivative_order: int = 0):
     return values.reshape(radii.shape)
 
 
-@lru_cache(maxsize=32)
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
 def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule:
     """Gauss-Legendre rule mapped onto every breakpoint interval.
 
@@ -323,7 +318,7 @@ def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule
     """
     if nodes_per_interval < 1:
         raise ValueError("nodes_per_interval must be >= 1")
-    x, w = _legendre_rule(nodes_per_interval)
+    x, w = np.polynomial.legendre.leggauss(nodes_per_interval)
     bp = basis.breakpoints
     mid = 0.5 * (bp[1:] + bp[:-1])
     half = 0.5 * (bp[1:] - bp[:-1])

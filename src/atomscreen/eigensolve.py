@@ -10,7 +10,8 @@ long-double copy of both bands.
 1. Seeds. The caller may supply ``seeds``, k + 1 estimates of the lowest
    eigenvalues from anywhere: spectra passes the closed-form Coulomb
    levels for unscreened channels, and for screened ones the ``dsbgvx``
-   eigenvalues of the channel on the splines of every fourth breakpoint
+   eigenvalues of the seed pair, the channel's band sum on the seed
+   workspace, the splines of every fourth breakpoint
    (operators._seed_pair), whose band reduction costs O(n_c^2 bw) instead
    of the O(n^2 bw) of one on (H, S). Without them, or if they fail below,
    LAPACK ``dsbgvx`` (split-Cholesky band reduction, reduction to

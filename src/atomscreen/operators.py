@@ -18,10 +18,11 @@ is built on first use, memoised and shared read-only:
 * per workspace: S, T, R2 and R1 (``_grid_bands``);
 * per workspace and Z: W_Z (``_screening_band``).
 
-The seed pair (``_seed_pair``) is the same band sum over the bands of the
-seed workspace (bsplines._seed_workspace), the channel on every fourth
-breakpoint; it seeds the eigensolver at a fraction of the cost of seeding
-on the pair itself.
+One band sum (``_channel_pair``) serves any workspace. ``assemble`` runs it
+on the channel's workspace; the seed pair (``_seed_pair``) is the channel's
+band sum on the seed workspace (bsplines._seed_workspace), the channel on
+every fourth breakpoint, and seeds the eigensolver at a fraction of the
+cost of seeding on the pair itself.
 
 Every band is stored in LAPACK's general band layout with kl = ku = bw,
 ``band[bw + d, j] = A[j + d, j]`` for d in [-bw, bw] and bandwidth
@@ -50,30 +51,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _Terms:
-    """Coefficients of H = T + centrifugal R2 - charge R1 + screening W_z."""
-
-    centrifugal: float
-    charge: float
-    screening: float
-    z: int
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorPair:
-    """Banded Hamiltonian and overlap for one (atom, l, model) channel.
+    """Banded Hamiltonian and overlap (H, S) of one channel, or of any
+    pencil given by its bands.
 
     Both bands are in general band layout (module docstring); a pair
     refuses bands of different shapes, an even row count or lower rows
-    that do not mirror the upper ones. ``terms`` are the coefficients of H
-    in the grid bands when the pair was assembled, and None for a pair
-    built directly from its bands.
+    that do not mirror the upper ones.
     """
 
     h_band: np.ndarray
     s_band: np.ndarray
-    terms: _Terms | None = None
 
     def __post_init__(self):
         if self.h_band.shape != self.s_band.shape:
@@ -166,15 +155,18 @@ def _screening_band(ws: Workspace, z: int) -> np.ndarray:
     return _shared(_band_sum(local, ws.basis.n_active))
 
 
-def _hamiltonian(ws: Workspace, terms: _Terms) -> np.ndarray:
-    """H summed from the grid bands of ``ws``."""
+def _channel_pair(ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential) -> OperatorPair:
+    """The channel's H = T + l(l+1)/2 R2 - q R1 + a W_Z, summed from the
+    memoised bands of ``ws``, with the shared S of ``ws``."""
+    charge, screening = potential_terms(model, atom, l)
+    centrifugal = 0.5 * l * (l + 1)
     bands = _grid_bands(ws)
-    h_band = bands.t_band - terms.charge * bands.r1_band
-    if terms.screening:
-        h_band += terms.screening * _screening_band(ws, terms.z)
-    if terms.centrifugal:
-        h_band += terms.centrifugal * bands.r2_band
-    return h_band
+    h_band = bands.t_band - charge * bands.r1_band
+    if screening:
+        h_band += screening * _screening_band(ws, atom.Z)
+    if centrifugal:
+        h_band += centrifugal * bands.r2_band
+    return OperatorPair(h_band=h_band, s_band=bands.s_band)
 
 
 def assemble(
@@ -187,20 +179,15 @@ def assemble(
     """
     if l < 0:
         raise ValueError("l must be non-negative")
-    charge, screening = potential_terms(model, atom, l)
-    terms = _Terms(centrifugal=0.5 * l * (l + 1), charge=charge, screening=screening, z=atom.Z)
-    return OperatorPair(h_band=_hamiltonian(ws, terms), s_band=_grid_bands(ws).s_band,
-                        terms=terms)
+    return _channel_pair(ws, atom, l, model)
 
 
-def _seed_pair(ws: Workspace, pair: OperatorPair) -> OperatorPair:
-    """``pair``, assembled on ``ws``, as the same band sum on its seed
-    workspace (bsplines._seed_workspace). Its eigenvalues are upper bounds
-    of the pair's (Courant-Fischer) and seed its solve (eigensolve, step 1)."""
-    if pair.terms is None:
-        raise ValueError("only an assembled pair has a seed pair")
-    seed = _seed_workspace(ws)
-    return OperatorPair(h_band=_hamiltonian(seed, pair.terms), s_band=_grid_bands(seed).s_band)
+def _seed_pair(ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential) -> OperatorPair:
+    """The channel's band sum on the seed workspace of ``ws``
+    (bsplines._seed_workspace). Its eigenvalues are upper bounds of those of
+    the channel's pair on ``ws`` (Courant-Fischer) and seed its solve
+    (eigensolve, step 1)."""
+    return _channel_pair(_seed_workspace(ws), atom, l, model)
 
 
 def general_matvec(rows: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -6,14 +6,19 @@ Ionization potentials and the two bundled excited-state tables are built on
 top of that, and :func:`compare` checks any computed table against the
 golden records shipped in ``data/reference_tables_v1.txt``.
 
-Each channel solve is seeded (eigensolve, step 1) by ``_seeds``. A channel
-with no screening term (every symmetry-model and bare channel, and the
-central model for one electron) is a pure Coulomb channel, V = -q/r, and
-takes its closed-form levels -q^2 / (2 nu^2). A screened channel takes the
-dsbgvx eigenvalues of its seed pair, the channel on every fourth
-breakpoint (operators._seed_pair). The eigensolver certifies the k lowest
-levels whatever the seeds' source, and redoes the solve from seeds of the
-full pencil if they fail.
+Each channel solve assembles the channel, seeds it (eigensolve, step 1) by
+``_seeds`` and solves it. Nothing is memoised per channel; the four memos
+a solve reads are each keyed by a workspace: bsplines.build_workspace (by
+its grid), bsplines._seed_workspace, operators._grid_bands and
+operators._screening_band (and Z). The Coulomb/screened split comes from
+the channel's model.potential_terms. A channel with no screening term
+(every symmetry-model and bare channel, and the central model for one
+electron) is a pure Coulomb channel, V = -q/r, and takes its closed-form
+levels -q^2 / (2 nu^2). A screened channel takes the dsbgvx
+eigenvalues of its seed pair, the channel's band sum on the seed workspace
+(operators._seed_pair). The eigensolver certifies the k lowest levels
+whatever the seeds' source, and redoes the solve from seeds of the full
+pencil if they fail.
 
 Sign conventions follow the golden tables: ionization potentials and helium
 binding energies are positive magnitudes, lithium excited eigenvalues are
@@ -23,7 +28,6 @@ negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
@@ -40,8 +44,9 @@ from .model import (
     atom_catalog,
     catalog_atom,
     hydrogenic_energy,
+    potential_terms,
 )
-from .operators import OperatorPair, _seed_pair, assemble
+from .operators import _seed_pair, assemble
 
 __all__ = [
     "LabeledState",
@@ -136,54 +141,29 @@ class ComparisonReport:
         return tuple(row for row in self.rows if not row.passed)
 
 
-def _seeds(ws: Workspace, pair: OperatorPair, l: int, count: int) -> np.ndarray | None:
-    """The count + 1 seeds of the solve of ``pair``, assembled on ``ws``
-    (eigensolve, step 1), or None where it has none but its own.
+def _seeds(
+    ws: Workspace, atom: AtomSpec, model: Pseudopotential, l: int, count: int
+) -> np.ndarray | None:
+    """The count + 1 seeds of the solve of the channel (atom, l, model) on
+    ``ws`` (eigensolve, step 1), or None where it has none but its own.
 
-    An unscreened channel, V = -q/r, has the closed-form levels
-    -q^2 / (2 nu^2), nu = l + 1, l + 2, ...; its Galerkin levels lie just
-    above them (~1e-12 hartree on the paper grid, for every state the box
-    holds). A screened channel is seeded from its seed pair, where that
-    holds count + 1 states and dsbgvx succeeds on it.
+    An unscreened channel, V = -q/r (model.potential_terms), has the
+    closed-form levels -q^2 / (2 nu^2), nu = l + 1, l + 2, ...; its Galerkin
+    levels lie just above them (~1e-12 hartree on the paper grid, for every
+    state the box holds). A screened channel is seeded from its seed pair,
+    where that holds count + 1 states and dsbgvx succeeds on it.
     """
-    terms = pair.terms
-    if not terms.screening:
+    charge, screening = potential_terms(model, atom, l)
+    if not screening:
         levels = range(l + 1, l + count + 2)
-        return np.array([hydrogenic_energy(terms.charge, nu) for nu in levels])
-    seed = _seed_pair(ws, pair)
+        return np.array([hydrogenic_energy(charge, nu) for nu in levels])
+    seed = _seed_pair(ws, atom, l, model)
     if seed.dimension <= count:
         return None
     try:
         return eigensolve._sturm_seeds(seed, count + 1)
     except eigensolve.EigensolverError:
         return None
-
-
-@lru_cache(maxsize=256)
-def _solve_channel_cached(
-    atom: AtomSpec,
-    model: Pseudopotential,
-    l: int,
-    count: int,
-    grid: GridSpec,
-) -> tuple[LabeledState, ...]:
-    ws = build_workspace(grid)
-    pair = assemble(ws, atom, l, model)
-    solution = solve_lowest(pair, count, seeds=_seeds(ws, pair, l, count))
-    scale = atom.m_over_n
-    states = []
-    for i in range(count):
-        raw = float(solution.eigenvalues[i])
-        states.append(
-            LabeledState(
-                nu=l + 1 + i,
-                l=l,
-                raw_energy=raw,
-                scaled_energy=scale * raw,
-                model=model,
-            )
-        )
-    return tuple(states)
 
 
 def solve_channel(
@@ -196,7 +176,14 @@ def solve_channel(
     """Lowest ``count`` states of one l channel, labelled and m/n scaled."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _solve_channel_cached(atom, model, l, count, grid)
+    ws = build_workspace(grid)
+    pair = assemble(ws, atom, l, model)
+    solution = solve_lowest(pair, count, seeds=_seeds(ws, atom, model, l, count))
+    scale = atom.m_over_n
+    return tuple(
+        LabeledState(nu=l + 1 + i, l=l, raw_energy=raw, scaled_energy=scale * raw, model=model)
+        for i, raw in enumerate(map(float, solution.eigenvalues[:count]))
+    )
 
 
 def bound_count(
@@ -368,7 +355,6 @@ def _parse_reference_text(text: str) -> tuple[ReferenceRecord, ...]:
     return tuple(records)
 
 
-@lru_cache(maxsize=1)
 def load_reference_records() -> tuple[ReferenceRecord, ...]:
     """The bundled golden records, in file order."""
     text = (

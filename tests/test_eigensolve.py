@@ -225,8 +225,9 @@ class TestBandedPath:
         # the refinement forms H c and S c once in long double; after the
         # corrections d it forms only S d, as H d = r + seed S d
         ws = build_workspace()
-        pair = assemble(ws, catalog_atom("Na"), 1, Pseudopotential.CENTRAL_SCREENING)
-        seeds = eigensolve._sturm_seeds(_seed_pair(ws, pair), k + 1)
+        sodium, model = catalog_atom("Na"), Pseudopotential.CENTRAL_SCREENING
+        pair = assemble(ws, sodium, 1, model)
+        seeds = eigensolve._sturm_seeds(_seed_pair(ws, sodium, 1, model), k + 1)
         products, multiply = [], operators.general_matvec
 
         def counting(rows, x):
@@ -250,8 +251,10 @@ class TestBandedPath:
         # the norms are read from the updated products, not recomputed;
         # rounding the vectors to double moves a residual by about eps
         ws = build_workspace()
-        pair = assemble(ws, catalog_atom(name), l, model)
-        solution = solve_lowest(pair, k, seeds=eigensolve._sturm_seeds(_seed_pair(ws, pair), k + 1))
+        atom = catalog_atom(name)
+        pair = assemble(ws, atom, l, model)
+        coarse = _seed_pair(ws, atom, l, model)
+        solution = solve_lowest(pair, k, seeds=eigensolve._sturm_seeds(coarse, k + 1))
         vectors = solution.vectors.T.astype(np.longdouble)
         hc = general_matvec(pair.h_band.astype(np.longdouble), vectors)
         sc = general_matvec(pair.s_band.astype(np.longdouble), vectors)
@@ -412,7 +415,7 @@ class TestCoarseSeeds:
         model = Pseudopotential.BARE_COULOMB
         ws = build_workspace()
         pair = assemble(ws, HYDROGEN, 0, model)
-        coarse = _seed_pair(ws, assemble(ws, seed_atom, seed_l, model))
+        coarse = _seed_pair(ws, seed_atom, seed_l, model)
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
         seeded = solve_lowest(pair, 3, seeds=eigensolve._sturm_seeds(coarse, 4))
@@ -428,8 +431,9 @@ class TestCoarseSeeds:
     ], ids=["Li-symmetry-s", "Na-central-p", "Mg-bare-d"])
     def test_coarse_seeds_give_the_fine_solve(self, name, model, l, k, monkeypatch):
         ws = build_workspace()
-        pair = assemble(ws, catalog_atom(name), l, model)
-        coarse = _seed_pair(ws, pair)
+        atom = catalog_atom(name)
+        pair = assemble(ws, atom, l, model)
+        coarse = _seed_pair(ws, atom, l, model)
         seeding = CountingSeeds(eigensolve._sturm_seeds)
         factoring = _CountingLapack(eigensolve.lapack)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", seeding)

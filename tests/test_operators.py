@@ -22,7 +22,7 @@ from atomscreen.model import (
     potential_value,
 )
 from atomscreen import operators
-from atomscreen.operators import OperatorPair, _seed_pair, assemble, general_matvec
+from atomscreen.operators import _seed_pair, assemble, general_matvec
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
@@ -289,9 +289,13 @@ class TestSeedPair:
         ws = request.getfixturevalue(ws_name)
         p = _seed_coefficients(ws)
         bw = ws.basis.order_k - 1
-        for atom, l in ((catalog_atom("He"), 0), (catalog_atom("Na"), 2)):
-            pair = assemble(ws, atom, l, Pseudopotential.SYMMETRY_DEPENDENT)
-            seed = _seed_pair(ws, pair)
+        # central channels (Li s, Mg p) carry the screening band W_Z
+        for atom, l, model in ((catalog_atom("He"), 0, Pseudopotential.SYMMETRY_DEPENDENT),
+                               (catalog_atom("Na"), 2, Pseudopotential.SYMMETRY_DEPENDENT),
+                               (catalog_atom("Li"), 0, Pseudopotential.CENTRAL_SCREENING),
+                               (catalog_atom("Mg"), 1, Pseudopotential.CENTRAL_SCREENING)):
+            pair = assemble(ws, atom, l, model)
+            seed = _seed_pair(ws, atom, l, model)
             for band, full in ((seed.h_band, pair.h_band), (seed.s_band, pair.s_band)):
                 reference = p.T @ band_to_dense(full) @ p
                 # splines of order k on the seed knots couple only bw neighbours
@@ -302,8 +306,9 @@ class TestSeedPair:
     @pytest.mark.parametrize("ws_name", ["paper_ws", "coarse_k4_ws", "coarse_ws"])
     def test_eigenvalues_bound_the_pair_from_above(self, request, ws_name):
         ws = request.getfixturevalue(ws_name)
-        pair = assemble(ws, catalog_atom("Li"), 1, Pseudopotential.CENTRAL_SCREENING)
-        seed = _seed_pair(ws, pair)
+        lithium, model = catalog_atom("Li"), Pseudopotential.CENTRAL_SCREENING
+        pair = assemble(ws, lithium, 1, model)
+        seed = _seed_pair(ws, lithium, 1, model)
         full = sla.eigh(band_to_dense(pair.h_band), band_to_dense(pair.s_band), eigvals_only=True)
         coarse = sla.eigh(band_to_dense(seed.h_band), band_to_dense(seed.s_band),
                           eigvals_only=True)
@@ -312,14 +317,22 @@ class TestSeedPair:
         levels = min(12, seed.dimension)
         assert np.all(coarse[:levels] >= full[:levels] - 1e-12)
 
-    def test_pair_built_from_bands_has_no_seed_pair(self, coarse_ws):
-        pair = assemble(coarse_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
-        with pytest.raises(ValueError, match="assembled"):
-            _seed_pair(coarse_ws, OperatorPair(h_band=pair.h_band, s_band=pair.s_band))
+    def test_is_the_channel_pair_on_the_seed_workspace_without_an_assemble_call(
+        self, coarse_ws, monkeypatch
+    ):
+        lithium, model = catalog_atom("Li"), Pseudopotential.CENTRAL_SCREENING
+        expected = assemble(_seed_workspace(coarse_ws), lithium, 1, model)
+        calls = []
+        monkeypatch.setattr(operators, "assemble", lambda *args: calls.append(args))
+        seed = _seed_pair(coarse_ws, lithium, 1, model)
+        # the public assemble is counted once per channel; the seed pair adds none
+        assert calls == []
+        np.testing.assert_array_equal(seed.h_band, expected.h_band)
+        assert seed.s_band is expected.s_band
 
     def test_seed_overlap_is_shared_and_read_only(self, coarse_ws):
         first, second = (
-            _seed_pair(coarse_ws, assemble(coarse_ws, HYDROGEN, l, Pseudopotential.BARE_COULOMB))
+            _seed_pair(coarse_ws, HYDROGEN, l, Pseudopotential.BARE_COULOMB)
             for l in (0, 1)
         )
         assert second.s_band is first.s_band

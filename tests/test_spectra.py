@@ -13,6 +13,7 @@ from atomscreen.model import (
     Pseudopotential,
     catalog_atom,
     hydrogenic_energy,
+    potential_terms,
 )
 from atomscreen.operators import _seed_pair, assemble
 from atomscreen.spectra import (
@@ -76,7 +77,6 @@ class TestSeedSpace:
     def test_paper_grid_never_seeds_at_the_full_dimension(self, monkeypatch):
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
-        spectra._solve_channel_cached.cache_clear()
         for name, model, l, count in (("He", A, 0, 3), ("Li", B, 1, 12), ("Mg", A, 2, 1)):
             solve_channel(catalog_atom(name), model, l, count)
         # 591 intervals keep 148 breakpoints past the origin: 157 splines, 155
@@ -97,7 +97,6 @@ class TestSeedSpace:
                                                                    dimensions, monkeypatch):
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
-        spectra._solve_channel_cached.cache_clear()
         assert len(solve_channel(catalog_atom("Li"), B, 0, count, grid)) == count
         assert counting.dimensions == dimensions
 
@@ -115,7 +114,6 @@ class TestSeedSpace:
             return routine(seeded, count)
 
         monkeypatch.setattr(eigensolve, "_sturm_seeds", failing_on_the_seed_pencil)
-        spectra._solve_channel_cached.cache_clear()
         states = solve_channel(sodium, B, 1, 6)
         assert fine == [pair.dimension]
         assert [s.raw_energy for s in states] == list(plain)
@@ -134,7 +132,6 @@ class TestClosedFormSeeds:
         # makes one dsbgvx call, on its seed pencil
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
-        spectra._solve_channel_cached.cache_clear()
         assert len(solve_channel(atom, model, l, count)) == count
         assert counting.dimensions == dimensions
 
@@ -146,13 +143,13 @@ class TestClosedFormSeeds:
         ("Mg", Pseudopotential.BARE_COULOMB, 2, 3),
     ], ids=["Li-symmetry-s", "Na-symmetry-p", "Mg-bare-d"])
     def test_agree_with_seed_pencil_seeds(self, name, model, l, k):
-        ws = build_workspace()
-        pair = assemble(ws, catalog_atom(name), l, model)
-        closed = spectra._seeds(ws, pair, l, k)
-        charge = pair.terms.charge
+        ws, atom = build_workspace(), catalog_atom(name)
+        pair = assemble(ws, atom, l, model)
+        closed = spectra._seeds(ws, atom, model, l, k)
+        charge = potential_terms(model, atom, l)[0]
         assert list(closed) == [hydrogenic_energy(charge, nu) for nu in range(l + 1, l + k + 2)]
         seeded = solve_lowest(pair, k, seeds=closed).eigenvalues
-        coarse = eigensolve._sturm_seeds(_seed_pair(ws, pair), k + 1)
+        coarse = eigensolve._sturm_seeds(_seed_pair(ws, atom, l, model), k + 1)
         assert np.max(np.abs(seeded - solve_lowest(pair, k, seeds=coarse).eigenvalues)) <= 1e-13
 
     def test_box_states_redo_from_fine_seeds(self, monkeypatch):
@@ -164,7 +161,6 @@ class TestClosedFormSeeds:
         plain = solve_lowest(pair, 14).eigenvalues
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
-        spectra._solve_channel_cached.cache_clear()
         states = solve_channel(hydrogen, Pseudopotential.BARE_COULOMB, 0, 14)
         assert counting.dimensions == [pair.dimension]
         assert [s.raw_energy for s in states] == list(plain)
