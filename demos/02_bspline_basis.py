@@ -7,11 +7,11 @@ identities (partition of unity, quadrature exactness) numerically.
 
 import numpy as np
 
-from atomscreen import build_workspace, eval_bspline, make_knots, make_quadrature
+from atomscreen import PAPER_GRID, build_workspace, eval_bspline, make_knots, make_quadrature
 
 
 def describe_default_grid():
-    ws = build_workspace()
+    ws = build_workspace(PAPER_GRID)
     bp = ws.basis.breakpoints
     spacing = np.diff(bp)
     print(f"default grid: {ws.basis.n_splines} splines of order {ws.basis.order_k},"
@@ -26,7 +26,7 @@ def describe_default_grid():
 
 
 def check_partition_of_unity():
-    ws = build_workspace()
+    ws = build_workspace(PAPER_GRID)
     rng = np.random.default_rng(1)
     radii = rng.uniform(0.0, ws.basis.r_max, 200)
     total = sum(eval_bspline(ws.basis, i, radii) for i in range(ws.basis.n_splines))

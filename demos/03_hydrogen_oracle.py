@@ -7,6 +7,7 @@ the screened helium and lithium channels.
 """
 
 from atomscreen import (
+    PAPER_GRID,
     AtomSpec,
     Pseudopotential,
     build_workspace,
@@ -21,7 +22,7 @@ HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
 
 def hydrogen_levels():
-    ws = build_workspace()
+    ws = build_workspace(PAPER_GRID)
     print("bare hydrogen, l = 0")
     print(f"  {'nu':>3} {'numerical':>20} {'analytic':>20} {'error':>10}")
     pair = assemble(ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
@@ -33,7 +34,7 @@ def hydrogen_levels():
 
 
 def screened_channels():
-    ws = build_workspace()
+    ws = build_workspace(PAPER_GRID)
     print("\nscreened channels against the analytic oracle")
     print(f"  {'atom':>5} {'l':>2} {'nu':>3} {'numerical':>20} {'error':>10}")
     for name, l, count in (("He", 0, 3), ("Li", 1, 3), ("Li", 3, 2)):

@@ -8,8 +8,8 @@ so integrands singular at r = 0 are never sampled there. One Cox-de Boor
 routine (``_values_and_derivs``) evaluates the splines everywhere: the
 design tables of both workspaces and ``eval_bspline``.
 
-Each workspace has a seed workspace (``_seed_workspace``): the same order on
-every fourth breakpoint, integrated with the same nodes and weights. Its
+Each workspace owns its seed workspace (``Workspace.seed``): the same order
+on every fourth breakpoint, integrated with the same nodes and weights. Its
 splines lie in the workspace's spline space, so the eigenvalues of a channel
 assembled on it bound the workspace's from above and seed its solve
 (eigensolve, step 1).
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -119,6 +119,29 @@ class Workspace:
     basis: KnotBasis
     quad: QuadratureRule
     tables: DesignTables
+
+    @cached_property
+    def seed(self) -> Workspace:
+        """This grid on every _SEED_STRIDE-th breakpoint (and the last), with
+        this quadrature; built on first use and kept by the workspace.
+
+        Its knots are a subset of these, so its splines lie in this spline
+        space. Each of its intervals holds the nodes and weights of the
+        _SEED_STRIDE intervals here it covers; the last, shorter group is
+        padded with zero-weight copies of its last interval's nodes.
+        Integrals on it are therefore the Galerkin restrictions of those here
+        to its splines.
+        """
+        basis, quad = self.basis, self.quad
+        n_intervals = basis.n_intervals
+        kept = np.append(np.arange(0, n_intervals, _SEED_STRIDE), n_intervals)
+        seed = _clamped_basis(basis.breakpoints[kept], basis.order_k, basis.r_max)
+        pad = -n_intervals % _SEED_STRIDE
+        nodes = np.concatenate([quad.nodes, np.repeat(quad.nodes[-1:], pad, axis=0)])
+        weights = np.concatenate([quad.weights, np.zeros((pad, quad.weights.shape[1]))])
+        shape = (seed.n_intervals, -1)
+        regrouped = QuadratureRule(nodes=nodes.reshape(shape), weights=weights.reshape(shape))
+        return Workspace(basis=seed, quad=regrouped, tables=design_tables(seed, regrouped))
 
 
 def _geometric_ratio(r_first: float, r_max: float, steps: int) -> float:
@@ -345,8 +368,12 @@ def design_tables(basis: KnotBasis, quad: QuadratureRule) -> DesignTables:
 
 
 @lru_cache(maxsize=16)
-def build_workspace(grid: GridSpec = PAPER_GRID) -> Workspace:
-    """Build (and memoise) the basis, quadrature and tables for one grid."""
+def build_workspace(grid: GridSpec, /) -> Workspace:
+    """The basis, quadrature and tables of a grid: one workspace per grid value."""
+    # n Gauss-Legendre nodes integrate the degree-2(k-1) spline products
+    # exactly only from n >= k; fewer break the variational bound.
+    if grid.nodes_per_interval < grid.order_k:
+        raise ValueError("nodes_per_interval must be >= order_k")
     basis = make_knots(
         r_max=grid.r_max,
         n_splines=grid.n_splines,
@@ -357,27 +384,3 @@ def build_workspace(grid: GridSpec = PAPER_GRID) -> Workspace:
     quad = make_quadrature(basis, grid.nodes_per_interval)
     tables = design_tables(basis, quad)
     return Workspace(basis=basis, quad=quad, tables=tables)
-
-
-@lru_cache(maxsize=16)
-def _seed_workspace(ws: Workspace) -> Workspace:
-    """The grid of ``ws`` on every _SEED_STRIDE-th breakpoint (and the last),
-    with the quadrature of ``ws``; memoised per workspace, by identity.
-
-    Its knots are a subset of the knots of ``ws``, so its splines lie in the
-    spline space of ``ws``. Each of its intervals holds the nodes and weights
-    of the _SEED_STRIDE intervals of ``ws`` it covers; the last, shorter
-    group is padded with zero-weight copies of its last interval's nodes.
-    Integrals on it are therefore the Galerkin restrictions of those on
-    ``ws`` to its splines.
-    """
-    basis, quad = ws.basis, ws.quad
-    n_intervals = basis.n_intervals
-    kept = np.append(np.arange(0, n_intervals, _SEED_STRIDE), n_intervals)
-    seed = _clamped_basis(basis.breakpoints[kept], basis.order_k, basis.r_max)
-    pad = -n_intervals % _SEED_STRIDE
-    nodes = np.concatenate([quad.nodes, np.repeat(quad.nodes[-1:], pad, axis=0)])
-    weights = np.concatenate([quad.weights, np.zeros((pad, quad.weights.shape[1]))])
-    shape = (seed.n_intervals, -1)
-    regrouped = QuadratureRule(nodes=nodes.reshape(shape), weights=weights.reshape(shape))
-    return Workspace(basis=seed, quad=regrouped, tables=design_tables(seed, regrouped))

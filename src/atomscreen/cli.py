@@ -172,8 +172,7 @@ def _checked_grid(grid: GridSpec) -> GridSpec:
         raise ConfigError("rfirst must lie in (0, rmax)")
     if grid.nodes_per_interval < 1:
         raise ConfigError("quad-nodes must be >= 1")
-    # Gauss-Legendre with n nodes integrates the degree-2(k-1) spline
-    # products exactly only from n >= k; fewer breaks the variational bound.
+    # ahead of build_workspace's own refusal, so that the error names the flag
     if grid.nodes_per_interval < grid.order_k:
         raise ConfigError("quad-nodes must be >= order")
     low, high = _ORDER_RANGE

@@ -11,7 +11,7 @@ long-double copy of both bands.
    eigenvalues from anywhere: spectra passes the closed-form Coulomb
    levels for unscreened channels, and for screened ones the ``dsbgvx``
    eigenvalues of the seed pair, the channel's band sum on the seed
-   workspace, the splines of every fourth breakpoint
+   workspace (Workspace.seed), the splines of every fourth breakpoint
    (operators._seed_pair), whose band reduction costs O(n_c^2 bw) instead
    of the O(n^2 bw) of one on (H, S). Without them, or if they fail below,
    LAPACK ``dsbgvx`` (split-Cholesky band reduction, reduction to

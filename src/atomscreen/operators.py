@@ -20,7 +20,7 @@ is built on first use, memoised and shared read-only:
 
 One band sum (``_channel_pair``) serves any workspace. ``assemble`` runs it
 on the channel's workspace; the seed pair (``_seed_pair``) is the channel's
-band sum on the seed workspace (bsplines._seed_workspace), the channel on
+band sum on the seed workspace (bsplines.Workspace.seed), the channel on
 every fourth breakpoint, and seeds the eigensolver at a fraction of the
 cost of seeding on the pair itself.
 
@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bsplines import Workspace, _seed_workspace
+from .bsplines import Workspace
 from .model import AtomSpec, Pseudopotential, potential_terms, screening_factor
 
 __all__ = [
@@ -183,11 +183,10 @@ def assemble(
 
 
 def _seed_pair(ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential) -> OperatorPair:
-    """The channel's band sum on the seed workspace of ``ws``
-    (bsplines._seed_workspace). Its eigenvalues are upper bounds of those of
-    the channel's pair on ``ws`` (Courant-Fischer) and seed its solve
-    (eigensolve, step 1)."""
-    return _channel_pair(_seed_workspace(ws), atom, l, model)
+    """The channel's band sum on the seed workspace ``ws.seed``. Its
+    eigenvalues are upper bounds of those of the channel's pair on ``ws``
+    (Courant-Fischer) and seed its solve (eigensolve, step 1)."""
+    return _channel_pair(ws.seed, atom, l, model)
 
 
 def general_matvec(rows: np.ndarray, x: np.ndarray) -> np.ndarray:

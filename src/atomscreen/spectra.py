@@ -7,18 +7,18 @@ top of that, and :func:`compare` checks any computed table against the
 golden records shipped in ``data/reference_tables_v1.txt``.
 
 Each channel solve assembles the channel, seeds it (eigensolve, step 1) by
-``_seeds`` and solves it. Nothing is memoised per channel; the four memos
-a solve reads are each keyed by a workspace: bsplines.build_workspace (by
-its grid), bsplines._seed_workspace, operators._grid_bands and
-operators._screening_band (and Z). The Coulomb/screened split comes from
-the channel's model.potential_terms. A channel with no screening term
-(every symmetry-model and bare channel, and the central model for one
-electron) is a pure Coulomb channel, V = -q/r, and takes its closed-form
-levels -q^2 / (2 nu^2). A screened channel takes the dsbgvx
-eigenvalues of its seed pair, the channel's band sum on the seed workspace
-(operators._seed_pair). The eigensolver certifies the k lowest levels
-whatever the seeds' source, and redoes the solve from seeds of the full
-pencil if they fail.
+``_seeds`` and solves it. Nothing is memoised per channel. A solve reads
+one workspace per grid value (bsplines.build_workspace), which keeps its
+seed workspace (Workspace.seed), and two memos keyed by a workspace:
+operators._grid_bands and operators._screening_band (and Z). The
+Coulomb/screened split comes from the channel's model.potential_terms.
+A channel with no screening term (every symmetry-model and bare channel,
+and the central model for one electron) is a pure Coulomb channel,
+V = -q/r, and takes its closed-form levels -q^2 / (2 nu^2). A screened
+channel takes the dsbgvx eigenvalues of its seed pair, the channel's band
+sum on the seed workspace (operators._seed_pair). The eigensolver
+certifies the k lowest levels whatever the seeds' source, and redoes the
+solve from seeds of the full pencil if they fail.
 
 Sign conventions follow the golden tables: ionization potentials and helium
 binding energies are positive magnitudes, lithium excited eigenvalues are
@@ -98,7 +98,6 @@ class LabeledState:
     l: int
     raw_energy: float
     scaled_energy: float
-    model: Pseudopotential
 
 
 @dataclass(frozen=True)
@@ -181,8 +180,8 @@ def solve_channel(
     solution = solve_lowest(pair, count, seeds=_seeds(ws, atom, model, l, count))
     scale = atom.m_over_n
     return tuple(
-        LabeledState(nu=l + 1 + i, l=l, raw_energy=raw, scaled_energy=scale * raw, model=model)
-        for i, raw in enumerate(map(float, solution.eigenvalues[:count]))
+        LabeledState(nu=l + 1 + i, l=l, raw_energy=raw, scaled_energy=scale * raw)
+        for i, raw in enumerate(map(float, solution.eigenvalues))
     )
 
 

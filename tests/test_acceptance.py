@@ -117,7 +117,7 @@ def test_criterion_4_oracle_equivalence():
         channel_errors(atom, atom.valence_l, 6 - atom.valence_l)
 
     # bare hydrogen nu <= 4 against -1/(2 nu^2)
-    ws = build_workspace()
+    ws = build_workspace(PAPER_GRID)
     hydrogen = AtomSpec("H", 1, 1, 1, 0, 1)
     pair = assemble(ws, hydrogen, 0, Pseudopotential.BARE_COULOMB)
     bare = solve_lowest(pair, 4).eigenvalues
@@ -171,7 +171,7 @@ def test_criterion_6_property_suite():
     details = []
     ok = True
 
-    ws = build_workspace()
+    ws = build_workspace(PAPER_GRID)
     sums = ws.tables.values.sum(axis=2)
     rng = np.random.default_rng(17)
     unity_dev = float(np.max(np.abs(sums - 1.0)))

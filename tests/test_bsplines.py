@@ -11,7 +11,6 @@ from atomscreen.bsplines import (
     eval_bspline,
     make_knots,
     make_quadrature,
-    _seed_workspace,
 )
 
 
@@ -228,6 +227,23 @@ class TestDesignTables:
         assert build_workspace(grid) is build_workspace(grid)
         assert build_workspace(PAPER_GRID).basis.n_splines == 600
 
+    def test_one_workspace_per_grid_value(self):
+        assert build_workspace(PAPER_GRID) is build_workspace(GridSpec())
+
+    def test_grid_is_positional_and_required(self):
+        with pytest.raises(TypeError):
+            build_workspace()
+        with pytest.raises(TypeError):
+            build_workspace(grid=PAPER_GRID)
+
+    def test_refuses_fewer_quadrature_nodes_than_the_order(self):
+        grid = GridSpec(n_splines=49, order_k=10, r_max=200.0, nodes_per_interval=9)
+        with pytest.raises(ValueError, match="nodes_per_interval must be >= order_k"):
+            build_workspace(grid)
+        ws = build_workspace(GridSpec(n_splines=49, order_k=10, r_max=200.0,
+                                      nodes_per_interval=10))
+        assert ws.quad.nodes.shape == (ws.basis.n_intervals, 10)
+
 
 class TestSeedWorkspace:
     # 21 and 40 intervals: a last group of one interval, and none to pad
@@ -237,7 +253,11 @@ class TestSeedWorkspace:
     ], ids=["linear-k3-padded", "exp-linear-k10-whole"])
     def spaces(self, request):
         ws = build_workspace(request.param)
-        return ws, _seed_workspace(ws)
+        return ws, ws.seed
+
+    def test_is_built_once_and_kept_by_the_workspace(self, spaces):
+        ws, _ = spaces
+        assert ws.seed is ws.seed
 
     def test_knots_are_every_fourth_breakpoint_of_the_basis(self, spaces):
         ws, seed = spaces
@@ -336,7 +356,7 @@ class TestVectorisedTables:
     def test_paper_grid_bit_identical_to_per_span_loop(self, seed):
         ws = build_workspace(PAPER_GRID)
         if seed:
-            ws = _seed_workspace(ws)
+            ws = ws.seed
         k = ws.basis.order_k
         for iv in range(ws.basis.n_intervals):
             values, derivs = _span_values_and_derivs(

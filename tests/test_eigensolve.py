@@ -65,7 +65,7 @@ class _CountingLapack:
 
 @pytest.fixture(scope="module")
 def hydrogen_solution():
-    ws = build_workspace()
+    ws = build_workspace(PAPER_GRID)
     pair = assemble(ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
     return pair, solve_lowest(pair, 6)
 
@@ -78,7 +78,7 @@ class TestSolveLowest:
             assert value == pytest.approx(target, abs=1e-9)
 
     def test_lithium_p_channel_matches_analytic(self):
-        ws = build_workspace()
+        ws = build_workspace(PAPER_GRID)
         lithium = catalog_atom("Li")
         pair = assemble(ws, lithium, 1, Pseudopotential.SYMMETRY_DEPENDENT)
         solution = solve_lowest(pair, 1)
@@ -176,7 +176,7 @@ class TestBandedPath:
                                        Pseudopotential.BARE_COULOMB])
     @pytest.mark.parametrize("name", ["He", "Li", "Na", "Mg"])
     def test_coulomb_channels_on_the_oracle(self, name, model):
-        ws = build_workspace()
+        ws = build_workspace(PAPER_GRID)
         atom = catalog_atom(name)
         checked = 0
         for l in range(4):
@@ -199,7 +199,7 @@ class TestBandedPath:
     ], ids=["Li-symmetry-s", "Na-central-p"])
     def test_one_factorization_per_state(self, name, model, l, k, monkeypatch):
         # one LU at the seed, for inverse iteration and again for the refinement
-        pair = assemble(build_workspace(), catalog_atom(name), l, model)
+        pair = assemble(build_workspace(PAPER_GRID), catalog_atom(name), l, model)
         counting = _CountingLapack(eigensolve.lapack)
         monkeypatch.setattr(eigensolve, "lapack", counting)
         solve_lowest(pair, k)
@@ -208,7 +208,7 @@ class TestBandedPath:
     def test_kept_factors_stay_within_their_bound(self):
         # the solve holds k (3 bw + 1) n doubles of factors from step 2 to
         # step 4; twice that bounds its peak
-        pair = assemble(build_workspace(), catalog_atom("Li"), 0,
+        pair = assemble(build_workspace(PAPER_GRID), catalog_atom("Li"), 0,
                         Pseudopotential.SYMMETRY_DEPENDENT)
         k = 12
         factors_bytes = k * (3 * pair.bandwidth + 1) * pair.dimension * 8
@@ -224,7 +224,7 @@ class TestBandedPath:
     def test_one_extended_precision_pass(self, k, monkeypatch):
         # the refinement forms H c and S c once in long double; after the
         # corrections d it forms only S d, as H d = r + seed S d
-        ws = build_workspace()
+        ws = build_workspace(PAPER_GRID)
         sodium, model = catalog_atom("Na"), Pseudopotential.CENTRAL_SCREENING
         pair = assemble(ws, sodium, 1, model)
         seeds = eigensolve._sturm_seeds(_seed_pair(ws, sodium, 1, model), k + 1)
@@ -250,7 +250,7 @@ class TestBandedPath:
     def test_residual_norms_are_those_of_the_returned_pairs(self, name, model, l, k):
         # the norms are read from the updated products, not recomputed;
         # rounding the vectors to double moves a residual by about eps
-        ws = build_workspace()
+        ws = build_workspace(PAPER_GRID)
         atom = catalog_atom(name)
         pair = assemble(ws, atom, l, model)
         coarse = _seed_pair(ws, atom, l, model)
@@ -386,7 +386,7 @@ class TestInertiaCount:
         assert eigensolve._count_below(pair, 0.0) is None
 
     def test_agrees_with_dsbgvx_on_channel_scan_draws(self):
-        ws = build_workspace()
+        ws = build_workspace(PAPER_GRID)
         draws = 0
         for request in islice(channel_requests(7), 100):
             l, k = request["l"], request["k"]
@@ -413,7 +413,7 @@ class TestCoarseSeeds:
     ], ids=["other-l", "other-Z"])
     def test_seeds_of_another_channel_fall_back(self, seed_atom, seed_l, monkeypatch):
         model = Pseudopotential.BARE_COULOMB
-        ws = build_workspace()
+        ws = build_workspace(PAPER_GRID)
         pair = assemble(ws, HYDROGEN, 0, model)
         coarse = _seed_pair(ws, seed_atom, seed_l, model)
         counting = CountingSeeds(eigensolve._sturm_seeds)
@@ -430,7 +430,7 @@ class TestCoarseSeeds:
         ("Mg", Pseudopotential.BARE_COULOMB, 2, 3),
     ], ids=["Li-symmetry-s", "Na-central-p", "Mg-bare-d"])
     def test_coarse_seeds_give_the_fine_solve(self, name, model, l, k, monkeypatch):
-        ws = build_workspace()
+        ws = build_workspace(PAPER_GRID)
         atom = catalog_atom(name)
         pair = assemble(ws, atom, l, model)
         coarse = _seed_pair(ws, atom, l, model)

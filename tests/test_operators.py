@@ -7,7 +7,7 @@ from conftest import band_to_dense, brute_force_matrix, dense_to_band
 from atomscreen.bsplines import (
     GridSpec,
     KnotBasis,
-    _seed_workspace,
+    PAPER_GRID,
     build_workspace,
     eval_bspline,
 )
@@ -29,7 +29,7 @@ HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
 @pytest.fixture(scope="module")
 def paper_ws():
-    return build_workspace()
+    return build_workspace(PAPER_GRID)
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +210,7 @@ class TestSharedGridBands:
         third = assemble(coarse_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
         assert np.any(third.h_band != 0.0)
 
-    @pytest.mark.parametrize("space", [lambda ws: ws, _seed_workspace],
+    @pytest.mark.parametrize("space", [lambda ws: ws, lambda ws: ws.seed],
                              ids=["basis", "seed-workspace"])
     def test_memoised_bands_are_shared_and_read_only(self, coarse_ws, space):
         ws = space(coarse_ws)
@@ -321,7 +321,7 @@ class TestSeedPair:
         self, coarse_ws, monkeypatch
     ):
         lithium, model = catalog_atom("Li"), Pseudopotential.CENTRAL_SCREENING
-        expected = assemble(_seed_workspace(coarse_ws), lithium, 1, model)
+        expected = assemble(coarse_ws.seed, lithium, 1, model)
         calls = []
         monkeypatch.setattr(operators, "assemble", lambda *args: calls.append(args))
         seed = _seed_pair(coarse_ws, lithium, 1, model)

@@ -103,7 +103,7 @@ class TestSeedSpace:
     def test_failed_seed_pencil_falls_back_to_fine_seeds(self, monkeypatch):
         # a dsbgvx failure on the seed pencil leaves the solve to seed itself
         sodium = catalog_atom("Na")
-        pair = assemble(build_workspace(), sodium, 1, B)
+        pair = assemble(build_workspace(PAPER_GRID), sodium, 1, B)
         plain = solve_lowest(pair, 6).eigenvalues
         fine, routine = [], eigensolve._sturm_seeds
 
@@ -143,7 +143,7 @@ class TestClosedFormSeeds:
         ("Mg", Pseudopotential.BARE_COULOMB, 2, 3),
     ], ids=["Li-symmetry-s", "Na-symmetry-p", "Mg-bare-d"])
     def test_agree_with_seed_pencil_seeds(self, name, model, l, k):
-        ws, atom = build_workspace(), catalog_atom(name)
+        ws, atom = build_workspace(PAPER_GRID), catalog_atom(name)
         pair = assemble(ws, atom, l, model)
         closed = spectra._seeds(ws, atom, model, l, k)
         charge = potential_terms(model, atom, l)[0]
@@ -157,7 +157,7 @@ class TestClosedFormSeeds:
         # from their closed-form levels: the guards refuse those seeds, and
         # one dsbgvx on the full pencil gives what a solve without seeds gives
         hydrogen = AtomSpec("H", 1, 1, 1, 0, 1)
-        pair = assemble(build_workspace(), hydrogen, 0, Pseudopotential.BARE_COULOMB)
+        pair = assemble(build_workspace(PAPER_GRID), hydrogen, 0, Pseudopotential.BARE_COULOMB)
         plain = solve_lowest(pair, 14).eigenvalues
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
@@ -177,7 +177,8 @@ class TestBoundCount:
     ], ids=["bare-H-s", "Li-symmetry-s", "He-central-s", "bare-Mg-f"])
     def test_counts_the_negative_levels(self, atom, model, l, bound):
         assert spectra.bound_count(atom, model, l) == bound
-        levels = solve_lowest(assemble(build_workspace(), atom, l, model), bound + 1).eigenvalues
+        pair = assemble(build_workspace(PAPER_GRID), atom, l, model)
+        levels = solve_lowest(pair, bound + 1).eigenvalues
         assert levels[bound - 1] < 0.0 <= levels[bound]
 
 
