@@ -13,10 +13,12 @@ a f_Z(r)/r (model.potential_terms), so H is a sum of grid bands,
 
 with T = 1/2 <B'|B'>, R2 = <B|1/r^2|B>, R1 = <B|1/r|B>, W_Z = <B|f_Z/r|B>
 and f_Z = model.screening_factor. No channel integrates anything. Each band
-is built on first use, memoised and shared read-only:
-
-* per workspace: S, T, R2 and R1 (``_grid_bands``);
-* per workspace and Z: W_Z (``_screening_band``).
+is built on first use and shared read-only, held by the workspace it was
+built from: one record per workspace (``_BANDS``, weakly keyed) with S, T,
+R2 and R1 (``_grid_bands``) and one W_Z per Z as it is first used
+(``_screening_band``). The record does not refer back to its workspace, so
+the bands are freed with it; bsplines.build_workspace is the only bounded
+memo.
 
 One band sum (``_channel_pair``) serves any workspace. ``assemble`` runs it
 on the channel's workspace; the seed pair (``_seed_pair``) is the channel's
@@ -35,8 +37,8 @@ form. ``general_matvec`` multiplies in this layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -113,13 +115,19 @@ class _GridBands:
 
     ``s_band``, ``t_band`` (1/2 <B'|B'>), ``r2_band`` (<B|1/r^2|B>) and
     ``r1_band`` (<B|1/r|B>) are shared by every channel on the grid and
-    therefore read-only.
+    therefore read-only; ``screening`` maps each Z used so far to its
+    read-only W_Z.
     """
 
     s_band: np.ndarray
     t_band: np.ndarray
     r2_band: np.ndarray
     r1_band: np.ndarray
+    screening: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+#: The bands of each live workspace, dropped when the workspace is.
+_BANDS: weakref.WeakKeyDictionary[Workspace, _GridBands] = weakref.WeakKeyDictionary()
 
 
 def _gram(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -132,27 +140,32 @@ def _shared(band: np.ndarray) -> np.ndarray:
     return band
 
 
-@lru_cache(maxsize=32)
 def _grid_bands(ws: Workspace) -> _GridBands:
-    """Build (and memoise) the grid-only bands of ``ws``; the workspace
-    hashes by identity."""
-    tables, n = ws.tables, ws.basis.n_active
-    w, r = ws.quad.weights, ws.quad.nodes
-    return _GridBands(
-        s_band=_shared(_band_sum(_gram(w, tables.values), n)),
-        t_band=_shared(_band_sum(_gram(0.5 * w, tables.derivs), n)),
-        r2_band=_shared(_band_sum(_gram(w / (r * r), tables.values), n)),
-        r1_band=_shared(_band_sum(_gram(w / r, tables.values), n)),
-    )
+    """The grid-only bands of ``ws``, built on its first call and held as
+    long as ``ws`` lives; the workspace hashes by identity."""
+    bands = _BANDS.get(ws)
+    if bands is None:
+        tables, n = ws.tables, ws.basis.n_active
+        w, r = ws.quad.weights, ws.quad.nodes
+        bands = _BANDS[ws] = _GridBands(
+            s_band=_shared(_band_sum(_gram(w, tables.values), n)),
+            t_band=_shared(_band_sum(_gram(0.5 * w, tables.derivs), n)),
+            r2_band=_shared(_band_sum(_gram(w / (r * r), tables.values), n)),
+            r1_band=_shared(_band_sum(_gram(w / r, tables.values), n)),
+        )
+    return bands
 
 
-@lru_cache(maxsize=128)
 def _screening_band(ws: Workspace, z: int) -> np.ndarray:
-    """W_z = <B|f_z(r)/r|B> with f_z = model.screening_factor, memoised per
-    workspace and charge like ``_grid_bands``."""
-    w, r = ws.quad.weights, ws.quad.nodes
-    local = _gram(w * screening_factor(r, z) / r, ws.tables.values)
-    return _shared(_band_sum(local, ws.basis.n_active))
+    """W_z = <B|f_z(r)/r|B> with f_z = model.screening_factor, built on the
+    first call for ``ws`` and z and held in the record of ``_grid_bands``."""
+    screening = _grid_bands(ws).screening
+    band = screening.get(z)
+    if band is None:
+        w, r = ws.quad.weights, ws.quad.nodes
+        local = _gram(w * screening_factor(r, z) / r, ws.tables.values)
+        band = screening[z] = _shared(_band_sum(local, ws.basis.n_active))
+    return band
 
 
 def _channel_pair(ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential) -> OperatorPair:

@@ -8,9 +8,10 @@ golden records shipped in ``data/reference_tables_v1.txt``.
 
 Each channel solve assembles the channel, seeds it (eigensolve, step 1) by
 ``_seeds`` and solves it. Nothing is memoised per channel. A solve reads
-one workspace per grid value (bsplines.build_workspace), which keeps its
-seed workspace (Workspace.seed), and two memos keyed by a workspace:
-operators._grid_bands and operators._screening_band (and Z). The
+one workspace per grid value (bsplines.build_workspace, the only bounded
+memo), which keeps its seed workspace (Workspace.seed); the grid bands of
+each (operators._grid_bands, and operators._screening_band per Z) are
+built on first use and freed with their workspace. The
 Coulomb/screened split comes from the channel's model.potential_terms.
 A channel with no screening term (every symmetry-model and bare channel,
 and the central model for one electron) is a pure Coulomb channel,

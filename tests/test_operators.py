@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from conftest import band_to_dense, brute_force_matrix, dense_to_band
 
@@ -23,6 +27,7 @@ from atomscreen.model import (
 )
 from atomscreen import operators
 from atomscreen.operators import _seed_pair, assemble, general_matvec
+from atomscreen.spectra import solve_channel
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 
@@ -136,6 +141,45 @@ class TestAssemble:
                 assert np.all(values < previous)
             previous = values
 
+    # Rounding slack, relative to each level. Over 400 random draws from the
+    # ranges below, the largest relative rise of a level under doubling was
+    # 5.5e-14, and the largest relative excess of the exact level over a
+    # computed one was 0 (a 1s converged to -1/2 to the last bit). The rises
+    # are in levels already converged to their box value, and they stay at
+    # 30 nodes per interval, so they are the solve's rounding, not the
+    # quadrature: k nodes integrate the kinetic and overlap integrands
+    # exactly, and the 1/r and 1/r^2 ones on the first interval, where the
+    # trimmed splines vanish.
+    NESTED_SLACK = 1e-12
+
+    @settings(deadline=None)
+    @given(
+        order_k=st.integers(3, 8),
+        extra_intervals=st.integers(2, 32),
+        r_max=st.floats(5.0, 60.0),
+        extra_nodes=st.integers(0, 4),
+    )
+    def test_variational_bound_and_monotone_refinement_on_nested_spaces(
+        self, order_k, extra_intervals, r_max, extra_nodes
+    ):
+        # doubling the intervals of a linear grid halves its step exactly,
+        # so the coarse breakpoints are fine ones and the spline spaces nest
+        exact = np.array([[hydrogenic_energy(1.0, l + 1 + j) for j in range(3)] for l in (0, 1)])
+        levels = []
+        for n_intervals in (order_k + extra_intervals, 2 * (order_k + extra_intervals)):
+            ws = build_workspace(GridSpec(n_splines=n_intervals + order_k - 1, order_k=order_k,
+                                          r_max=r_max, knot_kind="linear",
+                                          nodes_per_interval=order_k + extra_nodes))
+            assert ws.basis.n_intervals == n_intervals
+            levels.append(np.array([
+                solve_lowest(assemble(ws, HYDROGEN, l, Pseudopotential.BARE_COULOMB), 3).eigenvalues
+                for l in (0, 1)
+            ]))
+        coarse, fine = levels
+        assert np.all(fine - coarse <= self.NESTED_SLACK * np.abs(coarse))
+        for values in levels:
+            assert np.all(values - exact >= -self.NESTED_SLACK * np.abs(exact))
+
     def test_negative_l_is_rejected(self, coarse_ws):
         with pytest.raises(ValueError):
             assemble(coarse_ws, HYDROGEN, -1, Pseudopotential.BARE_COULOMB)
@@ -224,6 +268,51 @@ class TestSharedGridBands:
             assert band.shape == bands.s_band.shape
             with pytest.raises(ValueError):
                 band[0, -1] = 1.0
+
+
+def _sweep(model, r_max):
+    """One Li s solve on each of 48 distinct small grids; weak references to
+    every workspace the sweep built, seed workspaces included."""
+    lithium, refs = catalog_atom("Li"), []
+    for n_splines in range(100, 148):
+        grid = GridSpec(n_splines=n_splines, order_k=5, r_max=r_max, nodes_per_interval=8)
+        solve_channel(lithium, model, 0, 1, grid)
+        ws = build_workspace(grid)
+        refs.append(weakref.ref(ws))
+        if "seed" in vars(ws):
+            refs.append(weakref.ref(ws.seed))
+    gc.collect()
+    return refs
+
+
+class TestBandOwnership:
+    """The bands of a workspace live and die with it, so build_workspace's
+    16-entry cache bounds the workspaces a grid sweep leaves alive."""
+
+    def test_central_sweep_keeps_the_cached_workspaces_and_their_seeds(self):
+        refs = _sweep(Pseudopotential.CENTRAL_SCREENING, r_max=36.0)
+        assert len(refs) == 96
+        assert sum(ref() is not None for ref in refs) <= 32
+
+    def test_symmetry_sweep_keeps_the_cached_workspaces(self):
+        # pure Coulomb channels are seeded in closed form and build no seed
+        refs = _sweep(Pseudopotential.SYMMETRY_DEPENDENT, r_max=37.0)
+        assert len(refs) == 48
+        assert sum(ref() is not None for ref in refs) <= 16
+
+    def test_an_evicted_workspace_dies_with_its_seed_and_bands(self):
+        lithium, model = catalog_atom("Li"), Pseudopotential.CENTRAL_SCREENING
+        grid = GridSpec(n_splines=90, order_k=5, r_max=38.0, nodes_per_interval=8)
+        solve_channel(lithium, model, 0, 1, grid)
+        ws = build_workspace(grid)
+        refs = [weakref.ref(space) for space in (ws, ws.seed)]
+        refs += [weakref.ref(operators._grid_bands(space)) for space in (ws, ws.seed)]
+        for n_splines in range(91, 107):  # 16 more grids evict it from the cache
+            build_workspace(GridSpec(n_splines=n_splines, order_k=5, r_max=38.0,
+                                     nodes_per_interval=8))
+        del ws
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 class TestBandHelpers:
