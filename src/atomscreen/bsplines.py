@@ -8,11 +8,19 @@ so integrands singular at r = 0 are never sampled there. One Cox-de Boor
 routine (``_values_and_derivs``) evaluates the splines everywhere: the
 design tables of both workspaces and ``eval_bspline``.
 
+A workspace (``Workspace``) is built whole by one private builder
+(``_workspace``): the basis, the quadrature, the spline values at the nodes
+and the four grid-only bands S, T, R2 and R1 that every channel on the grid
+sums (operators). The derivative table of ``design_tables`` is read only
+for T, inside the build, and is dropped before the workspace is returned,
+so a workspace holds one table. The bands are in LAPACK's general band
+layout (``_band_sum``).
+
 Each workspace owns its seed workspace (``Workspace.seed``): the same order
-on every fourth breakpoint, integrated with the same nodes and weights. Its
-splines lie in the workspace's spline space, so the eigenvalues of a channel
-assembled on it bound the workspace's from above and seed its solve
-(eigensolve, step 1).
+on every fourth breakpoint, integrated with the same nodes and weights and
+built by the same builder. Its splines lie in the workspace's spline
+space, so the eigenvalues of a channel assembled on it bound the
+workspace's from above and seed its solve (eigensolve, step 1).
 """
 
 from __future__ import annotations
@@ -114,11 +122,24 @@ class DesignTables:
 
 @dataclass(frozen=True, eq=False)
 class Workspace:
-    """One fully built grid: basis, quadrature and design tables."""
+    """One fully built grid: its basis and quadrature, the spline values at
+    the nodes, and the grid bands every channel on it sums.
+
+    ``values`` is the value table of ``design_tables``, read by every later
+    band of the grid. The bands are ``s_band`` (<B|B>), ``t_band``
+    (1/2 <B'|B'>), ``r2_band`` (<B|1/r^2|B>) and ``r1_band`` (<B|1/r|B>),
+    each in general band layout (``_band_sum``). All five arrays are
+    read-only and shared by every channel on the grid. The derivative
+    table is read only for T, while the workspace is built, and is not kept.
+    """
 
     basis: KnotBasis
     quad: QuadratureRule
-    tables: DesignTables
+    values: np.ndarray
+    s_band: np.ndarray
+    t_band: np.ndarray
+    r2_band: np.ndarray
+    r1_band: np.ndarray
 
     @cached_property
     def seed(self) -> Workspace:
@@ -141,7 +162,7 @@ class Workspace:
         weights = np.concatenate([quad.weights, np.zeros((pad, quad.weights.shape[1]))])
         shape = (seed.n_intervals, -1)
         regrouped = QuadratureRule(nodes=nodes.reshape(shape), weights=weights.reshape(shape))
-        return Workspace(basis=seed, quad=regrouped, tables=design_tables(seed, regrouped))
+        return _workspace(seed, regrouped)
 
 
 def _geometric_ratio(r_first: float, r_max: float, steps: int) -> float:
@@ -262,34 +283,39 @@ def _values_and_derivs(
 
     Cox-de Boor triangular recursion (k >= 2), vectorised over the spans
     (shape (n,)) and over the points x (shape (n, m), row i inside span
-    spans[i]), with one contiguous (n, m) array per spline. Entry [i, q, a]
-    of either table belongs to spline spans[i] - k + 1 + a at x[i, q].
+    spans[i]), with one contiguous (n, m) array per spline below the top
+    order. Entry [i, q, a] of either table belongs to spline
+    spans[i] - k + 1 + a at x[i, q].
+
+    Each knot difference, t[spans + 1 + i] - x or x - t[spans + 1 + i - j],
+    is formed where order j reads it, and the top order is written straight
+    into the values table, so the only (n, m) arrays held besides the two
+    tables are the splines of two adjacent orders.
     """
-    # knot differences t[spans + 1 + i] - x and x - t[spans - i], offset i
-    # leading: one allocation per side, freed whole before the tables
-    offsets = np.arange(k - 1)[:, None, None]
-    right = t[spans[:, None] + 1 + offsets] - x
-    left = x - t[spans[:, None] - offsets]
-    values = [np.ones(x.shape)]
+    values, derivs = np.empty(x.shape + (k,)), np.empty(x.shape + (k,))
+    columns = np.moveaxis(values, -1, 0)  # columns[a] is values[..., a]
+    lower = [np.ones(x.shape)]
     for j in range(1, k):  # order j to order j + 1
-        lower, values, carry = values, [], 0.0
+        upper = columns if j == k - 1 else [None] * (j + 1)
+        carry = 0.0
         for i in range(j):
-            term = lower[i] / (right[i] + left[j - 1 - i])
-            values.append(carry + right[i] * term)
-            carry = left[j - 1 - i] * term
-        values.append(carry)
-    del right, left
-    tables = np.empty(x.shape + (k,)), np.empty(x.shape + (k,))
-    for a in range(k):
+            right = t[spans + 1 + i, None] - x
+            left = x - t[spans + 1 + i - j, None]
+            term = lower[i] / (right + left)
+            upper[i] = carry + right * term
+            carry = left * term
+        upper[j] = carry
+        if j < k - 1:
+            lower = upper
+    for a in range(k):  # from the order k - 1 splines left in lower
         p = spans - k + 1 + a
         acc = 0.0
         if a >= 1:
             acc += _divide_where_wide(lower[a - 1], t[p + k - 1] - t[p])
         if a <= k - 2:
             acc -= _divide_where_wide(lower[a], t[p + k] - t[p + 1])
-        tables[0][..., a] = values[a]
-        tables[1][..., a] = (k - 1) * acc
-    return tables
+        derivs[..., a] = (k - 1) * acc
+    return values, derivs
 
 
 def _divide_where_wide(column: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -367,9 +393,70 @@ def design_tables(basis: KnotBasis, quad: QuadratureRule) -> DesignTables:
     return DesignTables(values=values, derivs=derivs)
 
 
+def _band_sum(local: np.ndarray, dim: int) -> np.ndarray:
+    """Sum per-interval blocks of shape (n_intervals, k, k) into a general band.
+
+    Every band of the package is stored in LAPACK's general band layout
+    with kl = ku = bw, ``band[bw + d, j] = A[j + d, j]`` for d in [-bw, bw]
+    and bandwidth bw = order_k - 1: 2 bw + 1 rows, the lower bw mirroring
+    the upper bw. Both triangles are written here, once per band, so every
+    LU, band product and inertia count of the eigensolver reads the bands
+    as they are. The top bw + 1 rows are scipy's (and dsbgvx's) upper
+    banded form.
+
+    Local block (iv, a, b) couples global splines iv+a and iv+b; active
+    (trimmed) indices are the global ones shifted down by one, with the
+    first and last spline discarded. The loop runs over a, then the offset
+    d = b - a, so each upper band cell sums its terms in ascending a; the
+    lower rows are then copied from the upper ones.
+    """
+    n_iv, k = local.shape[:2]
+    bw = k - 1
+    band = np.zeros((2 * bw + 1, dim))
+    for a in range(k):
+        first = max(0, 1 - a)
+        for d in range(k - a):
+            b = a + d
+            last = min(n_iv, dim + 1 - b)
+            band[bw - d, first + b - 1 : last + b - 1] += local[first:last, a, b]
+    for d in range(1, k):
+        band[bw + d, : dim - d] = band[bw - d, d:]
+    return band
+
+
+def _gram(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-interval blocks sum_q weights[iv, q] table[iv, q, a] table[iv, q, b]."""
+    return np.matmul(table.transpose(0, 2, 1) * weights[:, None, :], table)
+
+
+def _shared(band: np.ndarray) -> np.ndarray:
+    band.setflags(write=False)
+    return band
+
+
+def _workspace(basis: KnotBasis, quad: QuadratureRule) -> Workspace:
+    """The workspace of ``basis`` and ``quad``: its design tables, of which
+    the derivatives are read for T and then dropped, and its grid bands."""
+    tables = design_tables(basis, quad)
+    n, w, r = basis.n_active, quad.weights, quad.nodes
+    t_band = _shared(_band_sum(_gram(0.5 * w, tables.derivs), n))
+    values = _shared(tables.values)
+    del tables
+    return Workspace(
+        basis=basis,
+        quad=quad,
+        values=values,
+        s_band=_shared(_band_sum(_gram(w, values), n)),
+        t_band=t_band,
+        r2_band=_shared(_band_sum(_gram(w / (r * r), values), n)),
+        r1_band=_shared(_band_sum(_gram(w / r, values), n)),
+    )
+
+
 @lru_cache(maxsize=16)
 def build_workspace(grid: GridSpec, /) -> Workspace:
-    """The basis, quadrature and tables of a grid: one workspace per grid value."""
+    """The basis, quadrature, spline values and grid bands of a grid: one
+    workspace per grid value."""
     # n Gauss-Legendre nodes integrate the degree-2(k-1) spline products
     # exactly only from n >= k; fewer break the variational bound.
     if grid.nodes_per_interval < grid.order_k:
@@ -381,6 +468,4 @@ def build_workspace(grid: GridSpec, /) -> Workspace:
         kind=grid.knot_kind,
         r_first=grid.r_first,
     )
-    quad = make_quadrature(basis, grid.nodes_per_interval)
-    tables = design_tables(basis, quad)
-    return Workspace(basis=basis, quad=quad, tables=tables)
+    return _workspace(basis, make_quadrature(basis, grid.nodes_per_interval))

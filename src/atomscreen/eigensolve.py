@@ -1,10 +1,10 @@
 """Lowest eigenpairs of the symmetric-definite banded pencil H c = eps S c.
 
 The pencil is never densified: memory is O(n bw) per state. The pair
-holds H and S in LAPACK's general band layout (operators), which every LU
-(H - sigma S formed as a difference of the two bands), band product and
-inertia count reads as it is; dsbgvx, and the count's banded Cholesky,
-read the top bw + 1 rows, the upper banded form. Step 4 makes a
+holds H and S in LAPACK's general band layout (bsplines._band_sum), which
+every LU (H - sigma S formed as a difference of the two bands), band
+product and inertia count reads as it is; dsbgvx, and the count's banded
+Cholesky, read the top bw + 1 rows, the upper banded form. Step 4 makes a
 long-double copy of both bands.
 
 1. Seeds. The caller may supply ``seeds``, k + 1 estimates of the lowest

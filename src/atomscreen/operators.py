@@ -12,13 +12,13 @@ a f_Z(r)/r (model.potential_terms), so H is a sum of grid bands,
     H = T + l(l+1)/2 R2 - q R1 + a W_Z,
 
 with T = 1/2 <B'|B'>, R2 = <B|1/r^2|B>, R1 = <B|1/r|B>, W_Z = <B|f_Z/r|B>
-and f_Z = model.screening_factor. No channel integrates anything. Each band
-is built on first use and shared read-only, held by the workspace it was
-built from: one record per workspace (``_BANDS``, weakly keyed) with S, T,
-R2 and R1 (``_grid_bands``) and one W_Z per Z as it is first used
-(``_screening_band``). The record does not refer back to its workspace, so
-the bands are freed with it; bsplines.build_workspace is the only bounded
-memo.
+and f_Z = model.screening_factor. No channel integrates anything. The
+grid-only bands S, T, R2 and R1 are fields of the workspace, built with it
+(bsplines.Workspace). Each W_Z is built on first use from the workspace's
+spline values and shared read-only, held in one record per workspace
+(``_BANDS``, weakly keyed) that maps each Z used so far to its W_Z
+(``_screening_band``). The record does not refer back to its workspace,
+so it is freed with it; bsplines.build_workspace is the only bounded memo.
 
 One band sum (``_channel_pair``) serves any workspace. ``assemble`` runs it
 on the channel's workspace; the seed pair (``_seed_pair``) is the channel's
@@ -26,24 +26,21 @@ band sum on the seed workspace (bsplines.Workspace.seed), the channel on
 every fourth breakpoint, and seeds the eigensolver at a fraction of the
 cost of seeding on the pair itself.
 
-Every band is stored in LAPACK's general band layout with kl = ku = bw,
-``band[bw + d, j] = A[j + d, j]`` for d in [-bw, bw] and bandwidth
-bw = order_k - 1: 2 bw + 1 rows, the lower bw mirroring the upper bw.
-``_band_sum`` writes both triangles once per memoised band, so every
-LU, band product and inertia count of the eigensolver reads the bands as
-they are. The top bw + 1 rows are scipy's (and dsbgvx's) upper banded
-form. ``general_matvec`` multiplies in this layout.
+Every band is in LAPACK's general band layout, both triangles written
+(bsplines._band_sum), so every LU, band product and inertia count of the
+eigensolver reads the bands as they are. ``general_matvec`` multiplies in
+this layout.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bsplines import Workspace
+from .bsplines import Workspace, _band_sum, _gram, _shared
 from .model import AtomSpec, Pseudopotential, potential_terms, screening_factor
 
 __all__ = [
@@ -58,7 +55,7 @@ class OperatorPair:
     """Banded Hamiltonian and overlap (H, S) of one channel, or of any
     pencil given by its bands.
 
-    Both bands are in general band layout (module docstring); a pair
+    Both bands are in general band layout (bsplines._band_sum); a pair
     refuses bands of different shapes, an even row count or lower rows
     that do not mirror the upper ones.
     """
@@ -86,100 +83,34 @@ class OperatorPair:
         return self.s_band.shape[1]
 
 
-def _band_sum(local: np.ndarray, dim: int) -> np.ndarray:
-    """Sum per-interval blocks of shape (n_intervals, k, k) into a general band.
-
-    Local block (iv, a, b) couples global splines iv+a and iv+b; active
-    (trimmed) indices are the global ones shifted down by one, with the
-    first and last spline discarded. The loop runs over a, then the offset
-    d = b - a, so each upper band cell sums its terms in ascending a; the
-    lower rows are then copied from the upper ones.
-    """
-    n_iv, k = local.shape[:2]
-    bw = k - 1
-    band = np.zeros((2 * bw + 1, dim))
-    for a in range(k):
-        first = max(0, 1 - a)
-        for d in range(k - a):
-            b = a + d
-            last = min(n_iv, dim + 1 - b)
-            band[bw - d, first + b - 1 : last + b - 1] += local[first:last, a, b]
-    for d in range(1, k):
-        band[bw + d, : dim - d] = band[bw - d, d:]
-    return band
-
-
-@dataclass(frozen=True, eq=False)
-class _GridBands:
-    """Channel-independent bands for one workspace.
-
-    ``s_band``, ``t_band`` (1/2 <B'|B'>), ``r2_band`` (<B|1/r^2|B>) and
-    ``r1_band`` (<B|1/r|B>) are shared by every channel on the grid and
-    therefore read-only; ``screening`` maps each Z used so far to its
-    read-only W_Z.
-    """
-
-    s_band: np.ndarray
-    t_band: np.ndarray
-    r2_band: np.ndarray
-    r1_band: np.ndarray
-    screening: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-#: The bands of each live workspace, dropped when the workspace is.
-_BANDS: weakref.WeakKeyDictionary[Workspace, _GridBands] = weakref.WeakKeyDictionary()
-
-
-def _gram(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-interval blocks sum_q weights[iv, q] table[iv, q, a] table[iv, q, b]."""
-    return np.matmul(table.transpose(0, 2, 1) * weights[:, None, :], table)
-
-
-def _shared(band: np.ndarray) -> np.ndarray:
-    band.setflags(write=False)
-    return band
-
-
-def _grid_bands(ws: Workspace) -> _GridBands:
-    """The grid-only bands of ``ws``, built on its first call and held as
-    long as ``ws`` lives; the workspace hashes by identity."""
-    bands = _BANDS.get(ws)
-    if bands is None:
-        tables, n = ws.tables, ws.basis.n_active
-        w, r = ws.quad.weights, ws.quad.nodes
-        bands = _BANDS[ws] = _GridBands(
-            s_band=_shared(_band_sum(_gram(w, tables.values), n)),
-            t_band=_shared(_band_sum(_gram(0.5 * w, tables.derivs), n)),
-            r2_band=_shared(_band_sum(_gram(w / (r * r), tables.values), n)),
-            r1_band=_shared(_band_sum(_gram(w / r, tables.values), n)),
-        )
-    return bands
+#: The screening bands of each live workspace, {Z: W_Z}, dropped with it.
+_BANDS: weakref.WeakKeyDictionary[Workspace, dict[int, np.ndarray]] = weakref.WeakKeyDictionary()
 
 
 def _screening_band(ws: Workspace, z: int) -> np.ndarray:
     """W_z = <B|f_z(r)/r|B> with f_z = model.screening_factor, built on the
-    first call for ``ws`` and z and held in the record of ``_grid_bands``."""
-    screening = _grid_bands(ws).screening
+    first call for ``ws`` and z and held in the record of ``ws`` in
+    ``_BANDS``; the workspace hashes by identity."""
+    screening = _BANDS.setdefault(ws, {})
     band = screening.get(z)
     if band is None:
         w, r = ws.quad.weights, ws.quad.nodes
-        local = _gram(w * screening_factor(r, z) / r, ws.tables.values)
+        local = _gram(w * screening_factor(r, z) / r, ws.values)
         band = screening[z] = _shared(_band_sum(local, ws.basis.n_active))
     return band
 
 
 def _channel_pair(ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential) -> OperatorPair:
     """The channel's H = T + l(l+1)/2 R2 - q R1 + a W_Z, summed from the
-    memoised bands of ``ws``, with the shared S of ``ws``."""
+    bands of ``ws``, with the shared S of ``ws``."""
     charge, screening = potential_terms(model, atom, l)
     centrifugal = 0.5 * l * (l + 1)
-    bands = _grid_bands(ws)
-    h_band = bands.t_band - charge * bands.r1_band
+    h_band = ws.t_band - charge * ws.r1_band
     if screening:
         h_band += screening * _screening_band(ws, atom.Z)
     if centrifugal:
-        h_band += centrifugal * bands.r2_band
-    return OperatorPair(h_band=h_band, s_band=bands.s_band)
+        h_band += centrifugal * ws.r2_band
+    return OperatorPair(h_band=h_band, s_band=ws.s_band)
 
 
 def assemble(
@@ -187,8 +118,8 @@ def assemble(
 ) -> OperatorPair:
     """Assemble the banded (H, S) pair for one angular-momentum channel.
 
-    H = T + l(l+1)/2 R2 - q R1 + a W_Z: a sum of memoised grid bands
-    (module docstring); S is shared (read-only).
+    H = T + l(l+1)/2 R2 - q R1 + a W_Z: a sum of the workspace's bands
+    and its memoised W_Z (module docstring); S is shared (read-only).
     """
     if l < 0:
         raise ValueError("l must be non-negative")
@@ -203,7 +134,7 @@ def _seed_pair(ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential) ->
 
 
 def general_matvec(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multiply a symmetric matrix in general band layout (module docstring)
+    """Multiply a symmetric matrix in general band layout (bsplines._band_sum)
     by a vector, or by each row of a stack of vectors, in their common
     precision. Column j of ``rows`` is read as row j of the matrix, which
     is column j only because the matrix is symmetric."""

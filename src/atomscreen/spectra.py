@@ -9,9 +9,10 @@ golden records shipped in ``data/reference_tables_v1.txt``.
 Each channel solve assembles the channel, seeds it (eigensolve, step 1) by
 ``_seeds`` and solves it. Nothing is memoised per channel. A solve reads
 one workspace per grid value (bsplines.build_workspace, the only bounded
-memo), which keeps its seed workspace (Workspace.seed); the grid bands of
-each (operators._grid_bands, and operators._screening_band per Z) are
-built on first use and freed with their workspace. The
+memo), which keeps its seed workspace (Workspace.seed). Each workspace is
+built with its spline values and grid bands S, T, R2 and R1 and keeps no
+derivative table; its screening band per Z (operators._screening_band) is
+built on first use and freed with it. The
 Coulomb/screened split comes from the channel's model.potential_terms.
 A channel with no screening term (every symmetry-model and bare channel,
 and the central model for one electron) is a pure Coulomb channel,

@@ -172,7 +172,7 @@ def test_criterion_6_property_suite():
     ok = True
 
     ws = build_workspace(PAPER_GRID)
-    sums = ws.tables.values.sum(axis=2)
+    sums = ws.values.sum(axis=2)
     rng = np.random.default_rng(17)
     unity_dev = float(np.max(np.abs(sums - 1.0)))
     radii = rng.uniform(0.0, 200.0, 100)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -286,17 +287,48 @@ class TestSeedWorkspace:
     def test_tables_match_pointwise_evaluation(self, spaces):
         _, seed = spaces
         basis, k = seed.basis, seed.basis.order_k
+        tables = design_tables(basis, seed.quad)
+        assert np.array_equal(seed.values, tables.values)
         last = seed.quad.nodes.shape[1] - 1
         for iv in range(basis.n_intervals):
             for q in (0, last // 2, last):
                 r = seed.quad.nodes[iv, q]
                 for a in range(k):
-                    assert seed.tables.values[iv, q, a] == pytest.approx(
+                    assert seed.values[iv, q, a] == pytest.approx(
                         eval_bspline(basis, iv + a, r), abs=1e-14
                     )
-                    assert seed.tables.derivs[iv, q, a] == pytest.approx(
+                    assert tables.derivs[iv, q, a] == pytest.approx(
                         eval_bspline(basis, iv + a, r, 1), rel=1e-12, abs=1e-11
                     )
+
+
+def _reachable_nbytes(obj):
+    """Bytes of every ndarray reachable from the dataclass fields of obj."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        return sum(_reachable_nbytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return 0
+
+
+class TestWorkspaceHoldings:
+    """A workspace and its seed keep the spline values and the grid bands,
+    and no derivative table."""
+
+    @pytest.mark.parametrize("grid", [
+        PAPER_GRID,
+        GridSpec(n_splines=23, order_k=3, r_max=10.0, knot_kind="linear", nodes_per_interval=4),
+    ], ids=["paper", "linear-k3"])
+    def test_holds_no_derivative_table(self, grid):
+        ws = build_workspace(grid)
+        for space in (ws, ws.seed):
+            bands = (space.s_band, space.t_band, space.r2_band, space.r1_band)
+            kept = (space.values, *bands, space.basis.knots, space.basis.breakpoints,
+                    space.quad.nodes, space.quad.weights)
+            assert _reachable_nbytes(space) == sum(array.nbytes for array in kept)
+            assert not space.values.flags.writeable
+            with pytest.raises(ValueError):
+                space.values[0, 0, 0] = 1.0
 
 
 def _span_values(t, k, span, x):
@@ -358,12 +390,14 @@ class TestVectorisedTables:
         if seed:
             ws = ws.seed
         k = ws.basis.order_k
+        tables = design_tables(ws.basis, ws.quad)
+        assert np.array_equal(ws.values, tables.values)
         for iv in range(ws.basis.n_intervals):
             values, derivs = _span_values_and_derivs(
                 ws.basis.knots, k, k - 1 + iv, ws.quad.nodes[iv]
             )
-            assert np.array_equal(ws.tables.values[iv], values)
-            assert np.array_equal(ws.tables.derivs[iv], derivs)
+            assert np.array_equal(tables.values[iv], values)
+            assert np.array_equal(tables.derivs[iv], derivs)
 
     def test_legendre_rule_matches_known_three_point_rule(self):
         # unit intervals: nodes 0.5 + 0.5 x and weights 0.5 w on [0, 1]

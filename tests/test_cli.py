@@ -132,6 +132,14 @@ class TestSolveCommand:
         assert code == 0
         assert "not a catalog atom" in text
 
+    def test_smallest_grid_solves(self, tmp_path):
+        # 5 splines of order 2: the seed workspace has no active spline
+        code, text = run_cli(
+            ["solve", "3", "3", "0", "--model", "central", "--splines", "5", "--order", "2",
+             "--quad-nodes", "2", "--kstates", "1"], tmp_path)
+        assert code == 0
+        assert "-0.0171062" in text
+
     def test_rejects_unphysical_input(self, tmp_path):
         code, _ = run_cli(["solve", "0", "1", "0"], tmp_path)
         assert code == 2

@@ -13,6 +13,7 @@ from atomscreen.bsplines import (
     KnotBasis,
     PAPER_GRID,
     build_workspace,
+    design_tables,
     eval_bspline,
 )
 from atomscreen.eigensolve import solve_lowest
@@ -89,7 +90,7 @@ class TestAssemble:
         for active in range(k, basis.n_active - k):
             global_index = active + 1
             integral = np.sum(
-                coarse_ws.tables.values[:, :, :] * quad.weights[:, :, None],
+                coarse_ws.values[:, :, :] * quad.weights[:, :, None],
                 axis=(0, 1),
             )
             # values[iv, q, a] holds spline iv + a; gather its pieces
@@ -97,7 +98,7 @@ class TestAssemble:
             for iv in range(basis.n_intervals):
                 a = global_index - iv
                 if 0 <= a < k:
-                    total += np.sum(quad.weights[iv] * coarse_ws.tables.values[iv, :, a])
+                    total += np.sum(quad.weights[iv] * coarse_ws.values[iv, :, a])
             assert s_dense[active].sum() == pytest.approx(total, rel=1e-12)
 
     def test_symmetry_and_band_structure(self, coarse_ws):
@@ -197,7 +198,8 @@ def _per_channel_pair(ws, atom, l, model):
     v = potential_value(model, r, atom, l)
     if l > 0:
         v = v + l * (l + 1) / (2.0 * r * r)
-    vals, ders = ws.tables.values, ws.tables.derivs
+    tables = design_tables(ws.basis, ws.quad)
+    vals, ders = tables.values, tables.derivs
     h_local = 0.5 * np.einsum("xq,xqa,xqb->xab", w, ders, ders)
     h_local += np.einsum("xq,xqa,xqb->xab", w * v, vals, vals)
     s_local = np.einsum("xq,xqa,xqb->xab", w, vals, vals)
@@ -227,8 +229,9 @@ def _assert_band_close(band, reference, rel):
 
 
 class TestSharedGridBands:
-    """assemble builds S, T and <1/r^2> once per grid and adds the
-    channel's potential; it must agree with the per-channel formula."""
+    """The workspace carries S, T, <1/r^2> and <1/r>, built once per grid,
+    and assemble adds the channel's potential; it must agree with the
+    per-channel formula."""
 
     @pytest.mark.parametrize("ws_name", ["paper_ws", "coarse_k4_ws"])
     @pytest.mark.parametrize("model", list(Pseudopotential))
@@ -259,13 +262,13 @@ class TestSharedGridBands:
     def test_memoised_bands_are_shared_and_read_only(self, coarse_ws, space):
         ws = space(coarse_ws)
         assert space(coarse_ws) is ws
-        bands = operators._grid_bands(ws)
-        assert operators._grid_bands(ws) is bands
+        pair = operators._channel_pair(ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
+        assert pair.s_band is ws.s_band
         screening = operators._screening_band(ws, 3)
         assert operators._screening_band(ws, 3) is screening
         assert operators._screening_band(ws, 4) is not screening
-        for band in (bands.s_band, bands.t_band, bands.r2_band, bands.r1_band, screening):
-            assert band.shape == bands.s_band.shape
+        for band in (ws.s_band, ws.t_band, ws.r2_band, ws.r1_band, screening):
+            assert band.shape == ws.s_band.shape
             with pytest.raises(ValueError):
                 band[0, -1] = 1.0
 
@@ -306,7 +309,10 @@ class TestBandOwnership:
         solve_channel(lithium, model, 0, 1, grid)
         ws = build_workspace(grid)
         refs = [weakref.ref(space) for space in (ws, ws.seed)]
-        refs += [weakref.ref(operators._grid_bands(space)) for space in (ws, ws.seed)]
+        # the W_Z of each is held only by its workspace's record in _BANDS
+        assert all(lithium.Z in operators._BANDS[space] for space in (ws, ws.seed))
+        refs += [weakref.ref(operators._BANDS[space][lithium.Z]) for space in (ws, ws.seed)]
+        refs += [weakref.ref(space.t_band) for space in (ws, ws.seed)]
         for n_splines in range(91, 107):  # 16 more grids evict it from the cache
             build_workspace(GridSpec(n_splines=n_splines, order_k=5, r_max=38.0,
                                      nodes_per_interval=8))

@@ -32,6 +32,33 @@ A = Pseudopotential.SYMMETRY_DEPENDENT
 B = Pseudopotential.CENTRAL_SCREENING
 
 
+class TestSmallestGrids:
+    """Order k with 2k + 1 or 2k + 2 splines, the fewest make_knots takes;
+    at k = 2 the seed workspace holds no or one active spline, too few to
+    seed one state."""
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("extra", [1, 2], ids=["2k+1", "2k+2"])
+    def test_central_solve_builds_the_seed_and_returns_its_state(self, k, extra, monkeypatch):
+        grid = GridSpec(n_splines=2 * k + extra, order_k=k, nodes_per_interval=k)
+        counting = CountingSeeds(eigensolve._sturm_seeds)
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
+        lithium = catalog_atom("Li")
+        states = solve_channel(lithium, B, 0, 1, grid)
+        ws = build_workspace(grid)
+        assert "seed" in vars(ws)  # built by the solve
+        n_seed = ws.seed.basis.n_active
+        for band in (ws.seed.s_band, ws.seed.t_band, ws.seed.r2_band, ws.seed.r1_band):
+            assert band.shape == (2 * k - 1, n_seed)
+        if k == 2:
+            assert n_seed == extra - 1
+            # too small to seed: the seeds come from the full pencil
+            assert counting.dimensions == [ws.basis.n_active]
+        assert len(states) == 1
+        full = solve_lowest(assemble(ws, lithium, 0, B), 1).eigenvalues[0]
+        assert states[0].raw_energy == pytest.approx(full, rel=1e-12)
+
+
 class TestSolveChannel:
     def test_lithium_2s_scaled_energy(self):
         lithium = catalog_atom("Li")
