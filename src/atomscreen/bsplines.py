@@ -8,13 +8,16 @@ so integrands singular at r = 0 are never sampled there. One Cox-de Boor
 routine (``_values_and_derivs``) evaluates the splines everywhere: the
 design tables of both workspaces and ``eval_bspline``.
 
-A workspace (``Workspace``) is built whole by one private builder
-(``_workspace``): the basis, the quadrature, the spline values at the nodes
-and the four grid-only bands S, T, R2 and R1 that every channel on the grid
-sums (operators). The derivative table of ``design_tables`` is read only
-for T, inside the build, and is dropped before the workspace is returned,
-so a workspace holds one table. The bands are in LAPACK's general band
-layout (``_band_sum``).
+A workspace (``Workspace``) holds every band of its grid, and this module
+builds all of them (``_grid_band``), in LAPACK's general band layout
+(``_band_sum``). One private builder (``_workspace``) builds the basis, the
+quadrature, the spline values at the nodes and the four grid-only bands S,
+T, R2 and R1 that every channel on the grid sums (operators). The
+derivative table of ``design_tables`` is read only for T, inside the build,
+and is dropped before the workspace is returned, so a workspace holds one
+table. The screening band W_Z of each Z is built from the values on first
+use (``Workspace.screening_band``) and kept in the workspace, so it is
+freed with it.
 
 Each workspace owns its seed workspace (``Workspace.seed``): the same order
 on every fourth breakpoint, integrated with the same nodes and weights and
@@ -26,10 +29,12 @@ workspace's from above and seed its solve (eigensolve, step 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .model import screening_factor
 
 __all__ = [
     "GridSpec",
@@ -125,12 +130,13 @@ class Workspace:
     """One fully built grid: its basis and quadrature, the spline values at
     the nodes, and the grid bands every channel on it sums.
 
-    ``values`` is the value table of ``design_tables``, read by every later
-    band of the grid. The bands are ``s_band`` (<B|B>), ``t_band``
-    (1/2 <B'|B'>), ``r2_band`` (<B|1/r^2|B>) and ``r1_band`` (<B|1/r|B>),
-    each in general band layout (``_band_sum``). All five arrays are
-    read-only and shared by every channel on the grid. The derivative
-    table is read only for T, while the workspace is built, and is not kept.
+    ``values`` is the value table of ``design_tables``, read by the
+    screening bands. The bands are ``s_band`` (<B|B>), ``t_band``
+    (1/2 <B'|B'>), ``r2_band`` (<B|1/r^2|B>), ``r1_band`` (<B|1/r|B>) and
+    one ``screening_band(z)`` per Z, each in general band layout
+    (``_band_sum``). All of them and the values are read-only and shared by
+    every channel on the grid. The derivative table is read only for T,
+    while the workspace is built, and is not kept.
     """
 
     basis: KnotBasis
@@ -140,6 +146,17 @@ class Workspace:
     t_band: np.ndarray
     r2_band: np.ndarray
     r1_band: np.ndarray
+    _screening_bands: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    def screening_band(self, z: int) -> np.ndarray:
+        """W_z = <B|f_z(r)/r|B> with f_z = model.screening_factor, built on
+        the first call for z and kept by the workspace."""
+        band = self._screening_bands.get(z)
+        if band is None:
+            w, r = self.quad.weights, self.quad.nodes
+            band = _grid_band(w * screening_factor(r, z) / r, self.values, self.basis.n_active)
+            self._screening_bands[z] = band
+        return band
 
     @cached_property
     def seed(self) -> Workspace:
@@ -424,12 +441,10 @@ def _band_sum(local: np.ndarray, dim: int) -> np.ndarray:
     return band
 
 
-def _gram(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-interval blocks sum_q weights[iv, q] table[iv, q, a] table[iv, q, b]."""
-    return np.matmul(table.transpose(0, 2, 1) * weights[:, None, :], table)
-
-
-def _shared(band: np.ndarray) -> np.ndarray:
+def _grid_band(weights: np.ndarray, table: np.ndarray, dim: int) -> np.ndarray:
+    """The read-only general band (``_band_sum``) of the per-interval blocks
+    sum_q weights[iv, q] table[iv, q, a] table[iv, q, b]."""
+    band = _band_sum(np.matmul(table.transpose(0, 2, 1) * weights[:, None, :], table), dim)
     band.setflags(write=False)
     return band
 
@@ -439,17 +454,18 @@ def _workspace(basis: KnotBasis, quad: QuadratureRule) -> Workspace:
     the derivatives are read for T and then dropped, and its grid bands."""
     tables = design_tables(basis, quad)
     n, w, r = basis.n_active, quad.weights, quad.nodes
-    t_band = _shared(_band_sum(_gram(0.5 * w, tables.derivs), n))
-    values = _shared(tables.values)
+    t_band = _grid_band(0.5 * w, tables.derivs, n)
+    values = tables.values
+    values.setflags(write=False)
     del tables
     return Workspace(
         basis=basis,
         quad=quad,
         values=values,
-        s_band=_shared(_band_sum(_gram(w, values), n)),
+        s_band=_grid_band(w, values, n),
         t_band=t_band,
-        r2_band=_shared(_band_sum(_gram(w / (r * r), values), n)),
-        r1_band=_shared(_band_sum(_gram(w / r, values), n)),
+        r2_band=_grid_band(w / (r * r), values, n),
+        r1_band=_grid_band(w / r, values, n),
     )
 
 

@@ -144,9 +144,15 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
     return values
 
 
+#: converge's sweep flags (argparse dests) and the option each one sweeps.
+_SWEEPS = {"sweep_splines": "splines", "sweep_nodes": "quad_nodes"}
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config-file values and flags (flags win). File keys
-    that do not act on ``args.command`` are skipped once validated."""
+    that do not act on ``args.command`` are skipped once validated. A swept
+    option is refused as a flag; its file value is a default the sweep
+    replaces, so it is dropped."""
     merged: dict[str, object] = {}
     if args.config is not None:
         merged.update((field, value) for field, value in parse_config_file(args.config).items()
@@ -155,6 +161,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, field, None)
         if flag_value is not None:
             merged[field] = flag_value
+    for sweep, field in _SWEEPS.items():
+        if getattr(args, sweep, None) is not None:
+            if getattr(args, field) is not None:
+                raise ConfigError(f"--{sweep.replace('_', '-')} sets {field}; drop"
+                                  f" --{field.replace('_', '-')}")
+            merged.pop(field, None)
     grid_values = {o.grid_field: merged.pop(f)
                    for f, o in _OPTIONS.items() if o.grid_field is not None and f in merged}
     return RunConfig(grid=_checked_grid(replace(PAPER_GRID, **grid_values)), **merged)
@@ -452,10 +464,9 @@ def run_converge(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     model = config.pseudopotential()
-    if args.sweep_splines is not None:
-        sweep_name, points = "splines", _parse_sweep(args.sweep_splines, "splines")
-    else:
-        sweep_name, points = "quad_nodes", _parse_sweep(args.sweep_nodes, "nodes")
+    sweep = "sweep_splines" if args.sweep_splines is not None else "sweep_nodes"
+    sweep_name = _SWEEPS[sweep]
+    points = _parse_sweep(getattr(args, sweep), sweep_name)
     field = _OPTIONS[sweep_name].grid_field
     grids = [_checked_grid(replace(config.grid, **{field: p})) for p in points]
     smallest = min(grid.n_splines for grid in grids)

@@ -12,19 +12,17 @@ a f_Z(r)/r (model.potential_terms), so H is a sum of grid bands,
     H = T + l(l+1)/2 R2 - q R1 + a W_Z,
 
 with T = 1/2 <B'|B'>, R2 = <B|1/r^2|B>, R1 = <B|1/r|B>, W_Z = <B|f_Z/r|B>
-and f_Z = model.screening_factor. No channel integrates anything. The
-grid-only bands S, T, R2 and R1 are fields of the workspace, built with it
-(bsplines.Workspace). Each W_Z is built on first use from the workspace's
-spline values and shared read-only, held in one record per workspace
-(``_BANDS``, weakly keyed) that maps each Z used so far to its W_Z
-(``_screening_band``). The record does not refer back to its workspace,
-so it is freed with it; bsplines.build_workspace is the only bounded memo.
+and f_Z = model.screening_factor. No channel integrates anything: every
+band is built and held by the workspace (bsplines.Workspace), the grid-only
+S, T, R2 and R1 with it and each W_Z on first use (Workspace.screening_band),
+so this module keeps no state.
 
 One band sum (``_channel_pair``) serves any workspace. ``assemble`` runs it
-on the channel's workspace; the seed pair (``_seed_pair``) is the channel's
-band sum on the seed workspace (bsplines.Workspace.seed), the channel on
-every fourth breakpoint, and seeds the eigensolver at a fraction of the
-cost of seeding on the pair itself.
+on the channel's workspace; the seed pair, the same band sum on the seed
+workspace (bsplines.Workspace.seed), the channel on every fourth
+breakpoint, seeds the eigensolver at a fraction of the cost of seeding on
+the pair itself (spectra._seeds). It calls ``_channel_pair`` directly, so
+a channel solve calls ``assemble`` once.
 
 Every band is in LAPACK's general band layout, both triangles written
 (bsplines._band_sum), so every LU, band product and inertia count of the
@@ -34,14 +32,13 @@ this layout.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bsplines import Workspace, _band_sum, _gram, _shared
-from .model import AtomSpec, Pseudopotential, potential_terms, screening_factor
+from .bsplines import Workspace
+from .model import AtomSpec, Pseudopotential, potential_terms
 
 __all__ = [
     "OperatorPair",
@@ -83,23 +80,6 @@ class OperatorPair:
         return self.s_band.shape[1]
 
 
-#: The screening bands of each live workspace, {Z: W_Z}, dropped with it.
-_BANDS: weakref.WeakKeyDictionary[Workspace, dict[int, np.ndarray]] = weakref.WeakKeyDictionary()
-
-
-def _screening_band(ws: Workspace, z: int) -> np.ndarray:
-    """W_z = <B|f_z(r)/r|B> with f_z = model.screening_factor, built on the
-    first call for ``ws`` and z and held in the record of ``ws`` in
-    ``_BANDS``; the workspace hashes by identity."""
-    screening = _BANDS.setdefault(ws, {})
-    band = screening.get(z)
-    if band is None:
-        w, r = ws.quad.weights, ws.quad.nodes
-        local = _gram(w * screening_factor(r, z) / r, ws.values)
-        band = screening[z] = _shared(_band_sum(local, ws.basis.n_active))
-    return band
-
-
 def _channel_pair(ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential) -> OperatorPair:
     """The channel's H = T + l(l+1)/2 R2 - q R1 + a W_Z, summed from the
     bands of ``ws``, with the shared S of ``ws``."""
@@ -107,7 +87,7 @@ def _channel_pair(ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential)
     centrifugal = 0.5 * l * (l + 1)
     h_band = ws.t_band - charge * ws.r1_band
     if screening:
-        h_band += screening * _screening_band(ws, atom.Z)
+        h_band += screening * ws.screening_band(atom.Z)
     if centrifugal:
         h_band += centrifugal * ws.r2_band
     return OperatorPair(h_band=h_band, s_band=ws.s_band)
@@ -119,18 +99,11 @@ def assemble(
     """Assemble the banded (H, S) pair for one angular-momentum channel.
 
     H = T + l(l+1)/2 R2 - q R1 + a W_Z: a sum of the workspace's bands
-    and its memoised W_Z (module docstring); S is shared (read-only).
+    (module docstring); S is shared (read-only).
     """
     if l < 0:
         raise ValueError("l must be non-negative")
     return _channel_pair(ws, atom, l, model)
-
-
-def _seed_pair(ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential) -> OperatorPair:
-    """The channel's band sum on the seed workspace ``ws.seed``. Its
-    eigenvalues are upper bounds of those of the channel's pair on ``ws``
-    (Courant-Fischer) and seed its solve (eigensolve, step 1)."""
-    return _channel_pair(ws.seed, atom, l, model)
 
 
 def general_matvec(rows: np.ndarray, x: np.ndarray) -> np.ndarray:

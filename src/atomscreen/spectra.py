@@ -9,17 +9,15 @@ golden records shipped in ``data/reference_tables_v1.txt``.
 Each channel solve assembles the channel, seeds it (eigensolve, step 1) by
 ``_seeds`` and solves it. Nothing is memoised per channel. A solve reads
 one workspace per grid value (bsplines.build_workspace, the only bounded
-memo), which keeps its seed workspace (Workspace.seed). Each workspace is
-built with its spline values and grid bands S, T, R2 and R1 and keeps no
-derivative table; its screening band per Z (operators._screening_band) is
-built on first use and freed with it. The
+memo), which keeps its seed workspace (Workspace.seed) and every band of
+its grid (Workspace.screening_band builds each W_Z on first use). The
 Coulomb/screened split comes from the channel's model.potential_terms.
 A channel with no screening term (every symmetry-model and bare channel,
 and the central model for one electron) is a pure Coulomb channel,
 V = -q/r, and takes its closed-form levels -q^2 / (2 nu^2). A screened
 channel takes the dsbgvx eigenvalues of its seed pair, the channel's band
-sum on the seed workspace (operators._seed_pair). The eigensolver
-certifies the k lowest levels whatever the seeds' source, and redoes the
+sum on the seed workspace (operators._channel_pair on ws.seed). The
+eigensolver certifies the k lowest levels whatever the seeds' source, and redoes the
 solve from seeds of the full pencil if they fail.
 
 Sign conventions follow the golden tables: ionization potentials and helium
@@ -48,7 +46,7 @@ from .model import (
     hydrogenic_energy,
     potential_terms,
 )
-from .operators import _seed_pair, assemble
+from .operators import _channel_pair, assemble
 
 __all__ = [
     "LabeledState",
@@ -158,7 +156,7 @@ def _seeds(
     if not screening:
         levels = range(l + 1, l + count + 2)
         return np.array([hydrogenic_energy(charge, nu) for nu in levels])
-    seed = _seed_pair(ws, atom, l, model)
+    seed = _channel_pair(ws.seed, atom, l, model)
     if seed.dimension <= count:
         return None
     try:

@@ -7,6 +7,7 @@ import pytest
 from atomscreen.bsplines import (
     GridSpec,
     PAPER_GRID,
+    _workspace,
     build_workspace,
     design_tables,
     eval_bspline,
@@ -303,9 +304,12 @@ class TestSeedWorkspace:
 
 
 def _reachable_nbytes(obj):
-    """Bytes of every ndarray reachable from the dataclass fields of obj."""
+    """Bytes of every ndarray reachable from the dataclass fields of obj,
+    through dicts too."""
     if isinstance(obj, np.ndarray):
         return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(_reachable_nbytes(value) for value in obj.values())
     if dataclasses.is_dataclass(obj):
         return sum(_reachable_nbytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
     return 0
@@ -313,19 +317,26 @@ def _reachable_nbytes(obj):
 
 class TestWorkspaceHoldings:
     """A workspace and its seed keep the spline values and the grid bands,
-    and no derivative table."""
+    each W_Z built so far among them, and no derivative table."""
 
     @pytest.mark.parametrize("grid", [
         PAPER_GRID,
         GridSpec(n_splines=23, order_k=3, r_max=10.0, knot_kind="linear", nodes_per_interval=4),
     ], ids=["paper", "linear-k3"])
     def test_holds_no_derivative_table(self, grid):
-        ws = build_workspace(grid)
+        cached = build_workspace(grid)
+        ws = _workspace(cached.basis, cached.quad)  # no W_Z built yet
         for space in (ws, ws.seed):
-            bands = (space.s_band, space.t_band, space.r2_band, space.r1_band)
-            kept = (space.values, *bands, space.basis.knots, space.basis.breakpoints,
+            kept = (space.values, space.s_band, space.t_band, space.r2_band, space.r1_band,
+                    space.basis.knots, space.basis.breakpoints,
                     space.quad.nodes, space.quad.weights)
-            assert _reachable_nbytes(space) == sum(array.nbytes for array in kept)
+            held = sum(array.nbytes for array in kept)
+            assert _reachable_nbytes(space) == held
+            held += space.screening_band(3).nbytes
+            assert _reachable_nbytes(space) == held
+            held += space.screening_band(11).nbytes
+            space.screening_band(3)  # built once, then kept
+            assert _reachable_nbytes(space) == held
             assert not space.values.flags.writeable
             with pytest.raises(ValueError):
                 space.values[0, 0, 0] = 1.0

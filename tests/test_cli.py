@@ -246,6 +246,36 @@ class TestConvergeCommand:
                           tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--sweep-splines", "400,600", "--splines", "5000"],
+        ["--sweep-splines", "400,600", "--splines", "10"],
+        ["--sweep-nodes", "10,20", "--quad-nodes", "30"],
+    ], ids=["splines-5000", "splines-10", "quad-nodes"])
+    def test_flag_of_the_swept_option_is_usage_error(self, args, capsys, monkeypatch):
+        def no_grid(*_):
+            raise AssertionError("the refusal must come before any grid is built")
+
+        monkeypatch.setattr(cli, "build_workspace", no_grid)
+        assert main(["converge", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"drop {args[2]}" in captured.err
+
+    @pytest.mark.parametrize(("key", "args"), [
+        ("splines = 10", ["--sweep-splines", "60,80", "--order", "6", "--rmax", "60"]),
+        ("quad-nodes = 3", ["--sweep-nodes", "10,20", "--splines", "80", "--order", "6",
+                            "--rmax", "60"]),
+    ], ids=["splines", "quad-nodes"])
+    def test_config_value_of_the_swept_option_is_replaced(self, key, args, tmp_path, capsys):
+        # one file serves every command, so its value is a default the sweep
+        # replaces, even one no grid of this sweep could take
+        config = tmp_path / "run.conf"
+        config.write_text(key + "\n", encoding="utf-8")
+        assert main(["converge", *args, "--format", "csv"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["converge", *args, "--format", "csv", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestConfigFile:
     def test_file_values_apply_and_flags_win(self, tmp_path):

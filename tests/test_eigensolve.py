@@ -26,7 +26,7 @@ from atomscreen.model import (
     effective_charge,
     hydrogenic_energy,
 )
-from atomscreen.operators import OperatorPair, _seed_pair, assemble, general_matvec
+from atomscreen.operators import OperatorPair, _channel_pair, assemble, general_matvec
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -227,7 +227,7 @@ class TestBandedPath:
         ws = build_workspace(PAPER_GRID)
         sodium, model = catalog_atom("Na"), Pseudopotential.CENTRAL_SCREENING
         pair = assemble(ws, sodium, 1, model)
-        seeds = eigensolve._sturm_seeds(_seed_pair(ws, sodium, 1, model), k + 1)
+        seeds = eigensolve._sturm_seeds(_channel_pair(ws.seed, sodium, 1, model), k + 1)
         products, multiply = [], operators.general_matvec
 
         def counting(rows, x):
@@ -253,7 +253,7 @@ class TestBandedPath:
         ws = build_workspace(PAPER_GRID)
         atom = catalog_atom(name)
         pair = assemble(ws, atom, l, model)
-        coarse = _seed_pair(ws, atom, l, model)
+        coarse = _channel_pair(ws.seed, atom, l, model)
         solution = solve_lowest(pair, k, seeds=eigensolve._sturm_seeds(coarse, k + 1))
         vectors = solution.vectors.T.astype(np.longdouble)
         hc = general_matvec(pair.h_band.astype(np.longdouble), vectors)
@@ -415,7 +415,7 @@ class TestCoarseSeeds:
         model = Pseudopotential.BARE_COULOMB
         ws = build_workspace(PAPER_GRID)
         pair = assemble(ws, HYDROGEN, 0, model)
-        coarse = _seed_pair(ws, seed_atom, seed_l, model)
+        coarse = _channel_pair(ws.seed, seed_atom, seed_l, model)
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
         seeded = solve_lowest(pair, 3, seeds=eigensolve._sturm_seeds(coarse, 4))
@@ -433,7 +433,7 @@ class TestCoarseSeeds:
         ws = build_workspace(PAPER_GRID)
         atom = catalog_atom(name)
         pair = assemble(ws, atom, l, model)
-        coarse = _seed_pair(ws, atom, l, model)
+        coarse = _channel_pair(ws.seed, atom, l, model)
         seeding = CountingSeeds(eigensolve._sturm_seeds)
         factoring = _CountingLapack(eigensolve.lapack)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", seeding)

@@ -24,10 +24,11 @@ from atomscreen.model import (
     catalog_atom,
     effective_charge,
     hydrogenic_energy,
+    potential_terms,
     potential_value,
 )
-from atomscreen import operators
-from atomscreen.operators import _seed_pair, assemble, general_matvec
+from atomscreen import operators, spectra
+from atomscreen.operators import _channel_pair, assemble, general_matvec
 from atomscreen.spectra import solve_channel
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
@@ -264,9 +265,9 @@ class TestSharedGridBands:
         assert space(coarse_ws) is ws
         pair = operators._channel_pair(ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
         assert pair.s_band is ws.s_band
-        screening = operators._screening_band(ws, 3)
-        assert operators._screening_band(ws, 3) is screening
-        assert operators._screening_band(ws, 4) is not screening
+        screening = ws.screening_band(3)
+        assert ws.screening_band(3) is screening
+        assert ws.screening_band(4) is not screening
         for band in (ws.s_band, ws.t_band, ws.r2_band, ws.r1_band, screening):
             assert band.shape == ws.s_band.shape
             with pytest.raises(ValueError):
@@ -309,9 +310,9 @@ class TestBandOwnership:
         solve_channel(lithium, model, 0, 1, grid)
         ws = build_workspace(grid)
         refs = [weakref.ref(space) for space in (ws, ws.seed)]
-        # the W_Z of each is held only by its workspace's record in _BANDS
-        assert all(lithium.Z in operators._BANDS[space] for space in (ws, ws.seed))
-        refs += [weakref.ref(operators._BANDS[space][lithium.Z]) for space in (ws, ws.seed)]
+        # the solve built the W_Z of each, held only by its workspace
+        assert all(list(space._screening_bands) == [lithium.Z] for space in (ws, ws.seed))
+        refs += [weakref.ref(space.screening_band(lithium.Z)) for space in (ws, ws.seed)]
         refs += [weakref.ref(space.t_band) for space in (ws, ws.seed)]
         for n_splines in range(91, 107):  # 16 more grids evict it from the cache
             build_workspace(GridSpec(n_splines=n_splines, order_k=5, r_max=38.0,
@@ -390,7 +391,7 @@ class TestSeedPair:
                                (catalog_atom("Li"), 0, Pseudopotential.CENTRAL_SCREENING),
                                (catalog_atom("Mg"), 1, Pseudopotential.CENTRAL_SCREENING)):
             pair = assemble(ws, atom, l, model)
-            seed = _seed_pair(ws, atom, l, model)
+            seed = _channel_pair(ws.seed, atom, l, model)
             for band, full in ((seed.h_band, pair.h_band), (seed.s_band, pair.s_band)):
                 reference = p.T @ band_to_dense(full) @ p
                 # splines of order k on the seed knots couple only bw neighbours
@@ -403,7 +404,7 @@ class TestSeedPair:
         ws = request.getfixturevalue(ws_name)
         lithium, model = catalog_atom("Li"), Pseudopotential.CENTRAL_SCREENING
         pair = assemble(ws, lithium, 1, model)
-        seed = _seed_pair(ws, lithium, 1, model)
+        seed = _channel_pair(ws.seed, lithium, 1, model)
         full = sla.eigh(band_to_dense(pair.h_band), band_to_dense(pair.s_band), eigvals_only=True)
         coarse = sla.eigh(band_to_dense(seed.h_band), band_to_dense(seed.s_band),
                           eigvals_only=True)
@@ -413,21 +414,33 @@ class TestSeedPair:
         assert np.all(coarse[:levels] >= full[:levels] - 1e-12)
 
     def test_is_the_channel_pair_on_the_seed_workspace_without_an_assemble_call(
-        self, coarse_ws, monkeypatch
+        self, monkeypatch
     ):
+        # a screened solve_channel calls assemble exactly once
         lithium, model = catalog_atom("Li"), Pseudopotential.CENTRAL_SCREENING
-        expected = assemble(coarse_ws.seed, lithium, 1, model)
-        calls = []
-        monkeypatch.setattr(operators, "assemble", lambda *args: calls.append(args))
-        seed = _seed_pair(coarse_ws, lithium, 1, model)
-        # the public assemble is counted once per channel; the seed pair adds none
-        assert calls == []
-        np.testing.assert_array_equal(seed.h_band, expected.h_band)
-        assert seed.s_band is expected.s_band
+        grid = GridSpec(n_splines=40, order_k=5, r_max=30.0, r_first=1e-3,
+                        nodes_per_interval=10)
+        assert potential_terms(model, lithium, 1)[1] != 0.0
+        expected = solve_channel(lithium, model, 1, 3, grid)
+        ws, assemble_calls, band_sums = build_workspace(grid), [], []
+
+        def counted(fn, calls):
+            return lambda *args: calls.append(args[0]) or fn(*args)
+
+        # at every name the package looks the two up by
+        for module in (operators, spectra):
+            for name, fn, calls in (("assemble", assemble, assemble_calls),
+                                    ("_channel_pair", _channel_pair, band_sums)):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted(fn, calls))
+        assert solve_channel(lithium, model, 1, 3, grid) == expected
+        # one assemble on the workspace; the seed pair sums the bands of its seed
+        assert assemble_calls == [ws]
+        assert band_sums == [ws, ws.seed]
 
     def test_seed_overlap_is_shared_and_read_only(self, coarse_ws):
         first, second = (
-            _seed_pair(coarse_ws, HYDROGEN, l, Pseudopotential.BARE_COULOMB)
+            _channel_pair(coarse_ws.seed, HYDROGEN, l, Pseudopotential.BARE_COULOMB)
             for l in (0, 1)
         )
         assert second.s_band is first.s_band

@@ -15,7 +15,7 @@ from atomscreen.model import (
     hydrogenic_energy,
     potential_terms,
 )
-from atomscreen.operators import _seed_pair, assemble
+from atomscreen.operators import _channel_pair, assemble
 from atomscreen.spectra import (
     HELIUM_TABLE_STATES,
     LITHIUM_TABLE_STATES,
@@ -176,7 +176,7 @@ class TestClosedFormSeeds:
         charge = potential_terms(model, atom, l)[0]
         assert list(closed) == [hydrogenic_energy(charge, nu) for nu in range(l + 1, l + k + 2)]
         seeded = solve_lowest(pair, k, seeds=closed).eigenvalues
-        coarse = eigensolve._sturm_seeds(_seed_pair(ws, atom, l, model), k + 1)
+        coarse = eigensolve._sturm_seeds(_channel_pair(ws.seed, atom, l, model), k + 1)
         assert np.max(np.abs(seeded - solve_lowest(pair, k, seeds=coarse).eigenvalues)) <= 1e-13
 
     def test_box_states_redo_from_fine_seeds(self, monkeypatch):
