@@ -473,10 +473,6 @@ def _workspace(basis: KnotBasis, quad: QuadratureRule) -> Workspace:
 def build_workspace(grid: GridSpec, /) -> Workspace:
     """The basis, quadrature, spline values and grid bands of a grid: one
     workspace per grid value."""
-    # n Gauss-Legendre nodes integrate the degree-2(k-1) spline products
-    # exactly only from n >= k; fewer break the variational bound.
-    if grid.nodes_per_interval < grid.order_k:
-        raise ValueError("nodes_per_interval must be >= order_k")
     basis = make_knots(
         r_max=grid.r_max,
         n_splines=grid.n_splines,
@@ -484,4 +480,8 @@ def build_workspace(grid: GridSpec, /) -> Workspace:
         kind=grid.knot_kind,
         r_first=grid.r_first,
     )
+    # n Gauss-Legendre nodes integrate the degree-2(k-1) spline products
+    # exactly only from n >= k; fewer break the variational bound.
+    if grid.nodes_per_interval < grid.order_k:
+        raise ValueError("nodes_per_interval must be >= order_k")
     return _workspace(basis, make_quadrature(basis, grid.nodes_per_interval))

@@ -8,20 +8,22 @@ precedence is flag > config file > default. The config file is line-oriented
 ``key = value`` with ``#`` comments; its keys are the names of the options
 in ``_OPTIONS``, with ``-`` or ``_`` between words. Every key is validated,
 then the keys for other commands are skipped, so one file serves them all.
-Each command declares its output columns once for one column-driven renderer.
+A grid is checked when a command first builds it (``converge`` builds only
+the grids it sweeps); a grid the builder refuses is a usage error whose
+message names the ``GridSpec`` field. Each command declares its output
+columns once for one column-driven renderer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .bsplines import PAPER_GRID, GridSpec, _ORDER_RANGE, build_workspace
+from .bsplines import PAPER_GRID, GridSpec, build_workspace
 from .eigensolve import EigensolverError
 from .model import (
     AtomSpec,
@@ -169,27 +171,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             merged.pop(field, None)
     grid_values = {o.grid_field: merged.pop(f)
                    for f, o in _OPTIONS.items() if o.grid_field is not None and f in merged}
-    return RunConfig(grid=_checked_grid(replace(PAPER_GRID, **grid_values)), **merged)
+    return RunConfig(grid=replace(PAPER_GRID, **grid_values), **merged)
 
 
 def _checked_grid(grid: GridSpec) -> GridSpec:
-    """Reject a grid the solver cannot build, as a usage error."""
-    if grid.n_splines <= 2 * grid.order_k:
-        raise ConfigError("splines must exceed 2 * order")
-    if not grid.r_max > 0:  # also refuses NaN
-        raise ConfigError("rmax must be positive")
-    if not math.isfinite(grid.r_max):
-        raise ConfigError("rmax must be finite")
-    if grid.knot_kind == "exp-linear" and not 0 < grid.r_first < grid.r_max:
-        raise ConfigError("rfirst must lie in (0, rmax)")
-    if grid.nodes_per_interval < 1:
-        raise ConfigError("quad-nodes must be >= 1")
-    # ahead of build_workspace's own refusal, so that the error names the flag
-    if grid.nodes_per_interval < grid.order_k:
-        raise ConfigError("quad-nodes must be >= order")
-    low, high = _ORDER_RANGE
-    if not low <= grid.order_k <= high:
-        raise ConfigError(f"order must lie in [{low}, {high}]")
+    """Build ``grid``, the one check of the grid rules (bsplines); a grid the
+    builder refuses is a usage error."""
     try:
         build_workspace(grid)
     except ValueError as exc:
@@ -306,6 +293,7 @@ _TABLE_TEXT_COLUMNS = [
 
 def run_table(command: str, config: RunConfig) -> tuple[int, str]:
     """Compute both model columns of one table and compare against golden."""
+    _checked_grid(config.grid)
     table_id, label_key, title, build = _TABLE_BUILDERS[command]
     rows_a = build(Pseudopotential.SYMMETRY_DEPENDENT, config)
     rows_b = build(Pseudopotential.CENTRAL_SCREENING, config)
@@ -390,6 +378,7 @@ def _refuse_box_states(what: str, k: int, atom: AtomSpec, model: Pseudopotential
 
 
 def run_solve(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]:
+    _checked_grid(config.grid)
     if args.Z < 1 or args.n_electrons < 1 or args.l < 0:
         raise ConfigError("solve requires Z >= 1, n_electrons >= 1, l >= 0")
     if args.kstates < 1:

@@ -13,11 +13,12 @@ long-double copy of both bands.
    eigenvalues of the seed pair, the channel's band sum on the seed
    workspace (Workspace.seed), the splines of every fourth breakpoint
    (operators._channel_pair on ws.seed), whose band reduction costs
-   O(n_c^2 bw) instead of the O(n^2 bw) of one on (H, S). Without them, or if they fail below,
-   LAPACK ``dsbgvx`` (split-Cholesky band reduction, reduction to
-   tridiagonal form, bisection) gives the k + 1 lowest eigenvalues of
-   (H, S) itself; they carry the reduction's absolute error, which grows
-   with the spectral range: ~1e-6 hartree on the paper grid.
+   O(n_c^2 bw) instead of the O(n^2 bw) of one on (H, S). Without them,
+   or if they fail below, LAPACK ``dsbgvx`` (split-Cholesky band
+   reduction, reduction to tridiagonal form, bisection) gives the k + 1
+   lowest eigenvalues of (H, S) itself; they carry the reduction's
+   absolute error, which grows with the spectral range: ~1e-6 hartree on
+   the paper grid.
 2. Vectors. Inverse iteration per seed at the fixed shift sigma = seed,
    on H - sigma S LU-factored once per seed in general band storage, from
    the all-ones vector, whose S-product is formed once for every seed.

@@ -17,8 +17,8 @@ and the central model for one electron) is a pure Coulomb channel,
 V = -q/r, and takes its closed-form levels -q^2 / (2 nu^2). A screened
 channel takes the dsbgvx eigenvalues of its seed pair, the channel's band
 sum on the seed workspace (operators._channel_pair on ws.seed). The
-eigensolver certifies the k lowest levels whatever the seeds' source, and redoes the
-solve from seeds of the full pencil if they fail.
+eigensolver certifies the k lowest levels whatever the seeds' source, and
+redoes the solve from seeds of the full pencil if they fail.
 
 Sign conventions follow the golden tables: ionization potentials and helium
 binding energies are positive magnitudes, lithium excited eigenvalues are

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from atomscreen import cli
+from atomscreen import bsplines, cli
 from atomscreen.bsplines import PAPER_GRID, GridSpec
 from atomscreen.cli import (
     _OPTIONS,
@@ -246,6 +246,25 @@ class TestConvergeCommand:
                           tmp_path)
         assert code == 2
 
+    def test_sweep_ignores_the_unswept_grid(self, capsys):
+        # the 600-spline grid of these options is degenerate; the swept ones are not
+        assert main(["converge", "--sweep-splines", "40,50", "--rfirst", "0.2", "--rmax", "60",
+                     "--order", "4", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [row.split(",")[0] for row in rows] == ["40", "50"]
+
+    def test_sweep_builds_only_the_swept_grids(self, capsys, monkeypatch):
+        built, workspace = [], bsplines._workspace
+
+        def recording(basis, quad):
+            built.append(basis.n_splines)
+            return workspace(basis, quad)
+
+        monkeypatch.setattr(bsplines, "_workspace", recording)
+        bsplines.build_workspace.cache_clear()
+        assert main(["converge", "--sweep-splines", "60,80", "--order", "6", "--rmax", "60"]) == 0
+        assert built == [60, 80]
+
     @pytest.mark.parametrize("args", [
         ["--sweep-splines", "400,600", "--splines", "5000"],
         ["--sweep-splines", "400,600", "--splines", "10"],
@@ -364,21 +383,32 @@ class TestGridConfig:
             units="codata", model="bare", format="json", out="rows.json", mg_mn=2,
         )
 
+    def test_resolving_builds_no_grid(self, monkeypatch):
+        def no_grid(*_):
+            raise AssertionError("a grid is built by the command that solves on it")
+
+        monkeypatch.setattr(cli, "build_workspace", no_grid)
+        args = build_parser().parse_args(
+            ["table1", "--splines", "80", "--order", "6", "--rmax", "60"])
+        assert resolve_config(args).grid == GridSpec(n_splines=80, order_k=6, r_max=60.0)
+
     def test_paper_grid_passes_the_checks(self):
         assert _checked_grid(PAPER_GRID) is PAPER_GRID
 
     @pytest.mark.parametrize(("change", "message"), [
-        ({"n_splines": 20}, "splines must exceed 2 * order"),
-        ({"r_max": 0.0, "knot_kind": "linear"}, "rmax must be positive"),
-        ({"r_max": float("nan")}, "rmax must be positive"),
-        ({"r_max": float("inf")}, "rmax must be finite"),
-        ({"r_first": 200.0}, "rfirst must lie in (0, rmax)"),
-        ({"nodes_per_interval": 0}, "quad-nodes must be >= 1"),
-        ({"nodes_per_interval": 9}, "quad-nodes must be >= order"),
-        ({"order_k": 1}, "order must lie in [2, 15]"),
+        ({"n_splines": 20}, "n_splines must exceed 2 * order_k"),
+        ({"r_max": 0.0, "knot_kind": "linear"}, "r_max must be positive"),
+        ({"r_max": float("nan")}, "r_max must be finite"),
+        ({"r_max": float("inf")}, "r_max must be finite"),
+        ({"r_first": 200.0}, "r_first must lie in (0, r_max)"),
+        ({"nodes_per_interval": 0}, "nodes_per_interval must be >= order_k"),
+        ({"nodes_per_interval": 9}, "nodes_per_interval must be >= order_k"),
+        ({"order_k": 1}, "order_k must lie in [2, 15]"),
+        ({"order_k": 25}, "order_k must lie in [2, 15]"),
     ], ids=["splines", "rmax", "rmax-nan", "rmax-inf", "rfirst", "quad-nodes",
-            "quad-nodes-below-order", "order"])
+            "quad-nodes-below-order", "order", "order-past-the-nodes"])
     def test_bad_grid_is_config_error(self, change, message):
+        # the builder's own message, which names the GridSpec field
         with pytest.raises(ConfigError) as info:
             _checked_grid(replace(PAPER_GRID, **change))
         assert str(info.value) == message

@@ -21,8 +21,9 @@ def test_export_list_resolves(name):
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                            env=env, cwd=ROOT)
+    # pyproject's filterwarnings does not reach a subprocess
+    result = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True,
+                            text=True, env=env, cwd=ROOT)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
 
