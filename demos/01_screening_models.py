@@ -7,7 +7,6 @@ differ along the radial axis.
 
 from atomscreen import (
     Pseudopotential,
-    SymmetryChannel,
     atom_catalog,
     catalog_atom,
     effective_charge,
@@ -23,7 +22,7 @@ def show_partition_fractions():
     print("(s channels always share equally: alpha = 1/2)\n")
     print("  n \\ l      0         1         2         3")
     for n in (2, 3, 5, 10):
-        row = [partition_alpha(SymmetryChannel(l, n)) for l in range(4)]
+        row = [partition_alpha(l, n) for l in range(4)]
         print(f"  {n:<6}" + "".join(f"  {a:8.6f}" for a in row))
 
 

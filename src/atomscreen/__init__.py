@@ -32,7 +32,6 @@ from .model import (
     ModelDomainError,
     PAPER_UNITS,
     Pseudopotential,
-    SymmetryChannel,
     UnitSystem,
     atom_catalog,
     catalog_atom,

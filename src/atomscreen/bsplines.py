@@ -41,7 +41,6 @@ __all__ = [
     "PAPER_GRID",
     "KnotBasis",
     "QuadratureRule",
-    "DesignTables",
     "Workspace",
     "make_knots",
     "eval_bspline",
@@ -79,18 +78,31 @@ PAPER_GRID = GridSpec()
 
 @dataclass(frozen=True, eq=False)
 class KnotBasis:
-    """Clamped B-spline basis on [0, r_max].
+    """Clamped order-k B-spline basis on its ``breakpoints``.
 
-    ``breakpoints`` are the distinct radii (first 0, last r_max);
-    ``knots`` repeat both endpoints order_k times. Active basis functions
-    are indices 1 .. n_splines - 2 (boundary splines trimmed).
+    ``breakpoints`` are the distinct radii, strictly increasing from 0 to
+    r_max; they and ``order_k`` fix the rest. ``knots`` repeat both
+    endpoints order_k times, which gives len(breakpoints) + order_k - 2
+    splines. Active basis functions are indices 1 .. n_splines - 2
+    (boundary splines trimmed).
     """
 
     order_k: int
-    n_splines: int
-    r_max: float
     breakpoints: np.ndarray
-    knots: np.ndarray
+    knots: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        k, bp = self.order_k, self.breakpoints
+        knots = np.concatenate([np.zeros(k - 1), bp, np.full(k - 1, bp[-1])])
+        object.__setattr__(self, "knots", knots)
+
+    @property
+    def n_splines(self) -> int:
+        return len(self.breakpoints) + self.order_k - 2
+
+    @property
+    def r_max(self) -> float:
+        return float(self.breakpoints[-1])
 
     @property
     def n_intervals(self) -> int:
@@ -111,18 +123,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class DesignTables:
-    """Nonzero spline values/derivatives at every quadrature node.
-
-    ``values[iv, q, a]`` is spline ``iv + a`` evaluated at node q of
-    interval iv (only order_k splines are nonzero per interval).
-    """
-
-    values: np.ndarray
-    derivs: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +173,7 @@ class Workspace:
         basis, quad = self.basis, self.quad
         n_intervals = basis.n_intervals
         kept = np.append(np.arange(0, n_intervals, _SEED_STRIDE), n_intervals)
-        seed = _clamped_basis(basis.breakpoints[kept], basis.order_k, basis.r_max)
+        seed = KnotBasis(basis.order_k, basis.breakpoints[kept])
         pad = -n_intervals % _SEED_STRIDE
         nodes = np.concatenate([quad.nodes, np.repeat(quad.nodes[-1:], pad, axis=0)])
         weights = np.concatenate([quad.weights, np.zeros((pad, quad.weights.shape[1]))])
@@ -272,25 +272,7 @@ def make_knots(
         raise ValueError(f"unknown knot kind: {kind!r}")
     if not np.all(np.diff(breakpoints) > 0):
         raise ValueError("degenerate grid: breakpoints are not strictly increasing")
-    return _clamped_basis(breakpoints, order_k, r_max)
-
-
-def _clamped_basis(breakpoints: np.ndarray, order_k: int, r_max: float) -> KnotBasis:
-    """The order-k basis on ``breakpoints``, both ends repeated k times."""
-    knots = np.concatenate(
-        [
-            np.zeros(order_k - 1),
-            breakpoints,
-            np.full(order_k - 1, r_max),
-        ]
-    )
-    return KnotBasis(
-        order_k=order_k,
-        n_splines=len(breakpoints) + order_k - 2,
-        r_max=r_max,
-        breakpoints=breakpoints,
-        knots=knots,
-    )
+    return KnotBasis(order_k, breakpoints)
 
 
 def _values_and_derivs(
@@ -400,14 +382,19 @@ def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def design_tables(basis: KnotBasis, quad: QuadratureRule) -> DesignTables:
-    """Tabulate the nonzero splines and derivatives at all quadrature nodes."""
+def design_tables(basis: KnotBasis, quad: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero splines and their derivatives at every quadrature node,
+    as ``(values, derivs)``.
+
+    ``values[iv, q, a]`` is spline ``iv + a`` evaluated at node q of
+    interval iv (only order_k splines are nonzero per interval); ``derivs``
+    holds the first derivatives in the same layout.
+    """
     if quad.nodes.shape[0] != basis.n_intervals:
         raise ValueError("quadrature rule does not match the basis intervals")
     k = basis.order_k
     spans = k - 1 + np.arange(basis.n_intervals)
-    values, derivs = _values_and_derivs(basis.knots, k, spans, quad.nodes)
-    return DesignTables(values=values, derivs=derivs)
+    return _values_and_derivs(basis.knots, k, spans, quad.nodes)
 
 
 def _band_sum(local: np.ndarray, dim: int) -> np.ndarray:
@@ -452,12 +439,11 @@ def _grid_band(weights: np.ndarray, table: np.ndarray, dim: int) -> np.ndarray:
 def _workspace(basis: KnotBasis, quad: QuadratureRule) -> Workspace:
     """The workspace of ``basis`` and ``quad``: its design tables, of which
     the derivatives are read for T and then dropped, and its grid bands."""
-    tables = design_tables(basis, quad)
+    values, derivs = design_tables(basis, quad)
     n, w, r = basis.n_active, quad.weights, quad.nodes
-    t_band = _grid_band(0.5 * w, tables.derivs, n)
-    values = tables.values
+    t_band = _grid_band(0.5 * w, derivs, n)
+    del derivs
     values.setflags(write=False)
-    del tables
     return Workspace(
         basis=basis,
         quad=quad,

@@ -31,7 +31,6 @@ from .model import (
     ModelDomainError,
     PAPER_UNITS,
     Pseudopotential,
-    SymmetryChannel,
     UnitSystem,
     atom_catalog,
     catalog_atom,
@@ -154,7 +153,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config-file values and flags (flags win). File keys
     that do not act on ``args.command`` are skipped once validated. A swept
     option is refused as a flag; its file value is a default the sweep
-    replaces, so it is dropped."""
+    replaces, so it is dropped. An empty output path is refused."""
     merged: dict[str, object] = {}
     if args.config is not None:
         merged.update((field, value) for field, value in parse_config_file(args.config).items()
@@ -169,6 +168,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"--{sweep.replace('_', '-')} sets {field}; drop"
                                   f" --{field.replace('_', '-')}")
             merged.pop(field, None)
+    if merged.get("out") == "":
+        raise ConfigError("out must name a file; omit it to write to stdout")
     grid_values = {o.grid_field: merged.pop(f)
                    for f, o in _OPTIONS.items() if o.grid_field is not None and f in merged}
     return RunConfig(grid=replace(PAPER_GRID, **grid_values), **merged)
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, config: RunConfig) -> None:
-    if config.out:
+    if config.out is not None:
         Path(config.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -401,7 +402,7 @@ def run_solve(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]:
         "catalog_atom": atom.name if in_catalog else None,
     }
     if model is Pseudopotential.SYMMETRY_DEPENDENT and args.n_electrons >= 2:
-        meta["alpha"] = partition_alpha(SymmetryChannel(args.l, args.n_electrons))
+        meta["alpha"] = partition_alpha(args.l, args.n_electrons)
         meta["z_eff"] = effective_charge(args.Z, args.n_electrons, args.l)
     rows = [
         {

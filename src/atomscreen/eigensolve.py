@@ -104,7 +104,8 @@ class DegenerateSpectrumError(EigensolverError):
 
 @dataclass(frozen=True, eq=False)
 class EigenSolution:
-    """Converged lowest eigenpairs, ascending, S-orthonormal vectors.
+    """Converged lowest eigenpairs: ``eigenvalues`` ascending, and column i
+    of ``vectors`` the S-orthonormal vector of eigenvalue i.
 
     ``residual_norms`` are those of the extended-precision iterate (step 4);
     the returned double pairs match them only to one double eps (1.1e-24
@@ -115,7 +116,6 @@ class EigenSolution:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     residual_norms: np.ndarray
-    count: int
 
 
 def _bind_dsbgvx():
@@ -420,7 +420,6 @@ def _refined_pairs(pair: OperatorPair, k_states: int, seeds: np.ndarray) -> Eige
         eigenvalues=eigenvalues,
         vectors=np.ascontiguousarray(vectors.T, dtype=np.float64),
         residual_norms=residuals,
-        count=k_states,
     )
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "PAPER_UNITS",
     "CODATA_UNITS",
     "Pseudopotential",
-    "SymmetryChannel",
     "AtomSpec",
     "partition_alpha",
     "effective_charge",
@@ -74,20 +73,6 @@ class Pseudopotential(Enum):
 
 
 @dataclass(frozen=True)
-class SymmetryChannel:
-    """One angular-momentum channel of an n-electron system."""
-
-    l: int
-    n_electrons: int
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise ValueError("l must be non-negative")
-        if self.n_electrons < 1:
-            raise ValueError("n_electrons must be >= 1")
-
-
-@dataclass(frozen=True)
 class AtomSpec:
     """Static description of one neutral atom.
 
@@ -117,10 +102,11 @@ class AtomSpec:
         return self.m_permutations / self.n_electrons
 
 
-def partition_alpha(channel: SymmetryChannel) -> float:
+def partition_alpha(l: int, n_electrons: int) -> float:
     """Symmetry-dependent fraction of the pair-correlation energy.
 
-    For a channel with angular momentum l in an n-electron system::
+    For the channel of angular momentum l >= 0 in an n-electron system,
+    n >= 2::
 
         alpha = (2*lt_i + 1) / (2*lt_i + 2*lt_j + 2)
         lt_i  = l / (n - 1)
@@ -128,10 +114,11 @@ def partition_alpha(channel: SymmetryChannel) -> float:
 
     Spherically symmetric channels always get exactly 1/2.
     """
-    n = channel.n_electrons
+    if l < 0:
+        raise ValueError("l must be non-negative")
+    n = n_electrons
     if n < 2:
         raise ValueError("partition_alpha requires n_electrons >= 2")
-    l = channel.l
     if l == 0:
         return 0.5
     lt_i = l / (n - 1)
@@ -152,7 +139,7 @@ def effective_charge(z: float, n_electrons: int, l: int) -> float:
         raise ValueError("n_electrons must be >= 1")
     if n_electrons == 1:
         return float(z)
-    alpha = partition_alpha(SymmetryChannel(l=l, n_electrons=n_electrons))
+    alpha = partition_alpha(l, n_electrons)
     screening = np.cbrt((n_electrons - 1) ** 2 * alpha**2 * z)
     z_eff = z - screening
     if z_eff <= 0:

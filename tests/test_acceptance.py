@@ -190,9 +190,10 @@ def test_criterion_6_property_suite():
     ok &= bool(np.all(solution.residual_norms <= 1e-10))
     details.append(f"residuals {solution.residual_norms.max():.2e}")
     gram_dev = 0.0
-    for i in range(solution.count):
+    k = len(solution.eigenvalues)
+    for i in range(k):
         s_ci = general_matvec(pair.s_band, solution.vectors[:, i])
-        for j in range(solution.count):
+        for j in range(k):
             expected = 1.0 if i == j else 0.0
             gram_dev = max(gram_dev, abs(solution.vectors[:, j] @ s_ci - expected))
     ok &= gram_dev <= 1e-10

@@ -6,6 +6,7 @@ import pytest
 
 from atomscreen.bsplines import (
     GridSpec,
+    KnotBasis,
     PAPER_GRID,
     _workspace,
     build_workspace,
@@ -54,6 +55,18 @@ class TestMakeKnots:
         assert np.all(np.diff(knots) >= 0)
         assert np.count_nonzero(knots == 0.0) == 10
         assert np.count_nonzero(knots == 200.0) == 10
+
+    @pytest.mark.parametrize("basis, n_splines, r_max", [
+        ("paper_basis", 600, 200.0), ("small_basis", 23, 10.0),
+    ])
+    def test_order_and_breakpoints_fix_the_basis(self, request, basis, n_splines, r_max):
+        built = request.getfixturevalue(basis)
+        rebuilt = KnotBasis(built.order_k, built.breakpoints)
+        assert np.array_equal(rebuilt.knots, built.knots)
+        assert rebuilt.n_splines == built.n_splines == n_splines
+        assert rebuilt.r_max == built.r_max == r_max
+        assert [f.name for f in dataclasses.fields(KnotBasis) if f.init] == [
+            "order_k", "breakpoints"]
 
     def test_active_range_trims_boundary_splines(self, paper_basis):
         assert list(paper_basis.active_range)[:2] == [1, 2]
@@ -205,22 +218,22 @@ class TestQuadrature:
 class TestDesignTables:
     def test_partition_of_unity_at_nodes(self, paper_basis):
         quad = make_quadrature(paper_basis, 20)
-        tables = design_tables(paper_basis, quad)
-        sums = tables.values.sum(axis=2)
+        values, _ = design_tables(paper_basis, quad)
+        sums = values.sum(axis=2)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
     def test_matches_pointwise_evaluation(self, small_basis):
         quad = make_quadrature(small_basis, 4)
-        tables = design_tables(small_basis, quad)
+        values, derivs = design_tables(small_basis, quad)
         k = small_basis.order_k
         for iv in (0, 7, 20):
             for q in (0, 3):
                 r = quad.nodes[iv, q]
                 for a in range(k):
-                    assert tables.values[iv, q, a] == pytest.approx(
+                    assert values[iv, q, a] == pytest.approx(
                         eval_bspline(small_basis, iv + a, r), abs=1e-14
                     )
-                    assert tables.derivs[iv, q, a] == pytest.approx(
+                    assert derivs[iv, q, a] == pytest.approx(
                         eval_bspline(small_basis, iv + a, r, 1), abs=1e-11
                     )
 
@@ -267,6 +280,7 @@ class TestSeedWorkspace:
         kept = np.append(np.arange(0, fine.n_intervals, 4), fine.n_intervals)
         assert np.array_equal(coarse.breakpoints, fine.breakpoints[kept])
         assert np.all(np.isin(coarse.knots, fine.knots))
+        assert np.array_equal(coarse.knots, KnotBasis(fine.order_k, fine.breakpoints[kept]).knots)
         assert coarse.order_k == fine.order_k and coarse.r_max == fine.r_max
         assert coarse.n_splines == len(coarse.knots) - coarse.order_k
 
@@ -288,8 +302,8 @@ class TestSeedWorkspace:
     def test_tables_match_pointwise_evaluation(self, spaces):
         _, seed = spaces
         basis, k = seed.basis, seed.basis.order_k
-        tables = design_tables(basis, seed.quad)
-        assert np.array_equal(seed.values, tables.values)
+        values, derivs = design_tables(basis, seed.quad)
+        assert np.array_equal(seed.values, values)
         last = seed.quad.nodes.shape[1] - 1
         for iv in range(basis.n_intervals):
             for q in (0, last // 2, last):
@@ -298,7 +312,7 @@ class TestSeedWorkspace:
                     assert seed.values[iv, q, a] == pytest.approx(
                         eval_bspline(basis, iv + a, r), abs=1e-14
                     )
-                    assert tables.derivs[iv, q, a] == pytest.approx(
+                    assert derivs[iv, q, a] == pytest.approx(
                         eval_bspline(basis, iv + a, r, 1), rel=1e-12, abs=1e-11
                     )
 
@@ -385,13 +399,13 @@ class TestVectorisedTables:
     def test_bit_identical_to_per_span_loop(self, kind, order_k):
         basis = make_knots(60.0, 80, order_k, kind, 1e-3)
         quad = make_quadrature(basis, 9)
-        tables = design_tables(basis, quad)
+        values, derivs = design_tables(basis, quad)
         for iv in range(basis.n_intervals):
-            values, derivs = _span_values_and_derivs(
+            span_values, span_derivs = _span_values_and_derivs(
                 basis.knots, order_k, order_k - 1 + iv, quad.nodes[iv]
             )
-            assert np.array_equal(tables.values[iv], values)
-            assert np.array_equal(tables.derivs[iv], derivs)
+            assert np.array_equal(values[iv], span_values)
+            assert np.array_equal(derivs[iv], span_derivs)
 
     # the seed workspace has 80-node intervals (four of 20 regrouped) and a
     # padded last group, as 591 = 4 * 147 + 3
@@ -401,14 +415,14 @@ class TestVectorisedTables:
         if seed:
             ws = ws.seed
         k = ws.basis.order_k
-        tables = design_tables(ws.basis, ws.quad)
-        assert np.array_equal(ws.values, tables.values)
+        values, derivs = design_tables(ws.basis, ws.quad)
+        assert np.array_equal(ws.values, values)
         for iv in range(ws.basis.n_intervals):
-            values, derivs = _span_values_and_derivs(
+            span_values, span_derivs = _span_values_and_derivs(
                 ws.basis.knots, k, k - 1 + iv, ws.quad.nodes[iv]
             )
-            assert np.array_equal(tables.values[iv], values)
-            assert np.array_equal(tables.derivs[iv], derivs)
+            assert np.array_equal(values[iv], span_values)
+            assert np.array_equal(derivs[iv], span_derivs)
 
     def test_legendre_rule_matches_known_three_point_rule(self):
         # unit intervals: nodes 0.5 + 0.5 x and weights 0.5 w on [0, 1]

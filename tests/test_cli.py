@@ -504,6 +504,22 @@ class TestExitContract:
         assert len(rows) == 12
         assert all(float(row.split(",")[1]) < 0 for row in rows)
 
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    def test_empty_output_path_is_usage_error(self, form, tmp_path, capsys, monkeypatch):
+        def no_grid(*_):
+            raise AssertionError("the refusal must come before any grid is built")
+
+        monkeypatch.setattr(cli, "build_workspace", no_grid)
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.conf"
+        config.write_text("out =\n", encoding="utf-8")
+        extra = ["--out", ""] if form == "flag" else ["--config", str(config)]
+        assert main(["table2", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out must name a file" in captured.err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_rfirst_is_ignored_on_linear_knots(self, capsys):
         base = ["solve", "3", "3", "0", "--knots", "linear", "--format", "csv"]
         assert main(base) == 0

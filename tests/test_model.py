@@ -10,7 +10,6 @@ from atomscreen.model import (
     ModelDomainError,
     PAPER_UNITS,
     Pseudopotential,
-    SymmetryChannel,
     UnitSystem,
     atom_catalog,
     catalog_atom,
@@ -27,27 +26,31 @@ from atomscreen.model import (
 class TestPartitionAlpha:
     def test_spherical_channel_is_exactly_half(self):
         for n in (2, 3, 7, 20):
-            assert partition_alpha(SymmetryChannel(0, n)) == 0.5
+            assert partition_alpha(0, n) == 0.5
 
     def test_p_channel_five_electrons(self):
         # lt_i = 1/4, lt_j = 0 -> 1.5/2.5
-        assert partition_alpha(SymmetryChannel(1, 5)) == pytest.approx(0.6, abs=1e-15)
+        assert partition_alpha(1, 5) == pytest.approx(0.6, abs=1e-15)
 
     def test_d_channel_three_electrons(self):
         # lt_i = 1, lt_j = 1/5 -> 3/4.4 = 15/22
-        assert partition_alpha(SymmetryChannel(2, 3)) == pytest.approx(15 / 22, abs=1e-15)
+        assert partition_alpha(2, 3) == pytest.approx(15 / 22, abs=1e-15)
 
     def test_f_channel_three_electrons(self):
         # lt_i = 3/2, lt_j = 2/5 -> 4/5.8 = 20/29
-        assert partition_alpha(SymmetryChannel(3, 3)) == pytest.approx(20 / 29, abs=1e-15)
+        assert partition_alpha(3, 3) == pytest.approx(20 / 29, abs=1e-15)
 
     def test_rejects_single_electron(self):
         with pytest.raises(ValueError):
-            partition_alpha(SymmetryChannel(0, 1))
+            partition_alpha(0, 1)
+
+    def test_rejects_negative_l(self):
+        with pytest.raises(ValueError, match="l must be non-negative"):
+            partition_alpha(-1, 3)
 
     @given(l=st.integers(min_value=0, max_value=10), n=st.integers(min_value=2, max_value=20))
     def test_always_a_proper_fraction(self, l, n):
-        alpha = partition_alpha(SymmetryChannel(l, n))
+        alpha = partition_alpha(l, n)
         assert 0.0 < alpha < 1.0
 
 
@@ -89,6 +92,10 @@ class TestEffectiveCharge:
         # 12 electrons around a bare proton cannot bind
         with pytest.raises(ModelDomainError):
             effective_charge(1, 12, 0)
+
+    def test_rejects_negative_l(self):
+        with pytest.raises(ValueError, match="l must be non-negative"):
+            effective_charge(3, 3, -1)
 
 
 class TestHydrogenicEnergy:

@@ -199,8 +199,7 @@ def _per_channel_pair(ws, atom, l, model):
     v = potential_value(model, r, atom, l)
     if l > 0:
         v = v + l * (l + 1) / (2.0 * r * r)
-    tables = design_tables(ws.basis, ws.quad)
-    vals, ders = tables.values, tables.derivs
+    vals, ders = design_tables(ws.basis, ws.quad)
     h_local = 0.5 * np.einsum("xq,xqa,xqb->xab", w, ders, ders)
     h_local += np.einsum("xq,xqa,xqb->xab", w * v, vals, vals)
     s_local = np.einsum("xq,xqa,xqb->xab", w, vals, vals)
@@ -368,8 +367,10 @@ def _seed_coefficients(ws):
     """
     basis, k = ws.basis, ws.basis.order_k
     kept = basis.breakpoints[np.append(np.arange(0, basis.n_intervals, 4), basis.n_intervals)]
-    seed = KnotBasis(order_k=k, n_splines=len(kept) + k - 2, r_max=basis.r_max, breakpoints=kept,
-                     knots=np.concatenate([np.zeros(k - 1), kept, np.full(k - 1, basis.r_max)]))
+    seed = KnotBasis(k, kept)
+    clamped = np.concatenate([np.zeros(k - 1), kept, np.full(k - 1, basis.r_max)])
+    assert np.array_equal(seed.knots, clamped)
+    assert seed.n_splines == len(kept) + k - 2
     points = np.array([basis.knots[i + 1 : i + k].mean() for i in basis.active_range])
     fine = _active_values(basis, points)
     coarse = _active_values(seed, points)
