@@ -29,7 +29,7 @@ workspace's from above and seed its solve (eigensolve, step 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -62,14 +62,23 @@ _SEED_STRIDE = 4
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Hashable bundle of every numerical-grid parameter."""
+    """Hashable bundle of every numerical-grid parameter.
+
+    ``nodes_per_interval`` is the Gauss-Legendre node count per breakpoint
+    interval; None (the default) means ``order_k``. A rule of k nodes is
+    exact to degree 2k - 1, so the overlap S (degree 2k - 2) and the
+    kinetic band T (degree 2k - 4) are exact at k nodes, and only the
+    1/r-type bands are approximate. ``build_workspace`` resolves the value,
+    so ``replace(grid, order_k=12)`` of a default grid has 12 nodes, and a
+    grid with the default and one naming order_k nodes share one workspace.
+    """
 
     n_splines: int = 600
     order_k: int = 10
     r_max: float = 200.0
     knot_kind: str = "exp-linear"
     r_first: float = 1e-4
-    nodes_per_interval: int = 20
+    nodes_per_interval: int | None = None
 
 
 #: Default configuration used by all table reproduction runs.
@@ -455,10 +464,17 @@ def _workspace(basis: KnotBasis, quad: QuadratureRule) -> Workspace:
     )
 
 
-@lru_cache(maxsize=16)
 def build_workspace(grid: GridSpec, /) -> Workspace:
     """The basis, quadrature, spline values and grid bands of a grid: one
-    workspace per grid value."""
+    workspace per grid value, with unset nodes_per_interval read as
+    order_k."""
+    if grid.nodes_per_interval is None:
+        grid = replace(grid, nodes_per_interval=grid.order_k)
+    return _grid_workspace(grid)
+
+
+@lru_cache(maxsize=16)
+def _grid_workspace(grid: GridSpec) -> Workspace:
     basis = make_knots(
         r_max=grid.r_max,
         n_splines=grid.n_splines,

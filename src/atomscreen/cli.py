@@ -87,7 +87,7 @@ class _Option(NamedTuple):
     type: Callable[[str], object]
     choices: tuple | None
     grid_field: str | None  # the GridSpec field it sets; None for a run option
-    help: str  # a grid option's help formats its PAPER_GRID default into {:g}
+    help: str  # a grid option's help formats its PAPER_GRID default into any {:g}
     commands: frozenset = _COMMANDS  # the subcommands it acts on
 
 
@@ -100,7 +100,7 @@ _OPTIONS = {
     "knots": _Option(str, ("exp-linear", "linear"), "knot_kind", "knot layout"),
     "rfirst": _Option(float, None, "r_first", "first nonzero breakpoint (default {:g})"),
     "quad_nodes": _Option(int, None, "nodes_per_interval",
-                          "Gauss-Legendre nodes per interval (default {:g})"),
+                          "Gauss-Legendre nodes per interval (default: the spline order)"),
     "units": _Option(str, ("paper", "codata"), None,
                      "eV conversion: paper-compatible or codata", _TABLES | {"solve"}),
     "model": _Option(str, tuple(p.value for p in Pseudopotential), None, "pseudopotential",

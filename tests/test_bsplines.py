@@ -244,6 +244,16 @@ class TestDesignTables:
 
     def test_one_workspace_per_grid_value(self):
         assert build_workspace(PAPER_GRID) is build_workspace(GridSpec())
+        # an unset node count means order_k nodes: the same grid
+        assert build_workspace(GridSpec()) is build_workspace(GridSpec(nodes_per_interval=10))
+
+    def test_default_node_count_is_the_order(self):
+        ws = build_workspace(PAPER_GRID)
+        assert PAPER_GRID.nodes_per_interval is None
+        assert ws.quad.nodes.shape[1] == PAPER_GRID.order_k
+        # resolved when the grid is built, so a changed order brings its own count
+        grid = dataclasses.replace(GridSpec(n_splines=40, order_k=4, r_max=10.0), order_k=12)
+        assert build_workspace(grid).quad.nodes.shape[1] == 12
 
     def test_grid_is_positional_and_required(self):
         with pytest.raises(TypeError):

@@ -144,6 +144,25 @@ class TestSolveCommand:
         code, _ = run_cli(["solve", "0", "1", "0"], tmp_path)
         assert code == 2
 
+    def test_order_alone_sets_the_node_count(self, capsys, monkeypatch):
+        rules, workspace = [], bsplines._workspace
+
+        def recording(basis, quad):
+            rules.append(quad.nodes.shape[1])
+            return workspace(basis, quad)
+
+        monkeypatch.setattr(bsplines, "_workspace", recording)
+        bsplines._grid_workspace.cache_clear()
+        argv = ["solve", "1", "1", "0", "--model", "bare", "--order", "12", "--kstates", "2"]
+        assert main(argv) == 0
+        assert rules == [12]
+        capsys.readouterr()
+        # an explicit count keeps its meaning and its check
+        assert main([*argv, "--quad-nodes", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nodes_per_interval must be >= order_k" in captured.err
+
     def test_grid_above_1540_splines_solves(self):
         result = run_subprocess(
             ["solve", "3", "3", "0", "--splines", "1550", "--kstates", "1",
@@ -261,7 +280,7 @@ class TestConvergeCommand:
             return workspace(basis, quad)
 
         monkeypatch.setattr(bsplines, "_workspace", recording)
-        bsplines.build_workspace.cache_clear()
+        bsplines._grid_workspace.cache_clear()
         assert main(["converge", "--sweep-splines", "60,80", "--order", "6", "--rmax", "60"]) == 0
         assert built == [60, 80]
 
@@ -415,13 +434,15 @@ class TestGridConfig:
 
     @pytest.mark.parametrize("flag", ["splines", "order", "rmax", "rfirst", "quad_nodes"])
     def test_help_states_the_grid_spec_default(self, flag, monkeypatch):
-        shifted = GridSpec(n_splines=601, order_k=11, r_max=201.5, r_first=2.5e-4,
-                           nodes_per_interval=21)
+        shifted = GridSpec(n_splines=601, order_k=11, r_max=201.5, r_first=2.5e-4)
         monkeypatch.setattr(cli, "PAPER_GRID", shifted)
         parser = build_parser()
         commands = next(a for a in parser._actions if a.dest == "command").choices
         for command, sub in commands.items():
             help_text = next(a.help for a in sub._actions if a.dest == flag)
+            if flag == "quad_nodes":  # unset means the spline order, a rule, not a number
+                assert help_text.endswith("(default: the spline order)"), (command, help_text)
+                continue
             default = getattr(shifted, _OPTIONS[flag].grid_field)
             assert help_text.endswith(f"(default {default:g})"), (command, help_text)
 

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,12 +122,35 @@ class TestAssemble:
     def test_quadrature_doubling_leaves_eigenvalues_alone(self):
         lithium = catalog_atom("Li")
         results = []
-        for nodes in (20, 40):
+        for nodes in (10, 20, 40):
             grid = GridSpec(nodes_per_interval=nodes)
             ws = build_workspace(grid)
             pair = assemble(ws, lithium, 0, Pseudopotential.CENTRAL_SCREENING)
             results.append(solve_lowest(pair, 4).eigenvalues)
         assert np.max(np.abs(results[0] - results[1])) <= 1e-10
+        assert np.max(np.abs(results[1] - results[2])) <= 1e-10
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(n_splines=200, order_k=2, r_max=40.0, knot_kind="linear"),
+        GridSpec(n_splines=100, order_k=3, r_max=40.0, knot_kind="linear"),
+        GridSpec(n_splines=60, order_k=4, r_max=40.0, knot_kind="linear"),
+        GridSpec(order_k=3),
+        GridSpec(order_k=6),
+    ], ids=["linear-k2", "linear-k3", "linear-k4", "exp-linear-k3", "exp-linear-k6"])
+    def test_order_sized_quadrature_stays_below_the_basis_error(self, grid):
+        # k nodes under-integrate the 1/r and 1/r^2 bands. The levels they
+        # shift (against 20 nodes) must move by at most 1/100 of the basis
+        # error, so that error stays the dominant one; where the basis error
+        # is itself at roundoff, by at most the oracle agreement of 1e-12 Ha.
+        exact = np.array([hydrogenic_energy(1.0, nu) for nu in (1, 2, 3)])
+        levels = []
+        for nodes in (None, 20):
+            ws = build_workspace(replace(grid, nodes_per_interval=nodes))
+            pair = assemble(ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
+            levels.append(solve_lowest(pair, 3).eigenvalues)
+        shift = np.abs(levels[0] - levels[1])
+        basis_error = np.abs(levels[1] - exact)
+        assert np.all(shift <= np.maximum(basis_error / 100, 1e-12))
 
     def test_variational_bound_and_monotone_refinement(self):
         # coarse grids keep discretization error above roundoff so the
