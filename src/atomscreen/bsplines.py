@@ -20,10 +20,10 @@ use (``Workspace.screening_band``) and kept in the workspace, so it is
 freed with it.
 
 Each workspace owns its seed workspace (``Workspace.seed``): the same order
-on every fourth breakpoint, integrated with the same nodes and weights and
-built by the same builder. Its splines lie in the workspace's spline
-space, so the eigenvalues of a channel assembled on it bound the
-workspace's from above and seed its solve (eigensolve, step 1).
+on every fourth breakpoint, with the same node count per interval, built
+like any workspace by the same builder. Its splines lie in the workspace's
+spline space, so the eigenvalues of a channel assembled on it lie close
+to the workspace's and seed its solve (eigensolve, step 1).
 """
 
 from __future__ import annotations
@@ -170,25 +170,18 @@ class Workspace:
     @cached_property
     def seed(self) -> Workspace:
         """This grid on every _SEED_STRIDE-th breakpoint (and the last), with
-        this quadrature; built on first use and kept by the workspace.
+        as many Gauss-Legendre nodes per interval as this one; built on
+        first use and kept by the workspace.
 
         Its knots are a subset of these, so its splines lie in this spline
-        space. Each of its intervals holds the nodes and weights of the
-        _SEED_STRIDE intervals here it covers; the last, shorter group is
-        padded with zero-weight copies of its last interval's nodes.
-        Integrals on it are therefore the Galerkin restrictions of those here
-        to its splines.
+        space. Its S and T are the exact restrictions of these to its
+        splines; its 1/r-type bands are its own quadrature of the same
+        integrals, as this grid's are.
         """
-        basis, quad = self.basis, self.quad
-        n_intervals = basis.n_intervals
-        kept = np.append(np.arange(0, n_intervals, _SEED_STRIDE), n_intervals)
+        basis = self.basis
+        kept = np.append(np.arange(0, basis.n_intervals, _SEED_STRIDE), basis.n_intervals)
         seed = KnotBasis(basis.order_k, basis.breakpoints[kept])
-        pad = -n_intervals % _SEED_STRIDE
-        nodes = np.concatenate([quad.nodes, np.repeat(quad.nodes[-1:], pad, axis=0)])
-        weights = np.concatenate([quad.weights, np.zeros((pad, quad.weights.shape[1]))])
-        shape = (seed.n_intervals, -1)
-        regrouped = QuadratureRule(nodes=nodes.reshape(shape), weights=weights.reshape(shape))
-        return _workspace(seed, regrouped)
+        return _workspace(seed, make_quadrature(seed, self.quad.nodes.shape[1]))
 
 
 def _geometric_ratio(r_first: float, r_max: float, steps: int) -> float:

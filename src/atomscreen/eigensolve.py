@@ -12,8 +12,9 @@ long-double copy of both bands.
    levels for unscreened channels, and for screened ones the ``dsbgvx``
    eigenvalues of the seed pair, the channel's band sum on the seed
    workspace (Workspace.seed), the splines of every fourth breakpoint
-   (operators._channel_pair on ws.seed), whose band reduction costs
-   O(n_c^2 bw) instead of the O(n^2 bw) of one on (H, S). Without them,
+   with their own Gauss rule (operators._channel_pair on ws.seed), whose
+   band reduction costs O(n_c^2 bw) instead of the O(n^2 bw) of one on
+   (H, S). Without them,
    or if they fail below, LAPACK ``dsbgvx`` (split-Cholesky band
    reduction, reduction to tridiagonal form, bisection) gives the k + 1
    lowest eigenvalues of (H, S) itself; they carry the reduction's

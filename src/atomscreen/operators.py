@@ -20,8 +20,8 @@ so this module keeps no state.
 One band sum (``_channel_pair``) serves any workspace. ``assemble`` runs it
 on the channel's workspace; the seed pair, the same band sum on the seed
 workspace (bsplines.Workspace.seed), the channel on every fourth
-breakpoint, seeds the eigensolver at a fraction of the cost of seeding on
-the pair itself (spectra._seeds). It calls ``_channel_pair`` directly, so
+breakpoint integrated by that grid's own Gauss rule, seeds the eigensolver
+at a fraction of the cost of seeding on the pair itself (spectra._seeds). It calls ``_channel_pair`` directly, so
 a channel solve calls ``assemble`` once.
 
 Every band is in LAPACK's general band layout, both triangles written

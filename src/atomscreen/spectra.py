@@ -16,7 +16,8 @@ A channel with no screening term (every symmetry-model and bare channel,
 and the central model for one electron) is a pure Coulomb channel,
 V = -q/r, and takes its closed-form levels -q^2 / (2 nu^2). A screened
 channel takes the dsbgvx eigenvalues of its seed pair, the channel's band
-sum on the seed workspace (operators._channel_pair on ws.seed). The
+sum on the seed workspace (operators._channel_pair on ws.seed), a coarser
+grid with its own quadrature, so they are estimates, not bounds. The
 eigensolver certifies the k lowest levels whatever the seeds' source, and
 redoes the solve from seeds of the full pencil if they fail.
 

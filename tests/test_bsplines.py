@@ -271,7 +271,7 @@ class TestDesignTables:
 
 
 class TestSeedWorkspace:
-    # 21 and 40 intervals: a last group of one interval, and none to pad
+    # 21 and 40 intervals: the last seed interval covers one interval, or four
     @pytest.fixture(scope="class", params=[
         GridSpec(n_splines=23, order_k=3, r_max=10.0, knot_kind="linear", nodes_per_interval=4),
         GridSpec(n_splines=49, order_k=10, r_max=200.0, nodes_per_interval=12),
@@ -294,20 +294,11 @@ class TestSeedWorkspace:
         assert coarse.order_k == fine.order_k and coarse.r_max == fine.r_max
         assert coarse.n_splines == len(coarse.knots) - coarse.order_k
 
-    def test_quadrature_is_the_basis_rule_regrouped(self, spaces):
+    def test_quadrature_is_its_own_basis_rule(self, spaces):
         ws, seed = spaces
-        n, nq = ws.quad.nodes.shape
-        groups = seed.basis.n_intervals
-        assert seed.quad.nodes.shape == seed.quad.weights.shape == (groups, 4 * nq)
-        nodes = seed.quad.nodes.reshape(4 * groups, nq)
-        weights = seed.quad.weights.reshape(4 * groups, nq)
-        assert np.array_equal(nodes[:n], ws.quad.nodes)
-        assert np.array_equal(weights[:n], ws.quad.weights)
-        # the short last group repeats its last interval's nodes at weight 0
-        assert np.array_equal(nodes[n:], np.broadcast_to(ws.quad.nodes[-1], nodes[n:].shape))
-        assert np.all(weights[n:] == 0.0)
-        bp = seed.basis.breakpoints
-        assert np.all((bp[:-1, None] < seed.quad.nodes) & (seed.quad.nodes < bp[1:, None]))
+        expected = make_quadrature(seed.basis, ws.quad.nodes.shape[1])
+        assert np.array_equal(seed.quad.nodes, expected.nodes)
+        assert np.array_equal(seed.quad.weights, expected.weights)
 
     def test_tables_match_pointwise_evaluation(self, spaces):
         _, seed = spaces
@@ -417,8 +408,8 @@ class TestVectorisedTables:
             assert np.array_equal(values[iv], span_values)
             assert np.array_equal(derivs[iv], span_derivs)
 
-    # the seed workspace has 80-node intervals (four of 20 regrouped) and a
-    # padded last group, as 591 = 4 * 147 + 3
+    # the seed workspace has 148 intervals of 10 nodes, its own Gauss rule;
+    # its last interval covers 3 of the 591 = 4 * 147 + 3
     @pytest.mark.parametrize("seed", [False, True], ids=["workspace", "seed-workspace"])
     def test_paper_grid_bit_identical_to_per_span_loop(self, seed):
         ws = build_workspace(PAPER_GRID)
