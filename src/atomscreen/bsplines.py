@@ -16,8 +16,9 @@ T, R2 and R1 that every channel on the grid sums (operators). The
 derivative table of ``design_tables`` is read only for T, inside the build,
 and is dropped before the workspace is returned, so a workspace holds one
 table. The screening band W_Z of each Z is built from the values on first
-use (``Workspace.screening_band``) and kept in the workspace, so it is
-freed with it.
+use (``Workspace.screening_band``). Beyond the radius where f_Z is 1.0 to
+the last bit its columns are R1's, so the workspace keeps only the leading
+columns that differ, and frees them with itself.
 
 Each workspace owns its seed workspace (``Workspace.seed``): the same order
 on every fourth breakpoint, with the same node count per interval, built
@@ -141,11 +142,12 @@ class Workspace:
 
     ``values`` is the value table of ``design_tables``, read by the
     screening bands. The bands are ``s_band`` (<B|B>), ``t_band``
-    (1/2 <B'|B'>), ``r2_band`` (<B|1/r^2|B>), ``r1_band`` (<B|1/r|B>) and
-    one ``screening_band(z)`` per Z, each in general band layout
-    (``_band_sum``). All of them and the values are read-only and shared by
-    every channel on the grid. The derivative table is read only for T,
-    while the workspace is built, and is not kept.
+    (1/2 <B'|B'>), ``r2_band`` (<B|1/r^2|B>) and ``r1_band`` (<B|1/r|B>),
+    each in general band layout (``_band_sum``), and one
+    ``screening_band(z)`` per Z: the leading columns of W_z, whose later
+    columns are ``r1_band``'s. All of them and the values are read-only and
+    shared by every channel on the grid. The derivative table is read only
+    for T, while the workspace is built, and is not kept.
     """
 
     basis: KnotBasis
@@ -158,14 +160,25 @@ class Workspace:
     _screening_bands: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def screening_band(self, z: int) -> np.ndarray:
-        """W_z = <B|f_z(r)/r|B> with f_z = model.screening_factor, built on
-        the first call for z and kept by the workspace."""
-        band = self._screening_bands.get(z)
-        if band is None:
+        """The leading columns of W_z = <B|f_z(r)/r|B>, f_z =
+        model.screening_factor; every later column of W_z equals that of
+        ``r1_band`` bit for bit.
+
+        W_z is built whole on the first call for z and compared with R1:
+        the head is cut after the last column that differs, so it has at
+        most n columns and none when W_z is R1. Where f_z is 1.0 at every
+        node a spline reads, its column of W_z is summed exactly as R1's.
+        The head is kept by the workspace, read-only.
+        """
+        head = self._screening_bands.get(z)
+        if head is None:
             w, r = self.quad.weights, self.quad.nodes
             band = _grid_band(w * screening_factor(r, z) / r, self.values, self.basis.n_active)
-            self._screening_bands[z] = band
-        return band
+            differs = np.flatnonzero((band != self.r1_band).any(axis=0))
+            head = band[:, : differs[-1] + 1 if differs.size else 0].copy()
+            head.setflags(write=False)
+            self._screening_bands[z] = head
+        return head
 
     @cached_property
     def seed(self) -> Workspace:

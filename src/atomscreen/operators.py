@@ -15,7 +15,8 @@ with T = 1/2 <B'|B'>, R2 = <B|1/r^2|B>, R1 = <B|1/r|B>, W_Z = <B|f_Z/r|B>
 and f_Z = model.screening_factor. No channel integrates anything: every
 band is built and held by the workspace (bsplines.Workspace), the grid-only
 S, T, R2 and R1 with it and each W_Z on first use (Workspace.screening_band),
-so this module keeps no state.
+so this module keeps no state. The workspace keeps W_Z only up to its last
+column that differs from R1, and the band sum reads R1 beyond it.
 
 One band sum (``_channel_pair``) serves any workspace. ``assemble`` runs it
 on the channel's workspace; the seed pair, the same band sum on the seed
@@ -82,12 +83,19 @@ class OperatorPair:
 
 def _channel_pair(ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential) -> OperatorPair:
     """The channel's H = T + l(l+1)/2 R2 - q R1 + a W_Z, summed from the
-    bands of ``ws``, with the shared S of ``ws``."""
+    bands of ``ws``, with the shared S of ``ws``.
+
+    a W_Z is a R1 with its leading columns replaced by a times the head of
+    W_Z (bsplines.Workspace.screening_band), so each entry of H is the same
+    sum as with W_Z whole."""
     charge, screening = potential_terms(model, atom, l)
     centrifugal = 0.5 * l * (l + 1)
     h_band = ws.t_band - charge * ws.r1_band
     if screening:
-        h_band += screening * ws.screening_band(atom.Z)
+        head = ws.screening_band(atom.Z)
+        scaled = screening * ws.r1_band
+        np.multiply(screening, head, out=scaled[:, : head.shape[1]])
+        h_band += scaled
     if centrifugal:
         h_band += centrifugal * ws.r2_band
     return OperatorPair(h_band=h_band, s_band=ws.s_band)

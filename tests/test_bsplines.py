@@ -332,7 +332,7 @@ def _reachable_nbytes(obj):
 
 class TestWorkspaceHoldings:
     """A workspace and its seed keep the spline values and the grid bands,
-    each W_Z built so far among them, and no derivative table."""
+    the head of each W_Z built so far among them, and no derivative table."""
 
     @pytest.mark.parametrize("grid", [
         PAPER_GRID,
@@ -347,9 +347,14 @@ class TestWorkspaceHoldings:
                     space.quad.nodes, space.quad.weights)
             held = sum(array.nbytes for array in kept)
             assert _reachable_nbytes(space) == held
-            held += space.screening_band(3).nbytes
-            assert _reachable_nbytes(space) == held
-            held += space.screening_band(11).nbytes
+            for z in (3, 11):
+                # each W_Z adds its head, which owns its columns: fewer than
+                # the band's n wherever f_Z reaches 1.0 inside the box
+                head = space.screening_band(z)
+                assert head.base is None
+                assert head.shape[1] < space.basis.n_active
+                held += head.nbytes
+                assert _reachable_nbytes(space) == held
             space.screening_band(3)  # built once, then kept
             assert _reachable_nbytes(space) == held
             assert not space.values.flags.writeable

@@ -27,8 +27,9 @@ from atomscreen.model import (
     hydrogenic_energy,
     potential_terms,
     potential_value,
+    screening_factor,
 )
-from atomscreen import operators, spectra
+from atomscreen import bsplines, operators, spectra
 from atomscreen.operators import _channel_pair, assemble, general_matvec
 from atomscreen.spectra import solve_channel
 
@@ -291,10 +292,97 @@ class TestSharedGridBands:
         screening = ws.screening_band(3)
         assert ws.screening_band(3) is screening
         assert ws.screening_band(4) is not screening
-        for band in (ws.s_band, ws.t_band, ws.r2_band, ws.r1_band, screening):
+        for band in (ws.s_band, ws.t_band, ws.r2_band, ws.r1_band):
             assert band.shape == ws.s_band.shape
+        # W_Z keeps only its leading columns: all of its rows, at most n columns
+        rows, n = ws.s_band.shape
+        assert screening.shape[0] == rows and screening.shape[1] <= n
+        for band in (ws.s_band, ws.t_band, ws.r2_band, ws.r1_band, screening):
             with pytest.raises(ValueError):
                 band[0, -1] = 1.0
+
+
+def _full_screening_band(ws, z):
+    """W_z whole, every column summed from the spline values."""
+    w, r = ws.quad.weights, ws.quad.nodes
+    return bsplines._grid_band(w * screening_factor(r, z) / r, ws.values, ws.basis.n_active)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def short_linear_ws():
+    # r_max = 5: f_z is still below 1.0 at the last nodes for Z = 2 and 3
+    return build_workspace(GridSpec(n_splines=40, order_k=5, r_max=5.0, knot_kind="linear"))
+
+
+_SCREENED_SPACES = pytest.mark.parametrize("ws_name, on_seed", [
+    ("paper_ws", False), ("paper_ws", True), ("coarse_ws", False), ("short_linear_ws", False),
+], ids=["paper", "paper-seed", "coarse", "short-linear"])
+
+
+class TestScreeningBandHead:
+    """A workspace keeps W_Z up to its last column that differs from R1;
+    that head, then R1, is W_Z bit for bit."""
+
+    @_SCREENED_SPACES
+    @pytest.mark.parametrize("z", [2, 3, 12])
+    def test_head_then_r1_is_the_full_band(self, request, ws_name, on_seed, z):
+        ws = request.getfixturevalue(ws_name)
+        ws = ws.seed if on_seed else ws
+        head = ws.screening_band(z)
+        m = head.shape[1]
+        assert _same_bits(np.hstack([head, ws.r1_band[:, m:]]), _full_screening_band(ws, z))
+        # minimal: the last column kept is not R1's
+        if m:
+            assert not _same_bits(head[:, m - 1], ws.r1_band[:, m - 1])
+        # the head owns its columns, so no view keeps the whole band alive
+        assert head.base is None
+
+    @pytest.mark.parametrize("z", [2, 3])
+    def test_whole_band_kept_where_f_z_never_reaches_one(self, short_linear_ws, z):
+        ws = short_linear_ws
+        # the last column reads the last interval, where f_z < 1.0
+        assert np.all(screening_factor(ws.quad.nodes[-1], z) < 1.0)
+        assert ws.screening_band(z).shape == ws.r1_band.shape
+
+    @_SCREENED_SPACES
+    def test_screened_channel_pair_is_the_full_band_sum(self, request, ws_name, on_seed):
+        ws = request.getfixturevalue(ws_name)
+        ws = ws.seed if on_seed else ws
+        model = Pseudopotential.CENTRAL_SCREENING
+        for symbol, l in (("Li", 0), ("Na", 1)):
+            atom = catalog_atom(symbol)
+            charge, screening = potential_terms(model, atom, l)
+            assert screening
+            reference = ws.t_band - charge * ws.r1_band
+            reference += screening * _full_screening_band(ws, atom.Z)
+            if l:
+                reference += 0.5 * l * (l + 1) * ws.r2_band
+            pair = _channel_pair(ws, atom, l, model)
+            assert _same_bits(pair.h_band, reference)
+            assert pair.s_band is ws.s_band
+
+    @pytest.mark.parametrize("on_seed", [False, True], ids=["paper", "paper-seed"])
+    def test_width_is_bounded_by_where_f_z_reaches_one(self, paper_ws, on_seed):
+        ws = paper_ws.seed if on_seed else paper_ws
+        k, n = ws.basis.order_k, ws.basis.n_active
+        widths, bounds = [], []
+        for z in range(2, 13):
+            # I: the first interval from which f_z is 1.0 at every node of
+            # every later interval. Column j sums the intervals of spline
+            # j + 1, which start at j - k + 2, so columns from I + k - 2 on
+            # are summed from the weights of R1.
+            at_one = np.all(screening_factor(ws.quad.nodes, z) == 1.0, axis=1)
+            off_one = np.flatnonzero(~at_one)
+            first = off_one[-1] + 1 if off_one.size else 0
+            widths.append(ws.screening_band(z).shape[1])
+            bounds.append(first + k - 2)
+        assert all(m <= bound and m < n for m, bound in zip(widths, bounds))
+        # the bound is met by some Z (on the paper grid by Z = 3, 9 and 12)
+        assert any(m == bound for m, bound in zip(widths, bounds))
 
 
 def _sweep(model, r_max):
