@@ -4,20 +4,23 @@ The radial box [0, r_max] is partitioned into breakpoints carrying an
 order-k clamped knot sequence. The first and last spline are dropped to
 enforce zero boundary values, leaving ``n_splines - 2`` active functions.
 Gauss-Legendre nodes on every breakpoint interval stay strictly interior,
-so integrands singular at r = 0 are never sampled there. One Cox-de Boor
-routine (``_values_and_derivs``) evaluates the splines everywhere: the
-design tables of both workspaces and ``eval_bspline``.
+so integrands singular at r = 0 are never sampled there. The rule is found
+by Newton's iteration on the Legendre series (``_gauss_legendre``), not as
+the eigenvalues of a matrix, and every band is an elementwise contraction
+(``_grid_band``), so building a workspace calls no BLAS or LAPACK routine.
+One Cox-de Boor routine (``_values_and_derivs``) evaluates the splines
+everywhere: the design tables of both workspaces and ``eval_bspline``.
 
 A workspace (``Workspace``) holds every band of its grid, and this module
-builds all of them (``_grid_band``), in LAPACK's general band layout
-(``_band_sum``). One private builder (``_workspace``) builds the basis, the
-quadrature, the spline values at the nodes and the four grid-only bands S,
-T, R2 and R1 that every channel on the grid sums (operators). The
-derivative table of ``design_tables`` is read only for T, inside the build,
-and is dropped before the workspace is returned, so a workspace holds one
-table. The screening band W_Z of each Z is built from the values on first
-use (``Workspace.screening_band``). Beyond the radius where f_Z is 1.0 to
-the last bit its columns are R1's, so the workspace keeps only the leading
+builds all of them (``_grid_band``), in LAPACK's general band layout. One
+private builder (``_workspace``) builds the basis, the quadrature, the
+spline values at the nodes and the four grid-only bands S, T, R2 and R1
+that every channel on the grid sums (operators). The derivative table of
+``design_tables`` is read only for T, inside the build, and is dropped
+before the workspace is returned, so a workspace holds one table. The
+screening band W_Z of each Z is built from the values on first use
+(``Workspace.screening_band``). Beyond the radius where f_Z is 1.0 to the
+last bit its columns are R1's, so the workspace keeps only the leading
 columns that differ, and frees them with itself.
 
 Each workspace owns its seed workspace (``Workspace.seed``): the same order
@@ -30,10 +33,12 @@ to the workspace's and seed its solve (eigensolve, step 1).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .model import screening_factor
 
@@ -59,6 +64,10 @@ _LOG_POWER_LIMIT = 700.0
 _ORDER_RANGE = (2, 15)
 #: The seed space keeps every _SEED_STRIDE-th breakpoint of the basis.
 _SEED_STRIDE = 4
+#: Newton steps the Gauss-Legendre rule takes at most. Up to n = 141 every
+#: node settles within 5; from n = 142 the rounding of P_n can keep a node
+#: near 0 moving by a few ulp, and the limit ends the iteration.
+_NEWTON_STEP_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -143,7 +152,7 @@ class Workspace:
     ``values`` is the value table of ``design_tables``, read by the
     screening bands. The bands are ``s_band`` (<B|B>), ``t_band``
     (1/2 <B'|B'>), ``r2_band`` (<B|1/r^2|B>) and ``r1_band`` (<B|1/r|B>),
-    each in general band layout (``_band_sum``), and one
+    each in general band layout (``_grid_band``), and one
     ``screening_band(z)`` per Z: the leading columns of W_z, whose later
     columns are ``r1_band``'s. All of them and the values are read-only and
     shared by every channel on the grid. The derivative table is read only
@@ -372,6 +381,40 @@ def eval_bspline(basis: KnotBasis, index: int, r, derivative_order: int = 0):
     return values.reshape(radii.shape)
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    The nodes, the zeros of P_n, are found by Newton's iteration from the
+    guesses x_i = -cos(pi (i + 3/4) / (n + 1/2)), with P_n and P_n'
+    evaluated elementwise by ``legval`` (Clenshaw), until every step is at
+    most 2 ulp. The guesses are computed as sin(pi (2 i + 1 - n) / (2 n + 1)),
+    the same numbers, exactly antisymmetric and with the middle one of an
+    odd n at 0.0, where P_n is 0.0 and Newton stays. Then comes numpy's
+    ``leggauss`` finish: one more Newton step, weights proportional to
+    1 / (P_{n-1}(x) P_n'(x)), nodes and weights symmetrised, and the weights
+    scaled to sum to 2. So the rule is ``leggauss``'s to the rounding of
+    ``legval``, without its eigenvalue solve (Golub and Welsch), which runs
+    on the OpenBLAS bundled with numpy. A non-integer n raises TypeError.
+    """
+    n = operator.index(n)
+    series = np.zeros(n + 1)
+    series[-1] = 1.0  # P_n
+    slope = legendre.legder(series)
+    x = np.sin(np.pi * (2 * np.arange(n) + 1 - n) / (2 * n + 1))
+    for _ in range(_NEWTON_STEP_LIMIT):
+        step = legendre.legval(x, series) / legendre.legval(x, slope)
+        x -= step
+        if np.all(np.abs(step) <= 2 * np.spacing(np.abs(x))):
+            break
+    derivative = legendre.legval(x, slope)
+    x -= legendre.legval(x, series) / derivative
+    lower = legendre.legval(x, series[1:])  # P_{n-1}
+    w = 1.0 / (lower / np.abs(lower).max() * (derivative / np.abs(derivative).max()))
+    w = 0.5 * (w + w[::-1])
+    x = 0.5 * (x - x[::-1])
+    return x, w * (2.0 / w.sum())
+
+
 def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule:
     """Gauss-Legendre rule mapped onto every breakpoint interval.
 
@@ -381,7 +424,7 @@ def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule
     """
     if nodes_per_interval < 1:
         raise ValueError("nodes_per_interval must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(nodes_per_interval)
+    x, w = _gauss_legendre(nodes_per_interval)
     bp = basis.breakpoints
     mid = 0.5 * (bp[1:] + bp[:-1])
     half = 0.5 * (bp[1:] - bp[:-1])
@@ -412,8 +455,9 @@ def design_tables(basis: KnotBasis, quad: QuadratureRule) -> tuple[np.ndarray, n
     return _values_and_derivs(basis.knots, k, spans, quad.nodes)
 
 
-def _band_sum(local: np.ndarray, dim: int) -> np.ndarray:
-    """Sum per-interval blocks of shape (n_intervals, k, k) into a general band.
+def _grid_band(weights: np.ndarray, table: np.ndarray, dim: int) -> np.ndarray:
+    """The read-only general band of the per-interval blocks
+    sum_q weights[iv, q] table[iv, q, a] table[iv, q, b].
 
     Every band of the package is stored in LAPACK's general band layout
     with kl = ku = bw, ``band[bw + d, j] = A[j + d, j]`` for d in [-bw, bw]
@@ -423,30 +467,29 @@ def _band_sum(local: np.ndarray, dim: int) -> np.ndarray:
     as they are. The top bw + 1 rows are scipy's (and dsbgvx's) upper
     banded form.
 
-    Local block (iv, a, b) couples global splines iv+a and iv+b; active
-    (trimmed) indices are the global ones shifted down by one, with the
-    first and last spline discarded. The loop runs over a, then the offset
-    d = b - a, so each upper band cell sums its terms in ascending a; the
+    Block (iv, a, b) couples global splines iv+a and iv+b; active (trimmed)
+    indices are the global ones shifted down by one, with the first and
+    last spline discarded. For each offset d = b - a one elementwise
+    contraction over the nodes gives the blocks' entries (iv, a, a + d) for
+    every a, so no (n_intervals, k, k) block array is formed and no BLAS
+    product runs (see eigensolve). They are added into row bw - d in
+    ascending a, so each upper band cell sums its terms in ascending a; the
     lower rows are then copied from the upper ones.
     """
-    n_iv, k = local.shape[:2]
+    n_iv, k = table.shape[0], table.shape[2]
     bw = k - 1
+    columns = np.moveaxis(table, -1, 0)  # columns[a, iv, q] = table[iv, q, a]
+    weighted = columns * weights
     band = np.zeros((2 * bw + 1, dim))
-    for a in range(k):
-        first = max(0, 1 - a)
-        for d in range(k - a):
+    for d in range(k):
+        products = np.einsum("aiq,aiq->ai", weighted[: k - d], columns[d:])
+        for a in range(k - d):
             b = a + d
+            first = max(0, 1 - a)
             last = min(n_iv, dim + 1 - b)
-            band[bw - d, first + b - 1 : last + b - 1] += local[first:last, a, b]
+            band[bw - d, first + b - 1 : last + b - 1] += products[a, first:last]
     for d in range(1, k):
         band[bw + d, : dim - d] = band[bw - d, d:]
-    return band
-
-
-def _grid_band(weights: np.ndarray, table: np.ndarray, dim: int) -> np.ndarray:
-    """The read-only general band (``_band_sum``) of the per-interval blocks
-    sum_q weights[iv, q] table[iv, q, a] table[iv, q, b]."""
-    band = _band_sum(np.matmul(table.transpose(0, 2, 1) * weights[:, None, :], table), dim)
     band.setflags(write=False)
     return band
 

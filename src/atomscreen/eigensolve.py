@@ -1,7 +1,7 @@
 """Lowest eigenpairs of the symmetric-definite banded pencil H c = eps S c.
 
 The pencil is never densified: memory is O(n bw) per state. The pair
-holds H and S in LAPACK's general band layout (bsplines._band_sum), which
+holds H and S in LAPACK's general band layout (bsplines._grid_band), which
 every LU (H - sigma S formed as a difference of the two bands), band
 product and inertia count reads as it is; dsbgvx, and the count's banded
 Cholesky, read the top bw + 1 rows, the upper banded form. Step 4 makes a
@@ -55,6 +55,13 @@ long-double copy of both bands.
 scipy exports ``dsbgvx`` only through ``scipy.linalg.cython_lapack``; it is
 bound once, with ctypes, from the function pointer in that module's capsule
 table.
+
+Every product here is an ``np.einsum`` with explicit subscripts, not ``@``
+or ``np.linalg.norm``: numpy's wheel bundles an OpenBLAS of its own, which
+those would page in beside scipy's, the library of the LAPACK calls above
+(bsplines builds the quadrature and the bands without it too). Once the
+LAPACK calls move to numpy's copy (ROADMAP direction 4), ``@`` would use
+the one library again.
 """
 
 from __future__ import annotations
@@ -234,13 +241,14 @@ def _inverse_iteration(
     for _ in range(_MAX_STEPS):
         y = _band_solve(pair, factors, sx)
         sy = general_matvec(pair.s_band, y)
-        norm = np.sqrt(y @ sy)
+        norm = np.sqrt(np.einsum("i,i->", y, sy))
         y /= norm
         sy /= norm
         image = sx / norm  # (H - seed S) y
-        theta = y @ image
+        theta = np.einsum("i,i->", y, image)
         x, sx = y, sy
-        if np.linalg.norm(image - theta * sy) <= _STEP_TOL * h_norm1:
+        residual = image - theta * sy
+        if np.sqrt(np.einsum("i,i->", residual, residual)) <= _STEP_TOL * h_norm1:
             break
     return x, sx
 
@@ -314,8 +322,9 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
     limits = np.append(limits, limits[-1])
     if head_blocks:
         factor = _factor_block(head, bw, first)
-        updates[0] = pivots[0] - factor.T @ factor
-        pivots[0] = factor.T @ factor
+        gram = np.einsum("ia,ib->ab", factor, factor)  # U^T U
+        updates[0] = pivots[0] - gram
+        pivots[0] = gram
     if last < n_blocks - 1:
         factor = _factor_block(tail, bw, n_blocks - 2 - last)
         # T is R^T R with R's rows and columns reversed, so C T^-1 C^T = X^T X
@@ -324,8 +333,8 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
         inverse, solve_info = lapack.dtrtri(factor)
         if solve_info != 0:
             return None
-        scaled = inverse.T @ couplings[-1][:, ::-1].T
-        updates[-1] = scaled.T @ scaled
+        scaled = np.einsum("ia,ei->ae", inverse, couplings[-1][:, ::-1])
+        updates[-1] = np.einsum("ia,ib->ab", scaled, scaled)
         pivots[-1] -= updates[-1]
 
     diagonals = np.empty((size, bw))
@@ -333,7 +342,7 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
     schur = pivots[0]
     for i in range(size):
         if i:
-            updates[i] = couplings[i - 1].T @ solved
+            updates[i] = np.einsum("ia,ib->ab", couplings[i - 1], solved)
             schur = pivots[i] - updates[i]
         factor, interchanges[i], solved, info = lapack.dsysv(schur, couplings[i])
         if info != 0:
@@ -364,13 +373,13 @@ def _refined_pairs(pair: OperatorPair, k_states: int, seeds: np.ndarray) -> Eige
     vectors = np.array([row[0] for row in rows])
     s_vectors = np.array([row[1] for row in rows])
     h_vectors = general_matvec(pair.h_band, vectors)
-    h_ritz = vectors @ h_vectors.T
-    s_ritz = vectors @ s_vectors.T
+    h_ritz = np.einsum("in,jn->ij", vectors, h_vectors)
+    s_ritz = np.einsum("in,jn->ij", vectors, s_vectors)
     try:
         _, rotation = sla.eigh(0.5 * (h_ritz + h_ritz.T), 0.5 * (s_ritz + s_ritz.T))
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"Rayleigh-Ritz step failed: {exc}") from exc
-    vectors = rotation.T @ vectors
+    vectors = np.einsum("ji,jn->in", rotation, vectors)
 
     # Rayleigh quotients and corrections are scale-invariant, so the rows
     # are S-normalised once, after the correction.

@@ -26,7 +26,7 @@ at a fraction of the cost of seeding on the pair itself (spectra._seeds). It cal
 a channel solve calls ``assemble`` once.
 
 Every band is in LAPACK's general band layout, both triangles written
-(bsplines._band_sum), so every LU, band product and inertia count of the
+(bsplines._grid_band), so every LU, band product and inertia count of the
 eigensolver reads the bands as they are. ``general_matvec`` multiplies in
 this layout.
 """
@@ -53,7 +53,7 @@ class OperatorPair:
     """Banded Hamiltonian and overlap (H, S) of one channel, or of any
     pencil given by its bands.
 
-    Both bands are in general band layout (bsplines._band_sum); a pair
+    Both bands are in general band layout (bsplines._grid_band); a pair
     refuses bands of different shapes, an even row count or lower rows
     that do not mirror the upper ones.
     """
@@ -115,7 +115,7 @@ def assemble(
 
 
 def general_matvec(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multiply a symmetric matrix in general band layout (bsplines._band_sum)
+    """Multiply a symmetric matrix in general band layout (bsplines._grid_band)
     by a vector, or by each row of a stack of vectors, in their common
     precision. Column j of ``rows`` is read as row j of the matrix, which
     is column j only because the matrix is symmetric."""
