@@ -9,19 +9,21 @@ by Newton's iteration on the Legendre series (``_gauss_legendre``), not as
 the eigenvalues of a matrix, and every band is an elementwise contraction
 (``_grid_band``), so building a workspace calls no BLAS or LAPACK routine.
 One Cox-de Boor routine (``_values_and_derivs``) evaluates the splines
-everywhere: the design tables of both workspaces and ``eval_bspline``.
+everywhere: the design tables of both workspaces, the leading intervals of
+each screening band and ``eval_bspline``.
 
 A workspace (``Workspace``) holds every band of its grid, and this module
 builds all of them (``_grid_band``), in LAPACK's general band layout. One
-private builder (``_workspace``) builds the basis, the quadrature, the
-spline values at the nodes and the four grid-only bands S, T, R2 and R1
-that every channel on the grid sums (operators). The derivative table of
-``design_tables`` is read only for T, inside the build, and is dropped
-before the workspace is returned, so a workspace holds one table. The
-screening band W_Z of each Z is built from the values on first use
+private builder (``_workspace``) builds the basis, the quadrature and the
+four grid-only bands S, T, R2 and R1 that every channel on the grid sums
+(operators). The tables of ``design_tables`` are read only inside the
+build, the derivatives for T and the values for the other three, and are
+dropped before the workspace is returned, so a workspace holds no spline
+table. The screening band W_Z of each Z is built on first use
 (``Workspace.screening_band``). Beyond the radius where f_Z is 1.0 to the
-last bit its columns are R1's, so the workspace keeps only the leading
-columns that differ, and frees them with itself.
+last bit its columns are R1's, so the splines are evaluated again only on
+the leading intervals that the other columns read, and the workspace keeps
+only the leading columns that differ, and frees them with itself.
 
 Each workspace owns its seed workspace (``Workspace.seed``): the same order
 on every fourth breakpoint, with the same node count per interval, built
@@ -146,22 +148,21 @@ class QuadratureRule:
 
 @dataclass(frozen=True, eq=False)
 class Workspace:
-    """One fully built grid: its basis and quadrature, the spline values at
-    the nodes, and the grid bands every channel on it sums.
+    """One fully built grid: its basis and quadrature and the grid bands
+    every channel on it sums.
 
-    ``values`` is the value table of ``design_tables``, read by the
-    screening bands. The bands are ``s_band`` (<B|B>), ``t_band``
-    (1/2 <B'|B'>), ``r2_band`` (<B|1/r^2|B>) and ``r1_band`` (<B|1/r|B>),
-    each in general band layout (``_grid_band``), and one
-    ``screening_band(z)`` per Z: the leading columns of W_z, whose later
-    columns are ``r1_band``'s. All of them and the values are read-only and
-    shared by every channel on the grid. The derivative table is read only
-    for T, while the workspace is built, and is not kept.
+    The bands are ``s_band`` (<B|B>), ``t_band`` (1/2 <B'|B'>), ``r2_band``
+    (<B|1/r^2|B>) and ``r1_band`` (<B|1/r|B>), each in general band layout
+    (``_grid_band``), and one ``screening_band(z)`` per Z: the leading
+    columns of W_z, whose later columns are ``r1_band``'s. All of them are
+    read-only and shared by every channel on the grid. The workspace keeps
+    no spline table: the values and derivatives at the nodes are read while
+    it is built, and each W_z evaluates the values again on the intervals
+    its head reads.
     """
 
     basis: KnotBasis
     quad: QuadratureRule
-    values: np.ndarray
     s_band: np.ndarray
     t_band: np.ndarray
     r2_band: np.ndarray
@@ -173,17 +174,28 @@ class Workspace:
         model.screening_factor; every later column of W_z equals that of
         ``r1_band`` bit for bit.
 
-        W_z is built whole on the first call for z and compared with R1:
-        the head is cut after the last column that differs, so it has at
-        most n columns and none when W_z is R1. Where f_z is 1.0 at every
-        node a spline reads, its column of W_z is summed exactly as R1's.
-        The head is kept by the workspace, read-only.
+        On the first call for z, f_z is evaluated at every node. Let I be
+        the last interval where it is not 1.0 at some node. Column j of a
+        band sums the intervals j - k + 2 to j + 1 of spline j + 1, so from
+        column I + k - 1 on W_z is summed from R1's weights, exactly as R1.
+        The splines are evaluated only on the intervals 0 to I + k - 1 that
+        the first I + k - 1 columns read, those columns are summed as in a
+        whole band, and the head is cut after the last of them that differs
+        from R1: at most n columns, none when W_z is R1. The head is kept by
+        the workspace, read-only; the values are not.
         """
         head = self._screening_bands.get(z)
         if head is None:
-            w, r = self.quad.weights, self.quad.nodes
-            band = _grid_band(w * screening_factor(r, z) / r, self.values, self.basis.n_active)
-            differs = np.flatnonzero((band != self.r1_band).any(axis=0))
+            basis, w, r = self.basis, self.quad.weights, self.quad.nodes
+            k, n = basis.order_k, basis.n_active
+            factor = screening_factor(r, z)
+            off_one = np.flatnonzero((factor != 1.0).any(axis=1))
+            last = off_one[-1] if off_one.size else -1  # I
+            read = min(last + k, basis.n_intervals)
+            values = _values_and_derivs(basis.knots, k, k - 1 + np.arange(read), r[:read])[0]
+            band = _grid_band(w[:read] * factor[:read] / r[:read], values, n)
+            width = min(last + k - 1, n)
+            differs = np.flatnonzero((band[:, :width] != self.r1_band[:, :width]).any(axis=0))
             head = band[:, : differs[-1] + 1 if differs.size else 0].copy()
             head.setflags(write=False)
             self._screening_bands[z] = head
@@ -469,12 +481,14 @@ def _grid_band(weights: np.ndarray, table: np.ndarray, dim: int) -> np.ndarray:
 
     Block (iv, a, b) couples global splines iv+a and iv+b; active (trimmed)
     indices are the global ones shifted down by one, with the first and
-    last spline discarded. For each offset d = b - a one elementwise
-    contraction over the nodes gives the blocks' entries (iv, a, a + d) for
-    every a, so no (n_intervals, k, k) block array is formed and no BLAS
-    product runs (see eigensolve). They are added into row bw - d in
-    ascending a, so each upper band cell sums its terms in ascending a; the
-    lower rows are then copied from the upper ones.
+    last spline discarded. The table may cover only the leading intervals,
+    0 to n_iv - 1: the columns that read no later interval, 0 to n_iv - 2,
+    are then those of the whole band. For each offset d = b - a one
+    elementwise contraction over the nodes gives the blocks' entries
+    (iv, a, a + d) for every a, so no (n_intervals, k, k) block array is
+    formed and no BLAS product runs (see eigensolve). They are added into
+    row bw - d in ascending a, so each upper band cell sums its terms in
+    ascending a; the lower rows are then copied from the upper ones.
     """
     n_iv, k = table.shape[0], table.shape[2]
     bw = k - 1
@@ -495,17 +509,15 @@ def _grid_band(weights: np.ndarray, table: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _workspace(basis: KnotBasis, quad: QuadratureRule) -> Workspace:
-    """The workspace of ``basis`` and ``quad``: its design tables, of which
-    the derivatives are read for T and then dropped, and its grid bands."""
+    """The workspace of ``basis`` and ``quad``: its grid bands, summed from
+    its design tables, which are dropped once the bands are built."""
     values, derivs = design_tables(basis, quad)
     n, w, r = basis.n_active, quad.weights, quad.nodes
     t_band = _grid_band(0.5 * w, derivs, n)
     del derivs
-    values.setflags(write=False)
     return Workspace(
         basis=basis,
         quad=quad,
-        values=values,
         s_band=_grid_band(w, values, n),
         t_band=t_band,
         r2_band=_grid_band(w / (r * r), values, n),
@@ -514,9 +526,8 @@ def _workspace(basis: KnotBasis, quad: QuadratureRule) -> Workspace:
 
 
 def build_workspace(grid: GridSpec, /) -> Workspace:
-    """The basis, quadrature, spline values and grid bands of a grid: one
-    workspace per grid value, with unset nodes_per_interval read as
-    order_k."""
+    """The basis, quadrature and grid bands of a grid: one workspace per
+    grid value, with unset nodes_per_interval read as order_k."""
     if grid.nodes_per_interval is None:
         grid = replace(grid, nodes_per_interval=grid.order_k)
     return _grid_workspace(grid)

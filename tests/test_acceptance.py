@@ -14,7 +14,7 @@ import scipy.linalg as sla
 
 from conftest import band_to_dense, random_banded_pair, refined_dense_eigenvalues
 
-from atomscreen.bsplines import GridSpec, PAPER_GRID, build_workspace, eval_bspline
+from atomscreen.bsplines import GridSpec, PAPER_GRID, build_workspace, design_tables, eval_bspline
 from atomscreen.eigensolve import solve_lowest
 from atomscreen.model import (
     AtomSpec,
@@ -172,7 +172,7 @@ def test_criterion_6_property_suite():
     ok = True
 
     ws = build_workspace(PAPER_GRID)
-    sums = ws.values.sum(axis=2)
+    sums = design_tables(ws.basis, ws.quad)[0].sum(axis=2)
     rng = np.random.default_rng(17)
     unity_dev = float(np.max(np.abs(sums - 1.0)))
     radii = rng.uniform(0.0, 200.0, 100)

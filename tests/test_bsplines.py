@@ -1,16 +1,20 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import band_to_dense
 
+from atomscreen import bsplines
 from atomscreen.bsplines import (
     GridSpec,
     KnotBasis,
     PAPER_GRID,
     _gauss_legendre,
+    _grid_band,
     _workspace,
     build_workspace,
     design_tables,
@@ -339,13 +343,14 @@ class TestSeedWorkspace:
         _, seed = spaces
         basis, k = seed.basis, seed.basis.order_k
         values, derivs = design_tables(basis, seed.quad)
-        assert np.array_equal(seed.values, values)
+        # the seed's bands are summed from these tables
+        assert np.array_equal(seed.s_band, _grid_band(seed.quad.weights, values, basis.n_active))
         last = seed.quad.nodes.shape[1] - 1
         for iv in range(basis.n_intervals):
             for q in (0, last // 2, last):
                 r = seed.quad.nodes[iv, q]
                 for a in range(k):
-                    assert seed.values[iv, q, a] == pytest.approx(
+                    assert values[iv, q, a] == pytest.approx(
                         eval_bspline(basis, iv + a, r), abs=1e-14
                     )
                     assert derivs[iv, q, a] == pytest.approx(
@@ -366,18 +371,27 @@ def _reachable_nbytes(obj):
 
 
 class TestWorkspaceHoldings:
-    """A workspace and its seed keep the spline values and the grid bands,
-    the head of each W_Z built so far among them, and no derivative table."""
+    """A workspace and its seed keep their grid bands, the head of each W_Z
+    built so far among them, and no spline table."""
 
     @pytest.mark.parametrize("grid", [
         PAPER_GRID,
         GridSpec(n_splines=23, order_k=3, r_max=10.0, knot_kind="linear", nodes_per_interval=4),
     ], ids=["paper", "linear-k3"])
-    def test_holds_no_derivative_table(self, grid):
+    def test_holds_only_its_bands(self, grid, monkeypatch):
+        tables = []
+
+        def recording(*args):
+            values, derivs = evaluate(*args)
+            tables.extend((weakref.ref(values), weakref.ref(derivs)))
+            return values, derivs
+
         cached = build_workspace(grid)
+        evaluate = bsplines._values_and_derivs
+        monkeypatch.setattr(bsplines, "_values_and_derivs", recording)
         ws = _workspace(cached.basis, cached.quad)  # no W_Z built yet
         for space in (ws, ws.seed):
-            kept = (space.values, space.s_band, space.t_band, space.r2_band, space.r1_band,
+            kept = (space.s_band, space.t_band, space.r2_band, space.r1_band,
                     space.basis.knots, space.basis.breakpoints,
                     space.quad.nodes, space.quad.weights)
             held = sum(array.nbytes for array in kept)
@@ -392,9 +406,11 @@ class TestWorkspaceHoldings:
                 assert _reachable_nbytes(space) == held
             space.screening_band(3)  # built once, then kept
             assert _reachable_nbytes(space) == held
-            assert not space.values.flags.writeable
-            with pytest.raises(ValueError):
-                space.values[0, 0, 0] = 1.0
+        # the values and derivatives evaluated by the two builds and the
+        # four W_Z are all freed once these return
+        gc.collect()
+        assert len(tables) == 2 * (2 + 4)
+        assert all(table() is None for table in tables)
 
 
 def _per_interval_blocks(weights, table):
@@ -496,7 +512,8 @@ class TestVectorisedTables:
             ws = ws.seed
         k = ws.basis.order_k
         values, derivs = design_tables(ws.basis, ws.quad)
-        assert np.array_equal(ws.values, values)
+        # the workspace's bands are summed from these tables
+        assert np.array_equal(ws.s_band, _grid_band(ws.quad.weights, values, ws.basis.n_active))
         for iv in range(ws.basis.n_intervals):
             span_values, span_derivs = _span_values_and_derivs(
                 ws.basis.knots, k, k - 1 + iv, ws.quad.nodes[iv]

@@ -85,6 +85,7 @@ class TestAssemble:
 
     def test_overlap_row_sums_integrate_central_splines(self, coarse_ws):
         basis, quad = coarse_ws.basis, coarse_ws.quad
+        values = design_tables(basis, quad)[0]
         pair = assemble(coarse_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
         s_dense = band_to_dense(pair.s_band)
         k = basis.order_k
@@ -93,7 +94,7 @@ class TestAssemble:
         for active in range(k, basis.n_active - k):
             global_index = active + 1
             integral = np.sum(
-                coarse_ws.values[:, :, :] * quad.weights[:, :, None],
+                values[:, :, :] * quad.weights[:, :, None],
                 axis=(0, 1),
             )
             # values[iv, q, a] holds spline iv + a; gather its pieces
@@ -101,7 +102,7 @@ class TestAssemble:
             for iv in range(basis.n_intervals):
                 a = global_index - iv
                 if 0 <= a < k:
-                    total += np.sum(quad.weights[iv] * coarse_ws.values[iv, :, a])
+                    total += np.sum(quad.weights[iv] * values[iv, :, a])
             assert s_dense[active].sum() == pytest.approx(total, rel=1e-12)
 
     def test_symmetry_and_band_structure(self, coarse_ws):
@@ -303,9 +304,10 @@ class TestSharedGridBands:
 
 
 def _full_screening_band(ws, z):
-    """W_z whole, every column summed from the spline values."""
+    """W_z whole, every column summed from the spline values at every node."""
     w, r = ws.quad.weights, ws.quad.nodes
-    return bsplines._grid_band(w * screening_factor(r, z) / r, ws.values, ws.basis.n_active)
+    values = design_tables(ws.basis, ws.quad)[0]
+    return bsplines._grid_band(w * screening_factor(r, z) / r, values, ws.basis.n_active)
 
 
 def _same_bits(a, b):
@@ -318,19 +320,37 @@ def short_linear_ws():
     return build_workspace(GridSpec(n_splines=40, order_k=5, r_max=5.0, knot_kind="linear"))
 
 
-_SCREENED_SPACES = pytest.mark.parametrize("ws_name, on_seed", [
-    ("paper_ws", False), ("paper_ws", True), ("coarse_ws", False), ("short_linear_ws", False),
-], ids=["paper", "paper-seed", "coarse", "short-linear"])
+_SCREENED = [
+    pytest.param("paper_ws", False, id="paper"),
+    pytest.param("paper_ws", True, id="paper-seed"),
+    pytest.param("coarse_ws", False, id="coarse"),
+    pytest.param("short_linear_ws", False, id="short-linear"),
+]
+_SCREENED_SPACES = pytest.mark.parametrize("ws_name, on_seed", _SCREENED)
+
+# the smallest grids make_knots takes (as in test_spectra's TestSmallestGrids):
+# 2k + 1 or 2k + 2 splines, 5 to 13 intervals, whose seeds have 2 to 4; a
+# head there reads a few leading intervals or all of them
+_SMALLEST_GRIDS = {
+    f"2k+{extra}-k{k}": GridSpec(n_splines=2 * k + extra, order_k=k, nodes_per_interval=k)
+    for k in (3, 10) for extra in (1, 2)
+}
 
 
 class TestScreeningBandHead:
     """A workspace keeps W_Z up to its last column that differs from R1;
     that head, then R1, is W_Z bit for bit."""
 
-    @_SCREENED_SPACES
+    @pytest.mark.parametrize("ws_name, on_seed", _SCREENED + [
+        pytest.param(name, on_seed, id=name + ("-seed" if on_seed else ""))
+        for name in _SMALLEST_GRIDS for on_seed in (False, True)
+    ])
     @pytest.mark.parametrize("z", [2, 3, 12])
     def test_head_then_r1_is_the_full_band(self, request, ws_name, on_seed, z):
-        ws = request.getfixturevalue(ws_name)
+        if ws_name in _SMALLEST_GRIDS:
+            ws = build_workspace(_SMALLEST_GRIDS[ws_name])
+        else:
+            ws = request.getfixturevalue(ws_name)
         ws = ws.seed if on_seed else ws
         head = ws.screening_band(z)
         m = head.shape[1]
@@ -347,6 +367,27 @@ class TestScreeningBandHead:
         # the last column reads the last interval, where f_z < 1.0
         assert np.all(screening_factor(ws.quad.nodes[-1], z) < 1.0)
         assert ws.screening_band(z).shape == ws.r1_band.shape
+
+    @pytest.mark.parametrize("on_seed", [False, True], ids=["paper", "paper-seed"])
+    def test_evaluates_only_the_intervals_its_head_reads(self, paper_ws, on_seed, monkeypatch):
+        ws = bsplines._workspace(paper_ws.basis, paper_ws.quad)  # no W_Z built yet
+        ws = ws.seed if on_seed else ws
+        evaluate, spans = bsplines._values_and_derivs, []
+
+        def recording(t, k, span, x):
+            spans.append(span)
+            return evaluate(t, k, span, x)
+
+        monkeypatch.setattr(bsplines, "_values_and_derivs", recording)
+        k, n_iv = ws.basis.order_k, ws.basis.n_intervals
+        for z in range(2, 13):
+            ws.screening_band(z)
+            # the last interval where f_z is not 1.0 at some node, and the
+            # k - 1 after it, which the columns reading it also read
+            last = np.flatnonzero((screening_factor(ws.quad.nodes, z) != 1.0).any(axis=1))[-1]
+            assert np.array_equal(spans.pop(), k - 1 + np.arange(min(last + k, n_iv)))
+            assert last + k < n_iv
+        assert not spans
 
     @_SCREENED_SPACES
     def test_screened_channel_pair_is_the_full_band_sum(self, request, ws_name, on_seed):
