@@ -19,11 +19,12 @@ four grid-only bands S, T, R2 and R1 that every channel on the grid sums
 (operators). The tables of ``design_tables`` are read only inside the
 build, the derivatives for T and the values for the other three, and are
 dropped before the workspace is returned, so a workspace holds no spline
-table. The screening band W_Z of each Z is built on first use
-(``Workspace.screening_band``). Beyond the radius where f_Z is 1.0 to the
-last bit its columns are R1's, so the splines are evaluated again only on
-the leading intervals that the other columns read, and the workspace keeps
-only the leading columns that differ, and frees them with itself.
+table. The core band D_Z = <B|(f_Z - 1)/r|B> of each Z is built on first
+use (``Workspace.screening_band``): its integrand is 0.0 at every node
+beyond the last interval where f_Z is not 1.0, so the splines are evaluated
+again only up to that interval, and the workspace keeps only the leading
+columns that read it, and frees them with itself. A screened channel's
+W_Z = <B|f_Z/r|B> is R1 + D_Z (operators).
 
 Each workspace owns its seed workspace (``Workspace.seed``): the same order
 on every fourth breakpoint, with the same node count per interval, built
@@ -154,11 +155,11 @@ class Workspace:
     The bands are ``s_band`` (<B|B>), ``t_band`` (1/2 <B'|B'>), ``r2_band``
     (<B|1/r^2|B>) and ``r1_band`` (<B|1/r|B>), each in general band layout
     (``_grid_band``), and one ``screening_band(z)`` per Z: the leading
-    columns of W_z, whose later columns are ``r1_band``'s. All of them are
+    columns of D_z = W_z - R1, whose later columns are 0.0. All of them are
     read-only and shared by every channel on the grid. The workspace keeps
     no spline table: the values and derivatives at the nodes are read while
-    it is built, and each W_z evaluates the values again on the intervals
-    its head reads.
+    it is built, and each D_z evaluates the values again on the intervals
+    where f_z is not 1.0.
     """
 
     basis: KnotBasis
@@ -170,34 +171,28 @@ class Workspace:
     _screening_bands: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def screening_band(self, z: int) -> np.ndarray:
-        """The leading columns of W_z = <B|f_z(r)/r|B>, f_z =
-        model.screening_factor; every later column of W_z equals that of
-        ``r1_band`` bit for bit.
+        """The leading columns of D_z = <B|(f_z(r) - 1)/r|B>, f_z =
+        model.screening_factor; every later column of D_z is 0.0.
 
         On the first call for z, f_z is evaluated at every node. Let I be
-        the last interval where it is not 1.0 at some node. Column j of a
-        band sums the intervals j - k + 2 to j + 1 of spline j + 1, so from
-        column I + k - 1 on W_z is summed from R1's weights, exactly as R1.
-        The splines are evaluated only on the intervals 0 to I + k - 1 that
-        the first I + k - 1 columns read, those columns are summed as in a
-        whole band, and the head is cut after the last of them that differs
-        from R1: at most n columns, none when W_z is R1. The head is kept by
-        the workspace, read-only; the values are not.
+        the last interval where it is not 1.0 at some node; the integrand is
+        0.0 at every later node. Column j of a band sums the intervals j - k
+        + 2 to j + 1 of spline j + 1, so the splines are evaluated only on
+        the intervals 0 to I and the head is the first min(I + k - 1, n)
+        columns they reach, the same bits as in D_z whole: none where f_z is
+        1.0 at every node. The head is kept by the workspace, read-only; the
+        values are not.
         """
         head = self._screening_bands.get(z)
         if head is None:
             basis, w, r = self.basis, self.quad.weights, self.quad.nodes
-            k, n = basis.order_k, basis.n_active
-            factor = screening_factor(r, z)
-            off_one = np.flatnonzero((factor != 1.0).any(axis=1))
-            last = off_one[-1] if off_one.size else -1  # I
-            read = min(last + k, basis.n_intervals)
+            k = basis.order_k
+            core = screening_factor(r, z) - 1.0
+            off_one = np.flatnonzero(core.any(axis=1))
+            read = off_one[-1] + 1 if off_one.size else 0  # intervals 0 .. I
             values = _values_and_derivs(basis.knots, k, k - 1 + np.arange(read), r[:read])[0]
-            band = _grid_band(w[:read] * factor[:read] / r[:read], values, n)
-            width = min(last + k - 1, n)
-            differs = np.flatnonzero((band[:, :width] != self.r1_band[:, :width]).any(axis=0))
-            head = band[:, : differs[-1] + 1 if differs.size else 0].copy()
-            head.setflags(write=False)
+            width = min(read + k - 2, basis.n_active) if read else 0
+            head = _grid_band(w[:read] * core[:read] / r[:read], values, width)
             self._screening_bands[z] = head
         return head
 
@@ -482,13 +477,14 @@ def _grid_band(weights: np.ndarray, table: np.ndarray, dim: int) -> np.ndarray:
     Block (iv, a, b) couples global splines iv+a and iv+b; active (trimmed)
     indices are the global ones shifted down by one, with the first and
     last spline discarded. The table may cover only the leading intervals,
-    0 to n_iv - 1: the columns that read no later interval, 0 to n_iv - 2,
-    are then those of the whole band. For each offset d = b - a one
-    elementwise contraction over the nodes gives the blocks' entries
-    (iv, a, a + d) for every a, so no (n_intervals, k, k) block array is
-    formed and no BLAS product runs (see eigensolve). They are added into
-    row bw - d in ascending a, so each upper band cell sums its terms in
-    ascending a; the lower rows are then copied from the upper ones.
+    0 to n_iv - 1, and ``dim`` be less than n: the band is then that of
+    weights 0.0 on every later interval, cut after column ``dim`` - 1. For
+    each offset d = b - a one elementwise contraction over the nodes gives
+    the blocks' entries (iv, a, a + d) for every a, so no (n_intervals, k,
+    k) block array is formed and no BLAS product runs (see eigensolve).
+    They are added into row bw - d in ascending a, so each upper band cell
+    sums its terms in ascending a; the lower rows are then copied from the
+    upper ones.
     """
     n_iv, k = table.shape[0], table.shape[2]
     bw = k - 1

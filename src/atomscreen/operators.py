@@ -7,16 +7,17 @@ The reduced radial problem for angular momentum l is
 
 with the kinetic term integrated by parts (boundary terms vanish because the
 boundary splines are trimmed). Every model potential is V(r) = -q/r +
-a f_Z(r)/r (model.potential_terms), so H is a sum of grid bands,
+a f_Z(r)/r (model.potential_terms), and f_Z = model.screening_factor tends
+to 1, so H is the Coulomb H of the asymptotic charge q - a plus a core band,
 
-    H = T + l(l+1)/2 R2 - q R1 + a W_Z,
+    H = T + l(l+1)/2 R2 - (q - a) R1 + a D_Z,
 
-with T = 1/2 <B'|B'>, R2 = <B|1/r^2|B>, R1 = <B|1/r|B>, W_Z = <B|f_Z/r|B>
-and f_Z = model.screening_factor. No channel integrates anything: every
-band is built and held by the workspace (bsplines.Workspace), the grid-only
-S, T, R2 and R1 with it and each W_Z on first use (Workspace.screening_band),
-so this module keeps no state. The workspace keeps W_Z only up to its last
-column that differs from R1, and the band sum reads R1 beyond it.
+with T = 1/2 <B'|B'>, R2 = <B|1/r^2|B>, R1 = <B|1/r|B> and D_Z =
+<B|(f_Z - 1)/r|B>. No channel integrates anything: every band is built and
+held by the workspace (bsplines.Workspace), the grid-only S, T, R2 and R1
+with it and each D_Z on first use (Workspace.screening_band), so this
+module keeps no state. The workspace keeps D_Z only up to its last column
+that reads an interval where f_Z is not 1.0; every later column is 0.0.
 
 One band sum (``_channel_pair``) serves any workspace. ``assemble`` runs it
 on the channel's workspace; the seed pair, the same band sum on the seed
@@ -82,20 +83,18 @@ class OperatorPair:
 
 
 def _channel_pair(ws: Workspace, atom: AtomSpec, l: int, model: Pseudopotential) -> OperatorPair:
-    """The channel's H = T + l(l+1)/2 R2 - q R1 + a W_Z, summed from the
-    bands of ``ws``, with the shared S of ``ws``.
+    """The channel's H = T + l(l+1)/2 R2 - (q - a) R1 + a D_Z, summed from
+    the bands of ``ws``, with the shared S of ``ws``.
 
-    a W_Z is a R1 with its leading columns replaced by a times the head of
-    W_Z (bsplines.Workspace.screening_band), so each entry of H is the same
-    sum as with W_Z whole."""
+    a D_Z is added only into H's leading columns, those of its head
+    (bsplines.Workspace.screening_band), since its later columns are 0.0.
+    An unscreened channel (a = 0) sums T - q R1, as q - 0.0 is q."""
     charge, screening = potential_terms(model, atom, l)
     centrifugal = 0.5 * l * (l + 1)
-    h_band = ws.t_band - charge * ws.r1_band
+    h_band = ws.t_band - (charge - screening) * ws.r1_band
     if screening:
         head = ws.screening_band(atom.Z)
-        scaled = screening * ws.r1_band
-        np.multiply(screening, head, out=scaled[:, : head.shape[1]])
-        h_band += scaled
+        h_band[:, : head.shape[1]] += screening * head
     if centrifugal:
         h_band += centrifugal * ws.r2_band
     return OperatorPair(h_band=h_band, s_band=ws.s_band)
@@ -106,7 +105,7 @@ def assemble(
 ) -> OperatorPair:
     """Assemble the banded (H, S) pair for one angular-momentum channel.
 
-    H = T + l(l+1)/2 R2 - q R1 + a W_Z: a sum of the workspace's bands
+    H = T + l(l+1)/2 R2 - (q - a) R1 + a D_Z: a sum of the workspace's bands
     (module docstring); S is shared (read-only).
     """
     if l < 0:

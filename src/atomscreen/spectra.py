@@ -10,7 +10,7 @@ Each channel solve assembles the channel, seeds it (eigensolve, step 1) by
 ``_seeds`` and solves it. Nothing is memoised per channel. A solve reads
 one workspace per grid value (bsplines.build_workspace, the only bounded
 memo), which keeps its seed workspace (Workspace.seed) and every band of
-its grid (Workspace.screening_band builds each W_Z on first use). The
+its grid (Workspace.screening_band builds each D_Z on first use). The
 Coulomb/screened split comes from the channel's model.potential_terms.
 A channel with no screening term (every symmetry-model and bare channel,
 and the central model for one electron) is a pure Coulomb channel,
@@ -151,15 +151,16 @@ def _seeds(
     closed-form levels -q^2 / (2 nu^2), nu = l + 1, l + 2, ...; its Galerkin
     levels lie just above them (~1e-12 hartree on the paper grid, for every
     state the box holds). A screened channel is seeded from its seed pair,
-    where that holds count + 1 states and dsbgvx succeeds on it.
+    where the seed workspace holds count + 1 states and dsbgvx succeeds on
+    the pair.
     """
     charge, screening = potential_terms(model, atom, l)
     if not screening:
         levels = range(l + 1, l + count + 2)
         return np.array([hydrogenic_energy(charge, nu) for nu in levels])
-    seed = _channel_pair(ws.seed, atom, l, model)
-    if seed.dimension <= count:
+    if ws.seed.basis.n_active <= count:
         return None
+    seed = _channel_pair(ws.seed, atom, l, model)
     try:
         return eigensolve._sturm_seeds(seed, count + 1)
     except eigensolve.EigensolverError:

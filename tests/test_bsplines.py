@@ -371,7 +371,7 @@ def _reachable_nbytes(obj):
 
 
 class TestWorkspaceHoldings:
-    """A workspace and its seed keep their grid bands, the head of each W_Z
+    """A workspace and its seed keep their grid bands, the head of each D_Z
     built so far among them, and no spline table."""
 
     @pytest.mark.parametrize("grid", [
@@ -389,7 +389,7 @@ class TestWorkspaceHoldings:
         cached = build_workspace(grid)
         evaluate = bsplines._values_and_derivs
         monkeypatch.setattr(bsplines, "_values_and_derivs", recording)
-        ws = _workspace(cached.basis, cached.quad)  # no W_Z built yet
+        ws = _workspace(cached.basis, cached.quad)  # no D_Z built yet
         for space in (ws, ws.seed):
             kept = (space.s_band, space.t_band, space.r2_band, space.r1_band,
                     space.basis.knots, space.basis.breakpoints,
@@ -397,7 +397,7 @@ class TestWorkspaceHoldings:
             held = sum(array.nbytes for array in kept)
             assert _reachable_nbytes(space) == held
             for z in (3, 11):
-                # each W_Z adds its head, which owns its columns: fewer than
+                # each D_Z adds its head, which owns its columns: fewer than
                 # the band's n wherever f_Z reaches 1.0 inside the box
                 head = space.screening_band(z)
                 assert head.base is None
@@ -407,7 +407,7 @@ class TestWorkspaceHoldings:
             space.screening_band(3)  # built once, then kept
             assert _reachable_nbytes(space) == held
         # the values and derivatives evaluated by the two builds and the
-        # four W_Z are all freed once these return
+        # four D_Z are all freed once these return
         gc.collect()
         assert len(tables) == 2 * (2 + 4)
         assert all(table() is None for table in tables)

@@ -83,27 +83,19 @@ class TestAssemble:
         assert band_to_dense(pair.s_band) == pytest.approx(s_ref, abs=1e-13)
         assert band_to_dense(pair.h_band) == pytest.approx(h_ref, abs=1e-11)
 
-    def test_overlap_row_sums_integrate_central_splines(self, coarse_ws):
-        basis, quad = coarse_ws.basis, coarse_ws.quad
-        values = design_tables(basis, quad)[0]
-        pair = assemble(coarse_ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
+    @pytest.mark.parametrize("ws_name", ["coarse_ws", "paper_ws"])
+    def test_overlap_row_sums_integrate_central_splines(self, request, ws_name):
+        ws = request.getfixturevalue(ws_name)
+        basis = ws.basis
+        pair = assemble(ws, HYDROGEN, 0, Pseudopotential.BARE_COULOMB)
         s_dense = band_to_dense(pair.s_band)
-        k = basis.order_k
-        # boundary splines are trimmed, so row sums only reproduce the
-        # integral for splines whose support avoids both box ends
+        k, t = basis.order_k, basis.knots
+        # the splines sum to 1, so row i of S sums to the integral of B_i,
+        # (t[i + k] - t[i]) / k; boundary splines are trimmed, so only for
+        # splines whose support avoids both box ends
         for active in range(k, basis.n_active - k):
-            global_index = active + 1
-            integral = np.sum(
-                values[:, :, :] * quad.weights[:, :, None],
-                axis=(0, 1),
-            )
-            # values[iv, q, a] holds spline iv + a; gather its pieces
-            total = 0.0
-            for iv in range(basis.n_intervals):
-                a = global_index - iv
-                if 0 <= a < k:
-                    total += np.sum(quad.weights[iv] * values[iv, :, a])
-            assert s_dense[active].sum() == pytest.approx(total, rel=1e-12)
+            i = active + 1
+            assert s_dense[active].sum() == pytest.approx((t[i + k] - t[i]) / k, rel=1e-12)
 
     def test_symmetry_and_band_structure(self, coarse_ws):
         pair = assemble(coarse_ws, HYDROGEN, 2, Pseudopotential.BARE_COULOMB)
@@ -295,7 +287,7 @@ class TestSharedGridBands:
         assert ws.screening_band(4) is not screening
         for band in (ws.s_band, ws.t_band, ws.r2_band, ws.r1_band):
             assert band.shape == ws.s_band.shape
-        # W_Z keeps only its leading columns: all of its rows, at most n columns
+        # D_Z keeps only its leading columns: all of its rows, at most n columns
         rows, n = ws.s_band.shape
         assert screening.shape[0] == rows and screening.shape[1] <= n
         for band in (ws.s_band, ws.t_band, ws.r2_band, ws.r1_band, screening):
@@ -303,11 +295,12 @@ class TestSharedGridBands:
                 band[0, -1] = 1.0
 
 
-def _full_screening_band(ws, z):
-    """W_z whole, every column summed from the spline values at every node."""
+def _full_core_band(ws, z):
+    """D_z = <B|(f_z - 1)/r|B> whole, every column summed from the spline
+    values at every node."""
     w, r = ws.quad.weights, ws.quad.nodes
     values = design_tables(ws.basis, ws.quad)[0]
-    return bsplines._grid_band(w * screening_factor(r, z) / r, values, ws.basis.n_active)
+    return bsplines._grid_band(w * (screening_factor(r, z) - 1.0) / r, values, ws.basis.n_active)
 
 
 def _same_bits(a, b):
@@ -335,30 +328,50 @@ _SMALLEST_GRIDS = {
     f"2k+{extra}-k{k}": GridSpec(n_splines=2 * k + extra, order_k=k, nodes_per_interval=k)
     for k in (3, 10) for extra in (1, 2)
 }
+# grids whose first node lies beyond 10 bohr, where f_z is 1.0 for every Z:
+# 3 active splines, nodes at 10.6 and 39.4 bohr on the first interval; and 5
+# active splines of order 3, the first node at 22.5 bohr
+_F_Z_ONE_GRIDS = {
+    "linear-k2-far": GridSpec(n_splines=5, order_k=2, knot_kind="linear", nodes_per_interval=2),
+    "linear-k3-far": GridSpec(n_splines=7, order_k=3, knot_kind="linear", r_max=1000.0),
+}
+_GRIDS = {**_SMALLEST_GRIDS, **_F_Z_ONE_GRIDS}
+
+
+def _last_off_one(ws, z):
+    """I: the last interval where f_z is not 1.0 at some node, -1 if none."""
+    off_one = np.flatnonzero((screening_factor(ws.quad.nodes, z) != 1.0).any(axis=1))
+    return off_one[-1] if off_one.size else -1
 
 
 class TestScreeningBandHead:
-    """A workspace keeps W_Z up to its last column that differs from R1;
-    that head, then R1, is W_Z bit for bit."""
+    """A workspace keeps D_Z = W_Z - R1 up to its last column that reads an
+    interval where f_Z is not 1.0; that head, then zeros, is D_Z bit for
+    bit, and a screened channel is its Coulomb channel of charge q - a plus
+    a D_Z."""
 
     @pytest.mark.parametrize("ws_name, on_seed", _SCREENED + [
         pytest.param(name, on_seed, id=name + ("-seed" if on_seed else ""))
         for name in _SMALLEST_GRIDS for on_seed in (False, True)
-    ])
+    ] + [pytest.param(name, False, id=name) for name in _F_Z_ONE_GRIDS])
     @pytest.mark.parametrize("z", [2, 3, 12])
-    def test_head_then_r1_is_the_full_band(self, request, ws_name, on_seed, z):
-        if ws_name in _SMALLEST_GRIDS:
-            ws = build_workspace(_SMALLEST_GRIDS[ws_name])
+    def test_head_then_zeros_is_the_whole_core_band(self, request, ws_name, on_seed, z):
+        if ws_name in _GRIDS:
+            ws = build_workspace(_GRIDS[ws_name])
         else:
             ws = request.getfixturevalue(ws_name)
         ws = ws.seed if on_seed else ws
         head = ws.screening_band(z)
-        m = head.shape[1]
-        assert _same_bits(np.hstack([head, ws.r1_band[:, m:]]), _full_screening_band(ws, z))
-        # minimal: the last column kept is not R1's
+        k, n = ws.basis.order_k, ws.basis.n_active
+        last = _last_off_one(ws, z)
+        m = min(last + k - 1, n) if last >= 0 else 0
+        assert head.shape == (2 * k - 1, m)
+        zeros = np.zeros((2 * k - 1, n - m))
+        assert _same_bits(np.hstack([head, zeros]), _full_core_band(ws, z))
+        # minimal: the last column kept is not all zero
         if m:
-            assert not _same_bits(head[:, m - 1], ws.r1_band[:, m - 1])
-        # the head owns its columns, so no view keeps the whole band alive
+            assert np.any(head[:, m - 1] != 0.0)
+        # the head owns its columns, so no view keeps a wider band alive
         assert head.base is None
 
     @pytest.mark.parametrize("z", [2, 3])
@@ -370,7 +383,7 @@ class TestScreeningBandHead:
 
     @pytest.mark.parametrize("on_seed", [False, True], ids=["paper", "paper-seed"])
     def test_evaluates_only_the_intervals_its_head_reads(self, paper_ws, on_seed, monkeypatch):
-        ws = bsplines._workspace(paper_ws.basis, paper_ws.quad)  # no W_Z built yet
+        ws = bsplines._workspace(paper_ws.basis, paper_ws.quad)  # no D_Z built yet
         ws = ws.seed if on_seed else ws
         evaluate, spans = bsplines._values_and_derivs, []
 
@@ -382,10 +395,10 @@ class TestScreeningBandHead:
         k, n_iv = ws.basis.order_k, ws.basis.n_intervals
         for z in range(2, 13):
             ws.screening_band(z)
-            # the last interval where f_z is not 1.0 at some node, and the
-            # k - 1 after it, which the columns reading it also read
-            last = np.flatnonzero((screening_factor(ws.quad.nodes, z) != 1.0).any(axis=1))[-1]
-            assert np.array_equal(spans.pop(), k - 1 + np.arange(min(last + k, n_iv)))
+            # up to the last interval where f_z is not 1.0 at some node:
+            # D_z's integrand is 0.0 at every later node
+            last = _last_off_one(ws, z)
+            assert np.array_equal(spans.pop(), k - 1 + np.arange(last + 1))
             assert last + k < n_iv
         assert not spans
 
@@ -398,32 +411,39 @@ class TestScreeningBandHead:
             atom = catalog_atom(symbol)
             charge, screening = potential_terms(model, atom, l)
             assert screening
-            reference = ws.t_band - charge * ws.r1_band
-            reference += screening * _full_screening_band(ws, atom.Z)
+            reference = ws.t_band - (charge - screening) * ws.r1_band
+            reference += screening * _full_core_band(ws, atom.Z)
             if l:
                 reference += 0.5 * l * (l + 1) * ws.r2_band
             pair = _channel_pair(ws, atom, l, model)
             assert _same_bits(pair.h_band, reference)
             assert pair.s_band is ws.s_band
 
+    @pytest.mark.parametrize("grid_name", list(_F_Z_ONE_GRIDS))
+    @pytest.mark.parametrize("symbol", ["He", "Li", "Mg"])
+    def test_no_head_where_f_z_is_one_at_every_node(self, grid_name, symbol):
+        ws = build_workspace(_F_Z_ONE_GRIDS[grid_name])
+        model, atom = Pseudopotential.CENTRAL_SCREENING, catalog_atom(symbol)
+        assert ws.screening_band(atom.Z).shape[1] == 0
+        for l in (0, 1):
+            charge, screening = potential_terms(model, atom, l)
+            assert screening
+            # the Coulomb channel of the asymptotic charge q - a
+            reference = ws.t_band - (charge - screening) * ws.r1_band
+            if l:
+                reference += 0.5 * l * (l + 1) * ws.r2_band
+            assert _same_bits(_channel_pair(ws, atom, l, model).h_band, reference)
+
     @pytest.mark.parametrize("on_seed", [False, True], ids=["paper", "paper-seed"])
     def test_width_is_bounded_by_where_f_z_reaches_one(self, paper_ws, on_seed):
         ws = paper_ws.seed if on_seed else paper_ws
         k, n = ws.basis.order_k, ws.basis.n_active
-        widths, bounds = [], []
         for z in range(2, 13):
-            # I: the first interval from which f_z is 1.0 at every node of
-            # every later interval. Column j sums the intervals of spline
-            # j + 1, which start at j - k + 2, so columns from I + k - 2 on
-            # are summed from the weights of R1.
-            at_one = np.all(screening_factor(ws.quad.nodes, z) == 1.0, axis=1)
-            off_one = np.flatnonzero(~at_one)
-            first = off_one[-1] + 1 if off_one.size else 0
-            widths.append(ws.screening_band(z).shape[1])
-            bounds.append(first + k - 2)
-        assert all(m <= bound and m < n for m, bound in zip(widths, bounds))
-        # the bound is met by some Z (on the paper grid by Z = 3, 9 and 12)
-        assert any(m == bound for m, bound in zip(widths, bounds))
+            # Column j sums the intervals of spline j + 1, which start at
+            # j - k + 2, so only the columns before I + k - 1 read an
+            # interval where D_z's integrand is not 0.0
+            m = ws.screening_band(z).shape[1]
+            assert m == _last_off_one(ws, z) + k - 1 < n
 
 
 def _sweep(model, r_max):
@@ -462,7 +482,7 @@ class TestBandOwnership:
         solve_channel(lithium, model, 0, 1, grid)
         ws = build_workspace(grid)
         refs = [weakref.ref(space) for space in (ws, ws.seed)]
-        # the solve built the W_Z of each, held only by its workspace
+        # the solve built the D_Z of each, held only by its workspace
         assert all(list(space._screening_bands) == [lithium.Z] for space in (ws, ws.seed))
         refs += [weakref.ref(space.screening_band(lithium.Z)) for space in (ws, ws.seed)]
         refs += [weakref.ref(space.t_band) for space in (ws, ws.seed)]

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import CountingSeeds
 
-from atomscreen import eigensolve, spectra
+from atomscreen import bsplines, eigensolve, spectra
 from atomscreen.bsplines import GridSpec, PAPER_GRID, build_workspace
 from atomscreen.eigensolve import solve_lowest
 from atomscreen.model import (
@@ -57,6 +57,15 @@ class TestSmallestGrids:
         assert len(states) == 1
         full = solve_lowest(assemble(ws, lithium, 0, B), 1).eigenvalues[0]
         assert states[0].raw_energy == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("extra", [1, 2], ids=["2k+1", "2k+2"])
+    def test_a_seed_too_small_to_seed_builds_no_core_band(self, extra):
+        cached = build_workspace(GridSpec(n_splines=4 + extra, order_k=2, nodes_per_interval=2))
+        ws = bsplines._workspace(cached.basis, cached.quad)  # no band built on its seed yet
+        assert ws.seed.basis.n_active <= 1
+        assert spectra._seeds(ws, catalog_atom("Li"), B, 0, 1) is None
+        # its size is read before the seed pair would be summed
+        assert ws.seed._screening_bands == {}
 
 
 class TestSolveChannel:
