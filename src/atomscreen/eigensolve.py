@@ -23,6 +23,10 @@ long-double copy of both bands.
 2. Vectors. Inverse iteration per seed at the fixed shift sigma = seed,
    on H - sigma S LU-factored once per seed in general band storage, from
    the all-ones vector, whose S-product is formed once for every seed.
+   The k factors are slots of one zeroed (k, n, 3 bw + 1) array per solve,
+   each factored in place: glibc keeps one block of that size in its heap
+   from solve to solve, while k separate bands (134 KB each on the paper
+   grid) are trimmed and their pages faulted in again on every solve.
 3. Rayleigh-Ritz on the k vectors makes them S-orthonormal.
 4. Refinement, one extended-precision pass. H c and S c are formed once in
    long double, and the residuals r = H c - eps S c once for the whole
@@ -37,8 +41,8 @@ long-double copy of both bands.
    accuracy near machine precision for the low states (verified against
    the analytic Coulomb spectrum in the test suite); the returned double
    pairs match these norms only to one double eps (see EigenSolution). d
-   is solved on step 2's factors, kept until now, so each seed shift is
-   factored once per solve.
+   is solved on step 2's factors, kept in their one array until now, so
+   each seed shift is factored once per solve.
 5. Guards and the "k lowest" certificate. Each eigenvalue must lie nearest
    its own seed, the spectrum must be simple and every residual small.
    Seeds from dsbgvx on (H, S) come with its Sturm count, so they are the
@@ -199,22 +203,27 @@ def _sturm_seeds(pair: OperatorPair, count: int) -> np.ndarray:
     return np.sort(w[:count])
 
 
-def _shifted_lu(pair: OperatorPair, shift: float) -> tuple[np.ndarray, np.ndarray]:
-    """LU factors of H - shift S in LAPACK general band storage (kl = ku = bw).
+def _shifted_lu(
+    pair: OperatorPair, shift: float, slot: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors of H - shift S in LAPACK general band storage (kl = ku = bw),
+    made in ``slot``, a zeroed Fortran-ordered (3 bw + 1, n) array whose top
+    bw rows take the fill-in: the slot and the pivot indices.
 
     An exactly zero pivot (the shift is an eigenvalue to the last bit) is
     replaced by a tiny one, as inverse iteration only needs the direction.
     """
-    bw, n = pair.bandwidth, pair.dimension
-    shifted = pair.h_band - shift * pair.s_band
-    ab = np.zeros((3 * bw + 1, n), order="F")  # the top bw rows take the LU fill-in
-    ab[bw:] = shifted
-    lu, piv, info = lapack.dgbtrf(ab, bw, bw, overwrite_ab=1)
+    bw = pair.bandwidth
+    shifted = slot[bw:]
+    np.multiply(pair.s_band, -shift, out=shifted)
+    shifted += pair.h_band  # H - shift S, with no band-sized temporary
+    lu, piv, info = lapack.dgbtrf(slot, bw, bw, overwrite_ab=1)
     if info < 0:
         raise EigensolverError(f"banded LU failed (dgbtrf info={info})")
     if info > 0:
         pivots = lu[2 * bw]
-        pivots[pivots == 0.0] = np.finfo(np.float64).eps * np.abs(shifted).max()
+        scale = np.abs(pair.h_band - shift * pair.s_band).max()
+        pivots[pivots == 0.0] = np.finfo(np.float64).eps * scale
     return lu, piv
 
 
@@ -355,20 +364,26 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
     return int(np.count_nonzero(ones & (diagonals < 0)) + np.count_nonzero(~ones) // 2)
 
 
+def _require_simple(values: np.ndarray, gap: str) -> None:
+    """Refuse ``values`` unless they ascend by DEGENERACY_TOL or more."""
+    if len(values) > 1:
+        min_gap = np.diff(values).min()
+        if min_gap < DEGENERACY_TOL:
+            raise DegenerateSpectrumError(f"eigenvalues not simple/ascending: {gap} {min_gap:.3e}")
+
+
 def _refined_pairs(pair: OperatorPair, k_states: int, seeds: np.ndarray) -> EigenSolution:
     """Steps 2-5 from ``seeds``: k_states + 1 estimates of the lowest
     eigenvalues, or all n of them when k_states = n."""
-    if k_states > 1:
-        min_gap = np.diff(seeds[:k_states]).min()
-        if min_gap < DEGENERACY_TOL:
-            raise DegenerateSpectrumError(
-                f"eigenvalues not simple/ascending: min seed gap {min_gap:.3e}"
-            )
+    shifts = seeds[:k_states]
+    _require_simple(shifts, "min seed gap")
 
     h_norm1 = np.abs(pair.h_band).sum(axis=0).max()  # column sums: the 1-norm
     s_ones = pair.s_band.sum(axis=0)  # S 1, as S is symmetric
-    shifts = seeds[:k_states]
-    factors = [_shifted_lu(pair, seed) for seed in shifts]
+    # one block for the k factors, kept until step 4 (module docstring, step 2)
+    stack = np.zeros((k_states, pair.dimension, 3 * pair.bandwidth + 1))
+    slots = stack.transpose(0, 2, 1)  # slot j is (3 bw + 1, n), Fortran-ordered
+    factors = [_shifted_lu(pair, seed, slot) for seed, slot in zip(shifts, slots)]
     rows = [_inverse_iteration(pair, lu, s_ones, h_norm1) for lu in factors]
     vectors = np.array([row[0] for row in rows])
     s_vectors = np.array([row[1] for row in rows])
@@ -415,12 +430,7 @@ def _refined_pairs(pair: OperatorPair, k_states: int, seeds: np.ndarray) -> Eige
         raise EigensolverError(
             f"state {j} converged to {eigenvalues[j]:.12g}, nearest the seed of state {nearest[j]}"
         )
-    if k_states > 1:
-        min_gap = np.diff(eigenvalues).min()
-        if min_gap < DEGENERACY_TOL:
-            raise DegenerateSpectrumError(
-                f"eigenvalues not simple/ascending: min gap {min_gap:.3e}"
-            )
+    _require_simple(eigenvalues, "min gap")
     worst = residuals.max()
     if not worst <= RESIDUAL_TOL:  # also refuses NaN
         raise EigensolverError(

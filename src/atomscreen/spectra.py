@@ -244,6 +244,19 @@ def ionization_table(
     )
 
 
+def _table_states(
+    table: str, name: str, states: Sequence[tuple[str, int, int]],
+    model: Pseudopotential, grid: GridSpec,
+) -> tuple[AtomSpec, list[tuple[str, LabeledState]]]:
+    """The catalog atom ``name`` and its (label, state) rows of one
+    excited-state table, in printed order: each (label, nu, l) of
+    ``states`` solved as its own channel."""
+    if model not in (Pseudopotential.SYMMETRY_DEPENDENT, Pseudopotential.CENTRAL_SCREENING):
+        raise ValueError(f"{table} table is defined for the two screening models")
+    atom = catalog_atom(name)
+    return atom, [(label, _channel_state(atom, model, nu, l, grid)) for label, nu, l in states]
+
+
 def helium_binding_table(
     model: Pseudopotential,
     units: UnitSystem = PAPER_UNITS,
@@ -258,19 +271,12 @@ def helium_binding_table(
     outer-electron energy to the frozen hydrogenic core, Z^2/2 + |eps_nl|.
     Channel eigenvalues enter unscaled (for helium m/n = 1 anyway).
     """
-    if model not in (Pseudopotential.SYMMETRY_DEPENDENT, Pseudopotential.CENTRAL_SCREENING):
-        raise ValueError("helium table is defined for the two screening models")
-    helium = catalog_atom("He")
+    helium, rows = _table_states("helium", "He", HELIUM_TABLE_STATES, model, grid)
     core = helium.Z**2 / 2.0
-    rows = []
-    for label, nu, l in HELIUM_TABLE_STATES:
-        state = _channel_state(helium, model, nu, l, grid)
-        if nu == 1:
-            binding = 4.0 * abs(state.raw_energy)
-        else:
-            binding = core + abs(state.raw_energy)
-        rows.append((label, units.to_ev(binding)))
-    return tuple(rows)
+    return tuple(
+        (label, units.to_ev(4.0 * abs(s.raw_energy) if s.nu == 1 else core + abs(s.raw_energy)))
+        for label, s in rows
+    )
 
 
 def lithium_spectrum(
@@ -279,14 +285,8 @@ def lithium_spectrum(
     grid: GridSpec = PAPER_GRID,
 ) -> tuple[tuple[str, float], ...]:
     """Excited lithium eigenvalues (eV, negative) for 2s..4f."""
-    if model not in (Pseudopotential.SYMMETRY_DEPENDENT, Pseudopotential.CENTRAL_SCREENING):
-        raise ValueError("lithium table is defined for the two screening models")
-    lithium = catalog_atom("Li")
-    rows = []
-    for label, nu, l in LITHIUM_TABLE_STATES:
-        state = _channel_state(lithium, model, nu, l, grid)
-        rows.append((label, units.to_ev(state.scaled_energy)))
-    return tuple(rows)
+    _, rows = _table_states("lithium", "Li", LITHIUM_TABLE_STATES, model, grid)
+    return tuple((label, units.to_ev(state.scaled_energy)) for label, state in rows)
 
 
 def compare(

@@ -1,4 +1,8 @@
 import importlib.util
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import islice
@@ -29,7 +33,32 @@ from atomscreen.model import (
 from atomscreen.operators import OperatorPair, _channel_pair, assemble, general_matvec
 
 HYDROGEN = AtomSpec("H", 1, 1, 1, 0, 1)
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+#: Solves the first 100 channel-scan draws of seed 7 twice on the paper grid
+#: and prints the minor page faults of the second pass per channel.
+WARM_FAULTS_PROBE = """
+import importlib.util, resource, sys
+from itertools import islice
+from atomscreen import cli, spectra
+from atomscreen.bsplines import PAPER_GRID, build_workspace
+from atomscreen.model import Pseudopotential
+spec = importlib.util.spec_from_file_location("perfbench_workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+build_workspace(PAPER_GRID)
+channels = [
+    (cli._resolve_solve_atom(r["Z"], r["n"], r["l"], 3)[0], Pseudopotential(r["model"]),
+     r["l"], r["k"])
+    for r in islice(workloads.channel_requests(7), 100)
+]
+for channel in channels:
+    spectra.solve_channel(*channel)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for channel in channels:
+    spectra.solve_channel(*channel)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(channels))
+"""
 
 
 def channel_requests(seed):
@@ -157,6 +186,17 @@ class TestSolveLowest:
         with pytest.raises(DegenerateSpectrumError):
             solve_lowest(degenerate, 3)
 
+    def test_each_gap_guard_names_its_gap(self):
+        # one guard refuses the seeds, then the eigenvalues, of a pair whose
+        # two lowest levels lie 4e-13 apart
+        n = 8
+        h = np.diag([1.0 - 2e-13, 1.0 + 2e-13, *range(3, n + 1)])
+        pair = OperatorPair(h_band=dense_to_band(h, 2), s_band=dense_to_band(np.eye(n), 2))
+        with pytest.raises(DegenerateSpectrumError, match="min seed gap 0.000e"):
+            eigensolve._refined_pairs(pair, 2, np.array([1.0, 1.0, 3.0]))
+        with pytest.raises(DegenerateSpectrumError, match="min gap 4"):
+            eigensolve._refined_pairs(pair, 2, np.array([1.0 - 1e-11, 1.0 + 1e-11, 3.0]))
+
 
 class TestBandedPath:
     def test_large_grid_never_holds_a_dense_matrix(self):
@@ -220,6 +260,18 @@ class TestBandedPath:
         finally:
             tracemalloc.stop()
         assert peak < 2 * factors_bytes
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's heap")
+    def test_warm_solves_fault_in_no_fresh_pages(self):
+        # the k factors of a solve are one block, which glibc keeps in the
+        # heap from solve to solve; k separate factor bands were trimmed and
+        # faulted in again by every solve, 170-260 faults per channel
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run([sys.executable, "-c", WARM_FAULTS_PROBE, str(WORKLOADS)],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) < 20
 
     @pytest.mark.parametrize("k", [1, 12])
     def test_one_extended_precision_pass(self, k, monkeypatch):
