@@ -223,11 +223,11 @@ def _geometric_ratio(r_first: float, r_max: float, steps: int) -> float:
             return math.inf
         return r_first * (q**steps - 1.0) / (q - 1.0)
 
-    lo, hi = 1.0 + 1e-12, 2.0
+    # total(q) >= r_first * q**(steps - 1), so the root lies at or below
+    # this hi; it is raised only past the rounding of total.
+    lo, hi = 1.0 + 1e-12, (r_max / r_first) ** (1.0 / (steps - 1))
     while total(hi) < r_max:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ValueError("geometric knot ratio diverged; r_first too large")
+        hi = math.nextafter(hi, math.inf)
     if total(lo) >= r_max:
         raise ValueError(
             "degenerate exp-linear grid: r_first too large for the requested box"

@@ -10,8 +10,10 @@ in ``_OPTIONS``, with ``-`` or ``_`` between words. Every key is validated,
 then the keys for other commands are skipped, so one file serves them all.
 A grid is checked when a command first builds it (``converge`` builds only
 the grids it sweeps); a grid the builder refuses is a usage error whose
-message names the ``GridSpec`` field. Each command declares its output
-columns once for one column-driven renderer.
+message names the ``GridSpec`` field. The same check holds the one capacity
+rule of ``solve --kstates`` and ``converge --state``: 1 to n_splines - 2
+states. Each table command is declared once, in ``_TABLE_BUILDERS``, and
+each command declares its output columns once for one column-driven renderer.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ from .spectra import (
 
 __all__ = ["main", "entry_point", "RunConfig", "ConfigError"]
 
-#: Model-A gate tolerances per table command (eV).
-MODEL_A_TOLERANCES = {"table1": 0.01, "table2": 0.005, "table3": 0.002}
 #: Model-B rows beyond this deviation go to the discrepancy report (eV).
 MODEL_B_TOLERANCE = 0.05
 
@@ -79,7 +79,30 @@ class RunConfig:
         return Pseudopotential(self.model)
 
 
-_TABLES = frozenset({"table1", "table2", "table3"})
+class _Table(NamedTuple):
+    help: str  # the subcommand's help
+    table_id: str  # golden table id
+    label_key: str  # the row label key
+    title: str
+    tolerance: float  # model-A gate tolerance (eV)
+    build: Callable  # (model, config) -> one model column
+
+
+#: The table commands by name: the parser, the options and run_table read each here.
+_TABLE_BUILDERS = {
+    "table1": _Table("reproduce the ionization-potential table", "I", "atom",
+                     "ground-state ionization potentials (eV)", 0.01,
+                     lambda model, c: ionization_table(model, c.unit_system(), c.grid, c.mg_mn)),
+    "table2": _Table("reproduce the helium binding-energy table", "II", "state",
+                     "helium binding energies (eV)", 0.005,
+                     lambda model, c: helium_binding_table(model, c.unit_system(), c.grid)),
+    "table3": _Table("reproduce the excited-lithium table", "III", "state",
+                     "excited lithium eigenvalues (eV)", 0.002,
+                     lambda model, c: lithium_spectrum(model, c.unit_system(), c.grid)),
+}
+_TABLES = frozenset(_TABLE_BUILDERS)
+#: Model-A gate tolerances per table command (eV).
+MODEL_A_TOLERANCES = {name: table.tolerance for name, table in _TABLE_BUILDERS.items()}
 _COMMANDS = _TABLES | {"solve", "converge"}
 
 
@@ -175,13 +198,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(grid=replace(PAPER_GRID, **grid_values), **merged)
 
 
-def _checked_grid(grid: GridSpec) -> GridSpec:
-    """Build ``grid``, the one check of the grid rules (bsplines); a grid the
-    builder refuses is a usage error."""
+def _checked_grid(grid: GridSpec, states: int = 1) -> GridSpec:
+    """Build ``grid``, the one check of the grid rules (bsplines), then check
+    the one capacity rule: a request of ``states`` states must lie in
+    [1, n_splines - 2]. A grid the builder refuses, or a request the grid
+    cannot hold, is a usage error."""
     try:
         build_workspace(grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    capacity = grid.n_splines - 2
+    if not 1 <= states <= capacity:
+        raise ConfigError(f"{states} states requested, not in [1, {capacity}]: a"
+                          f" {grid.n_splines}-spline grid holds {capacity}")
     return grid
 
 
@@ -203,12 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Screened one-electron atomic structure on a B-spline radial grid",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("table1", "reproduce the ionization-potential table"),
-        ("table2", "reproduce the helium binding-energy table"),
-        ("table3", "reproduce the excited-lithium table"),
-    ):
-        _add_common_flags(sub.add_parser(name, help=help_text), name)
+    for name, table in _TABLE_BUILDERS.items():
+        _add_common_flags(sub.add_parser(name, help=table.help), name)
     p_solve = sub.add_parser("solve", help="solve one (Z, n, l) channel directly")
     p_solve.add_argument("Z", type=int, help="nuclear charge")
     p_solve.add_argument("n_electrons", type=int, help="electron count")
@@ -265,17 +290,6 @@ def _render(config: RunConfig, rows: list[dict], columns: list[_Column],
     return "\n".join(lines) + "\n"
 
 
-#: Per table command: golden table id, row label key, title, and the builder
-#: of one model column.
-_TABLE_BUILDERS = {
-    "table1": ("I", "atom", "ground-state ionization potentials (eV)",
-               lambda model, c: ionization_table(model, c.unit_system(), c.grid, c.mg_mn)),
-    "table2": ("II", "state", "helium binding energies (eV)",
-               lambda model, c: helium_binding_table(model, c.unit_system(), c.grid)),
-    "table3": ("III", "state", "excited lithium eigenvalues (eV)",
-               lambda model, c: lithium_spectrum(model, c.unit_system(), c.grid)),
-}
-
 #: A table's columns after its row label, for CSV and then for text, whose order
 #: and places differ; text drops its last two (dev_a, ok) when nothing is compared.
 _TABLE_COLUMNS = [
@@ -295,14 +309,14 @@ _TABLE_TEXT_COLUMNS = [
 def run_table(command: str, config: RunConfig) -> tuple[int, str]:
     """Compute both model columns of one table and compare against golden."""
     _checked_grid(config.grid)
-    table_id, label_key, title, build = _TABLE_BUILDERS[command]
-    rows_a = build(Pseudopotential.SYMMETRY_DEPENDENT, config)
-    rows_b = build(Pseudopotential.CENTRAL_SCREENING, config)
+    table = _TABLE_BUILDERS[command]
+    rows_a = table.build(Pseudopotential.SYMMETRY_DEPENDENT, config)
+    rows_b = table.build(Pseudopotential.CENTRAL_SCREENING, config)
 
-    golden = reference_records(table_id)
+    golden = reference_records(table.table_id)
     compared = config.units == "paper"
     if compared:
-        report_a = compare(rows_a, golden, "present1", MODEL_A_TOLERANCES[command])
+        report_a = compare(rows_a, golden, "present1", table.tolerance)
         report_b = compare(rows_b, golden, "present2", MODEL_B_TOLERANCE)
     else:
         report_a = report_b = None
@@ -310,7 +324,7 @@ def run_table(command: str, config: RunConfig) -> tuple[int, str]:
     records = []
     for i, record in enumerate(golden):
         row = {
-            label_key: record.label,
+            table.label_key: record.label,
             "model_a_ev": rows_a[i][1],
             "model_b_ev": rows_b[i][1],
             "golden_a": record.present1_ev,
@@ -325,11 +339,11 @@ def run_table(command: str, config: RunConfig) -> tuple[int, str]:
         records.append(row)
 
     exit_code = 0 if (report_a is None or report_a.all_passed) else 1
-    label = _Column(label_key, "", "<6")
+    label = _Column(table.label_key, "", "<6")
     text_columns = _TABLE_TEXT_COLUMNS if compared else _TABLE_TEXT_COLUMNS[:-2]
     return exit_code, _render(
         config, records, [label, *_TABLE_COLUMNS], [label, *text_columns],
-        head=[f"# {command}: {title} [units: {config.unit_system().label}]"],
+        head=[f"# {command}: {table.title} [units: {config.unit_system().label}]"],
         foot=_table_report(report_a, report_b))
 
 
@@ -379,13 +393,9 @@ def _refuse_box_states(what: str, k: int, atom: AtomSpec, model: Pseudopotential
 
 
 def run_solve(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]:
-    _checked_grid(config.grid)
+    _checked_grid(config.grid, args.kstates)
     if args.Z < 1 or args.n_electrons < 1 or args.l < 0:
         raise ConfigError("solve requires Z >= 1, n_electrons >= 1, l >= 0")
-    if args.kstates < 1:
-        raise ConfigError("kstates must be >= 1")
-    if args.kstates > config.grid.n_splines - 2:
-        raise ConfigError(f"kstates must lie in [1, {config.grid.n_splines - 2}]")
     model = config.pseudopotential()
     units = config.unit_system()
     atom, in_catalog = _resolve_solve_atom(args.Z, args.n_electrons, args.l, config.mg_mn)
@@ -458,13 +468,7 @@ def run_converge(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]
     sweep_name = _SWEEPS[sweep]
     points = _parse_sweep(getattr(args, sweep), sweep_name)
     field = _OPTIONS[sweep_name].grid_field
-    grids = [_checked_grid(replace(config.grid, **{field: p})) for p in points]
-    smallest = min(grid.n_splines for grid in grids)
-    if nu - l > smallest - 2:
-        raise ConfigError(
-            f"state {args.state!r} needs {nu - l} states; a {smallest}-spline grid holds"
-            f" {smallest - 2}"
-        )
+    grids = [_checked_grid(replace(config.grid, **{field: p}), nu - l) for p in points]
     for point, grid in zip(points, grids):
         _refuse_box_states(f"state {args.state!r} at {sweep_name} = {point}", nu - l,
                            atom, model, l, grid)
@@ -472,8 +476,7 @@ def run_converge(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]
     rows = []
     previous = None
     for point, grid in zip(points, grids):
-        states = solve_channel(atom, model, l, nu - l, grid)
-        value = states[nu - l - 1].raw_energy
+        value = solve_channel(atom, model, l, nu - l, grid)[-1].raw_energy
         delta = None if previous is None else abs(value - previous)
         rows.append({sweep_name: point, "eigenvalue_hartree": value, "delta_hartree": delta})
         previous = value

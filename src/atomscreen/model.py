@@ -94,8 +94,8 @@ class AtomSpec:
             raise ValueError("n_electrons must be >= 1")
         if not 1 <= self.m_permutations <= self.n_electrons:
             raise ValueError("m_permutations must lie in [1, n_electrons]")
-        if self.valence_nu < self.valence_l + 1:
-            raise ValueError("valence_nu must be >= valence_l + 1")
+        if not 0 <= self.valence_l < self.valence_nu:
+            raise ValueError("valence_l must lie in [0, valence_nu - 1]")
 
     @property
     def m_over_n(self) -> float:

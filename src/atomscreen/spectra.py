@@ -205,7 +205,7 @@ def _channel_state(
     l: int,
     grid: GridSpec,
 ) -> LabeledState:
-    return solve_channel(atom, model, l, nu - l, grid)[nu - l - 1]
+    return solve_channel(atom, model, l, nu - l, grid)[-1]
 
 
 def ionization_potential(

@@ -67,6 +67,11 @@ class TestTableCommands:
     def test_tolerances_are_pinned(self):
         assert MODEL_A_TOLERANCES == {"table1": 0.01, "table2": 0.005, "table3": 0.002}
 
+    def test_parser_offers_the_declared_tables_and_two_commands(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        assert set(commands) == set(cli._TABLE_BUILDERS) | {"solve", "converge"}
+
     def test_table1_json_schema(self, tmp_path):
         code, text = run_cli(["table1", "--format", "json"], tmp_path, "rows.json")
         assert code == 0
@@ -255,6 +260,26 @@ class TestConvergeCommand:
         rows = json.loads(text)
         assert rows[0]["delta_hartree"] is None
         assert rows[1]["delta_hartree"] >= 0
+
+    def test_every_swept_grid_is_checked_before_any_bound_count(self, capsys, monkeypatch):
+        args = ["converge", "--atom", "Li", "--state", "16s", "--order", "3"]
+
+        def no_solve(*_):
+            raise AssertionError("the refusal must come before any solve")
+
+        monkeypatch.setattr(cli, "solve_channel", no_solve)
+        # the 600-spline grid alone holds 16 states but too few bound levels
+        assert main([*args, "--sweep-splines", "600,600"]) == 1
+        assert "exceeds the 15 bound (negative) levels" in capsys.readouterr().err
+
+        def no_count(*_):
+            raise AssertionError("the usage error must come before any bound count")
+
+        monkeypatch.setattr(cli, "bound_count", no_count)
+        assert main([*args, "--sweep-splines", "600,10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a 10-spline grid holds 8" in captured.err
 
     def test_single_point_sweep_is_usage_error(self, tmp_path):
         code, _ = run_cli(["converge", "--sweep-splines", "600"], tmp_path)
@@ -463,6 +488,7 @@ class TestExitContract:
         ["converge", "--sweep-splines", "10,600"],
         ["converge", "--atom", "Xx", "--sweep-nodes", "10,20"],
         ["solve", "3", "3", "0", "--kstates", "1000"],
+        ["solve", "3", "3", "0", "--kstates", "0"],
         ["solve", "3", "3", "0", "--quad-nodes", "3"],
         ["solve", "3", "3", "0", "--knots", "linear", "--rmax", "0"],
         ["solve", "3", "3", "0", "--knots", "linear", "--rmax", "-5"],
@@ -477,7 +503,7 @@ class TestExitContract:
         ["solve", "3", "3", "1", "--rfirst", "1e-160"],
         ["solve", "3", "3", "0", "--rfirst", "1e-300"],
     ], ids=["order-1", "order-16", "sweep-nodes-0", "sweep-splines-10", "unknown-atom",
-            "kstates-1000", "quad-nodes-3", "rmax-0", "rmax-negative", "rmax-nan",
+            "kstates-1000", "kstates-0", "quad-nodes-3", "rmax-0", "rmax-negative", "rmax-nan",
             "rmax-inf", "rmax-overflow", "rmax-inf-linear",
             "converge-state-past-grid", "converge-state-past-smallest-grid",
             "rfirst-degenerate-grid", "rfirst-degenerate-small-grid",
@@ -485,6 +511,18 @@ class TestExitContract:
     def test_bad_option_values_exit_two(self, args, capsys):
         assert main(args) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(("args", "message"), [
+        (["solve", "3", "3", "0", "--kstates", "1000"],
+         "1000 states requested, not in [1, 598]: a 600-spline grid holds 598"),
+        (["solve", "3", "3", "0", "--kstates", "0"],
+         "0 states requested, not in [1, 598]: a 600-spline grid holds 598"),
+        (["converge", "--state", "500s", "--sweep-splines", "600,400"],
+         "500 states requested, not in [1, 398]: a 400-spline grid holds 398"),
+    ], ids=["solve-kstates-1000", "solve-kstates-0", "converge-500s"])
+    def test_solve_and_converge_share_the_capacity_message(self, args, message, capsys):
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     @pytest.mark.parametrize("args", [
         ["table1", "--model", "bare"],
@@ -507,7 +545,10 @@ class TestExitContract:
         (["solve", "2", "2", "0", "--model", "central", "--kstates", "30"], 12),
         (["solve", "3", "3", "0", "--kstates", "598"], 15),
         (["converge", "--atom", "Li", "--state", "16s", "--sweep-nodes", "10,20"], 15),
-    ], ids=["bare-H-14", "Li-s-40", "He-central-30", "Li-s-598", "converge-Li-16s"])
+        (["solve", "1", "1", "0", "--model", "bare", "--splines", "5", "--order", "2",
+          "--rfirst", "1e-30"], 1),
+    ], ids=["bare-H-14", "Li-s-40", "He-central-30", "Li-s-598", "converge-Li-16s",
+            "rfirst-1e-30"])
     def test_kstates_past_the_bound_levels_exit_one(self, args, bound, capsys, monkeypatch):
         def no_solve(*_):
             raise AssertionError("the refusal must come before any solve")
@@ -517,6 +558,15 @@ class TestExitContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"exceeds the {bound} bound (negative) levels" in captured.err
+
+    @pytest.mark.parametrize("rfirst", ["1e-12", "1e-30"])
+    def test_tiny_rfirst_builds_its_grid(self, rfirst, capsys):
+        # the exp-linear grid's geometric ratio exists for any r_first in
+        # (0, r_max), so a tiny r_first gives a steep but valid grid
+        assert main(["solve", "1", "1", "0", "--model", "bare", "--splines", "5", "--order", "2",
+                     "--rfirst", rfirst, "--kstates", "1", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 1 and float(rows[0].split(",")[1]) < 0
 
     def test_kstates_up_to_the_bound_levels_solves(self, capsys):
         assert main(["solve", "1", "1", "0", "--model", "bare", "--kstates", "12",

@@ -249,8 +249,10 @@ class TestCatalog:
             AtomSpec("Bad", 3, 3, 2, 0, 4)
 
     def test_valence_labels_are_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="valence_l must lie in"):
             AtomSpec("Bad", 3, 3, 1, 1, 2)
+        with pytest.raises(ValueError, match="valence_l must lie in"):
+            AtomSpec("x", 3, 3, valence_nu=0, valence_l=-1, m_permutations=1)
 
 
 class TestUnits:
