@@ -298,6 +298,8 @@ def make_knots(
     elif kind == "exp-linear":
         if not 0 < r_first < r_max:
             raise ValueError("r_first must lie in (0, r_max)")
+        if math.isinf(r_max / r_first):
+            raise ValueError("r_first too small: r_max / r_first overflows a float")
         breakpoints = _exp_linear_breakpoints(r_max, n_intervals, r_first)
     else:
         raise ValueError(f"unknown knot kind: {kind!r}")

@@ -40,6 +40,7 @@ from .model import (
     partition_alpha,
 )
 from .spectra import (
+    _quantum_numbers,
     bound_count,
     compare,
     helium_binding_table,
@@ -53,8 +54,6 @@ __all__ = ["main", "entry_point", "RunConfig", "ConfigError"]
 
 #: Model-B rows beyond this deviation go to the discrepancy report (eV).
 MODEL_B_TOLERANCE = 0.05
-
-_SPECTROSCOPIC = "spdfgh"
 
 
 class ConfigError(ValueError):
@@ -436,17 +435,6 @@ def run_solve(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]:
     return 0, _render(config, rows, columns, head=head, doc={"meta": meta, "states": rows})
 
 
-def _parse_state_label(label: str) -> tuple[int, int]:
-    label = label.strip().lower()
-    if len(label) < 2 or not label[:-1].isdigit() or label[-1] not in _SPECTROSCOPIC:
-        raise ConfigError(f"bad state label {label!r} (expected e.g. 2s, 3d)")
-    nu = int(label[:-1])
-    l = _SPECTROSCOPIC.index(label[-1])
-    if nu < l + 1:
-        raise ConfigError(f"state {label!r} violates nu >= l + 1")
-    return nu, l
-
-
 def _parse_sweep(text: str, what: str) -> list[int]:
     try:
         points = [int(v) for v in text.split(",") if v.strip()]
@@ -458,8 +446,8 @@ def _parse_sweep(text: str, what: str) -> list[int]:
 
 
 def run_converge(args: argparse.Namespace, config: RunConfig) -> tuple[int, str]:
-    nu, l = _parse_state_label(args.state)
     try:
+        nu, l = _quantum_numbers(args.state)
         atom = catalog_atom(args.atom, mg_m=config.mg_mn)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -451,14 +451,18 @@ def solve_lowest(
     ``seeds`` are k_states + 1 ascending estimates of the lowest
     eigenvalues of (H, S), from any source, such as a coarser nested spline
     space or a closed form. An inertia count on (H, S) certifies the result
-    they give (module docstring, step 5). Without exactly k_states + 1 of
-    them, or if any check fails, the seeds come from (H, S) itself.
+    they give (module docstring, step 5). Any other count of seeds is
+    refused. Without seeds, or if any check fails, the seeds come from
+    (H, S) itself.
     """
     dim = pair.dimension
     if not 1 <= k_states <= dim:
         raise ValueError(f"k_states must lie in [1, {dim}]")
 
-    if seeds is not None and len(seeds) == k_states + 1:
+    if seeds is not None:
+        if len(seeds) != k_states + 1:
+            raise ValueError(f"seeds must hold k_states + 1 = {k_states + 1} values,"
+                             f" got {len(seeds)}")
         seeds = np.asarray(seeds, dtype=np.float64)
         try:
             solution = _refined_pairs(pair, k_states, seeds)

@@ -2,6 +2,8 @@
 
 Channel eigenvalues are labelled with principal quantum numbers
 (nu = l + 1, l + 2, ... up the channel) and scaled by the atom's m/n factor.
+A spectroscopic label such as 2s names one state; ``_quantum_numbers``
+reads it for the table rows and for the CLI's ``converge --state``.
 Ionization potentials and the two bundled excited-state tables are built on
 top of that, and :func:`compare` checks any computed table against the
 golden records shipped in ``data/reference_tables_v1.txt``.
@@ -67,28 +69,27 @@ __all__ = [
     "LITHIUM_TABLE_STATES",
 ]
 
-#: Helium table rows in printed order: (label, nu, l).
-HELIUM_TABLE_STATES = (
-    ("1s", 1, 0),
-    ("2s", 2, 0),
-    ("2p", 2, 1),
-    ("3s", 3, 0),
-    ("3p", 3, 1),
-    ("3d", 3, 2),
-)
+#: Helium table rows in printed order, by spectroscopic label.
+HELIUM_TABLE_STATES = ("1s", "2s", "2p", "3s", "3p", "3d")
 
-#: Lithium table rows in printed order: (label, nu, l).
-LITHIUM_TABLE_STATES = (
-    ("2s", 2, 0),
-    ("2p", 2, 1),
-    ("3s", 3, 0),
-    ("3p", 3, 1),
-    ("3d", 3, 2),
-    ("4s", 4, 0),
-    ("4p", 4, 1),
-    ("4d", 4, 2),
-    ("4f", 4, 3),
-)
+#: Lithium table rows in printed order, by spectroscopic label.
+LITHIUM_TABLE_STATES = ("2s", "2p", "3s", "3p", "3d", "4s", "4p", "4d", "4f")
+
+#: The letter of each l, from l = 0.
+_SPECTROSCOPIC = "spdfgh"
+#: The golden table ids, in file order.
+_TABLE_IDS = ("I", "II", "III")
+
+
+def _quantum_numbers(label: str) -> tuple[int, int]:
+    """The (nu, l) of a spectroscopic label such as 2s or 3d."""
+    label = label.strip().lower()
+    if len(label) < 2 or not label[:-1].isdecimal() or label[-1] not in _SPECTROSCOPIC:
+        raise ValueError(f"bad state label {label!r} (expected e.g. 2s, 3d)")
+    nu, l = int(label[:-1]), _SPECTROSCOPIC.index(label[-1])
+    if nu < l + 1:
+        raise ValueError(f"state {label!r} violates nu >= l + 1")
+    return nu, l
 
 
 @dataclass(frozen=True)
@@ -217,16 +218,14 @@ def ionization_potential(
     """Ground-state ionization potential in eV (positive).
 
     For n >= 3 this is the negated scaled valence-state energy. For the
-    two-electron atom it is the ground binding energy 4*|eps_1s| minus the
-    hydrogenic ion remainder Z^2/2 (see :func:`helium_binding_table` for
-    why the factor is 4).
+    two-electron atom it is the ground binding energy (:func:`_helium_binding`)
+    minus the hydrogenic ion remainder Z^2/2.
     """
     if atom.n_electrons < 2:
         raise ValueError("ionization_potential needs n_electrons >= 2")
     if atom.n_electrons == 2:
         ground = _channel_state(atom, model, 1, 0, grid)
-        ip_hartree = 4.0 * abs(ground.raw_energy) - atom.Z**2 / 2.0
-        return units.to_ev(ip_hartree)
+        return units.to_ev(_helium_binding(ground, atom.Z) - atom.Z**2 / 2.0)
     valence = _channel_state(atom, model, atom.valence_nu, atom.valence_l, grid)
     return units.to_ev(-valence.scaled_energy)
 
@@ -245,16 +244,31 @@ def ionization_table(
 
 
 def _table_states(
-    table: str, name: str, states: Sequence[tuple[str, int, int]],
-    model: Pseudopotential, grid: GridSpec,
+    table: str, name: str, labels: Sequence[str], model: Pseudopotential, grid: GridSpec,
 ) -> tuple[AtomSpec, list[tuple[str, LabeledState]]]:
     """The catalog atom ``name`` and its (label, state) rows of one
-    excited-state table, in printed order: each (label, nu, l) of
-    ``states`` solved as its own channel."""
+    excited-state table, in printed order: each label of ``labels`` solved
+    as its own channel."""
     if model not in (Pseudopotential.SYMMETRY_DEPENDENT, Pseudopotential.CENTRAL_SCREENING):
         raise ValueError(f"{table} table is defined for the two screening models")
     atom = catalog_atom(name)
-    return atom, [(label, _channel_state(atom, model, nu, l, grid)) for label, nu, l in states]
+    return atom, [(label, _channel_state(atom, model, *_quantum_numbers(label), grid))
+                  for label in labels]
+
+
+def _helium_binding(state: LabeledState, Z: int) -> float:
+    """Helium binding energy (hartree, positive) of one channel state.
+
+    The ground state gives 4*|eps_1s|; the bare two-electron count would
+    give 2*|eps_1s|, but the golden tables are only reproduced by the factor
+    4 (the printed ionization potential equals 4*|eps_1s| - Z^2/2 exactly),
+    so that construction is adopted as-is. An excited state adds the screened
+    outer-electron energy to the frozen hydrogenic core, Z^2/2 + |eps_nl|.
+    The eigenvalue enters unscaled (for helium m/n = 1 anyway).
+    """
+    if state.nu == 1:
+        return 4.0 * abs(state.raw_energy)
+    return Z**2 / 2.0 + abs(state.raw_energy)
 
 
 def helium_binding_table(
@@ -262,21 +276,9 @@ def helium_binding_table(
     units: UnitSystem = PAPER_UNITS,
     grid: GridSpec = PAPER_GRID,
 ) -> tuple[tuple[str, float], ...]:
-    """Helium binding energies (eV, positive) for 1s..3d.
-
-    The ground row is 4*|eps_1s|; the bare two-electron count would give
-    2*|eps_1s|, but the golden table is only reproduced by the factor 4
-    (its printed ionization potential equals 4*|eps_1s| - Z^2/2 exactly),
-    so that construction is adopted as-is. Excited rows add the screened
-    outer-electron energy to the frozen hydrogenic core, Z^2/2 + |eps_nl|.
-    Channel eigenvalues enter unscaled (for helium m/n = 1 anyway).
-    """
+    """Helium binding energies (eV, positive) for 1s..3d (:func:`_helium_binding`)."""
     helium, rows = _table_states("helium", "He", HELIUM_TABLE_STATES, model, grid)
-    core = helium.Z**2 / 2.0
-    return tuple(
-        (label, units.to_ev(4.0 * abs(s.raw_energy) if s.nu == 1 else core + abs(s.raw_energy)))
-        for label, s in rows
-    )
+    return tuple((label, units.to_ev(_helium_binding(s, helium.Z))) for label, s in rows)
 
 
 def lithium_spectrum(
@@ -334,7 +336,7 @@ def _parse_reference_text(text: str) -> tuple[ReferenceRecord, ...]:
         if len(fields) != 5:
             raise ValueError(f"line {lineno}: expected 5 fields, got {len(fields)}")
         label, p1, p2, ref, table = fields
-        if table not in ("I", "II", "III"):
+        if table not in _TABLE_IDS:
             raise ValueError(f"line {lineno}: unknown table id {table!r}")
         try:
             values = (float(p1), float(p2), float(ref))
@@ -368,6 +370,6 @@ def load_reference_records() -> tuple[ReferenceRecord, ...]:
 
 def reference_records(table: str) -> tuple[ReferenceRecord, ...]:
     """Bundled golden rows of one table ('I', 'II' or 'III'), printed order."""
-    if table not in ("I", "II", "III"):
+    if table not in _TABLE_IDS:
         raise ValueError("table must be 'I', 'II' or 'III'")
     return tuple(r for r in load_reference_records() if r.table == table)

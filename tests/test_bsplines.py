@@ -88,6 +88,21 @@ class TestMakeKnots:
         assert basis.breakpoints[-1] == 200.0
         assert basis.n_intervals == n_splines - 9
 
+    def test_huge_box_sums_past_the_log_power_limit(self):
+        # a budget of 8 geometric steps from 1e-4 to 1e300 brackets q at
+        # steps * ln q ~ 800, past _LOG_POWER_LIMIT, where q**steps would
+        # raise OverflowError
+        basis = make_knots(1e300, 21, 10)
+        assert np.all(np.diff(basis.breakpoints) > 0)
+        assert basis.breakpoints[-1] == 1e300
+
+    def test_rejects_r_first_whose_box_ratio_overflows(self):
+        # r_max / r_first = 2e312 is inf: no geometric ratio can be bracketed
+        with pytest.raises(ValueError, match="r_first"):
+            make_knots(200.0, 600, 10, "exp-linear", r_first=1e-310)
+        with pytest.raises(ValueError, match="r_first"):
+            build_workspace(GridSpec(r_first=1e-310))
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match=r"^order_k must lie in \[2, 15\]$"):
             make_knots(200.0, 600, 1)

@@ -290,6 +290,17 @@ class TestConvergeCommand:
                           tmp_path)
         assert code == 2
 
+    # the label is read before the atom: an unknown atom is not reported
+    @pytest.mark.parametrize(("state", "message"), [
+        ("s2", "bad state label 's2' (expected e.g. 2s, 3d)"),
+        ("1p", "state '1p' violates nu >= l + 1"),
+    ])
+    def test_state_label_errors_name_the_label(self, state, message, capsys):
+        for atom in ("Li", "Xx"):
+            assert main(["converge", "--atom", atom, "--state", state,
+                         "--sweep-nodes", "10,20"]) == 2
+            assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
     def test_sweep_ignores_the_unswept_grid(self, capsys):
         # the 600-spline grid of these options is degenerate; the swept ones are not
         assert main(["converge", "--sweep-splines", "40,50", "--rfirst", "0.2", "--rmax", "60",

@@ -498,14 +498,16 @@ class TestCoarseSeeds:
         assert np.max(np.abs(seeded - solve_lowest(pair, k).eigenvalues)) <= 1e-13
 
     def test_too_small_coarse_pair_is_not_used(self, monkeypatch):
-        # its 4 seeds leave no (k + 1)-th seed to place the count's shift
+        # its 4 seeds leave no (k + 1)-th seed to place the count's shift:
+        # the solve refuses them instead of seeding itself
         pair = random_banded_pair(np.random.default_rng(3), 20, 2)
         coarse = random_banded_pair(np.random.default_rng(4), 4, 2)
         seeds = eigensolve._sturm_seeds(coarse, coarse.dimension)
         counting = CountingSeeds(eigensolve._sturm_seeds)
         monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
-        solve_lowest(pair, 4, seeds=seeds)
-        assert counting.dimensions == [pair.dimension]
+        with pytest.raises(ValueError, match=r"^seeds must hold k_states \+ 1 = 5 values, got 4$"):
+            solve_lowest(pair, 4, seeds=seeds)
+        assert counting.dimensions == []
 
 
 class TestOperatorPair:

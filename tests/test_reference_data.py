@@ -25,6 +25,10 @@ class TestBundledData:
         assert table3["4f"].present1_ev == -0.834
         assert table3["4f"].reference_ev == -0.848
 
+    def test_refuses_a_table_it_does_not_hold(self):
+        with pytest.raises(ValueError, match=r"^table must be 'I', 'II' or 'III'$"):
+            reference_records("IV")
+
 
 class TestParsing:
     def test_rejects_wrong_field_count(self):

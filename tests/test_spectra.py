@@ -124,8 +124,9 @@ class TestSeedSpace:
         (GridSpec(n_splines=100), 6, [30]),
         (GridSpec(n_splines=100), 29, [30, 98]),
         (GridSpec(n_splines=100), 30, [98]),
-        # A grid of a quarter of its splines would need a geometric ratio past
-        # 1e9. The seed workspace always exists; here its seeds fail and the
+        # A steep grid: the 2 seeds of the 4-dimensional seed pencil, -0.059
+        # and -0.012 hartree, both miss the lowest level (-0.171). The
+        # inertia count then finds 2 levels below the shift, not 1, and the
         # solve falls back to the full pencil.
         (GridSpec(n_splines=20, order_k=2, r_first=1e-17), 1, [4, 18]),
     ], ids=["seeded", "fallback", "no-room-for-count", "steep-grid"])
@@ -252,10 +253,36 @@ class TestIonizationPotential:
         ]
 
 
+class TestStateLabels:
+    def test_row_labels_give_the_printed_quantum_numbers(self):
+        assert [(label, *spectra._quantum_numbers(label)) for label in HELIUM_TABLE_STATES] == [
+            ("1s", 1, 0), ("2s", 2, 0), ("2p", 2, 1), ("3s", 3, 0), ("3p", 3, 1), ("3d", 3, 2)]
+        assert [(label, *spectra._quantum_numbers(label)) for label in LITHIUM_TABLE_STATES] == [
+            ("2s", 2, 0), ("2p", 2, 1), ("3s", 3, 0), ("3p", 3, 1), ("3d", 3, 2),
+            ("4s", 4, 0), ("4p", 4, 1), ("4d", 4, 2), ("4f", 4, 3)]
+
+    def test_label_is_read_stripped_and_in_either_case(self):
+        assert spectra._quantum_numbers(" 12H ") == (12, 5)
+
+    @pytest.mark.parametrize(("label", "message"), [
+        ("s2", "bad state label 's2' (expected e.g. 2s, 3d)"),
+        ("s", "bad state label 's' (expected e.g. 2s, 3d)"),
+        ("2k", "bad state label '2k' (expected e.g. 2s, 3d)"),
+        # a digit int() does not read
+        ("\u00b2s", "bad state label '\u00b2s' (expected e.g. 2s, 3d)"),
+        (" 1P", "state '1p' violates nu >= l + 1"),
+        ("3f", "state '3f' violates nu >= l + 1"),
+    ])
+    def test_refuses_labels_that_name_no_state(self, label, message):
+        with pytest.raises(ValueError) as info:
+            spectra._quantum_numbers(label)
+        assert str(info.value) == message
+
+
 class TestHeliumTable:
     def test_row_order(self):
         rows = helium_binding_table(A)
-        assert [label for label, _ in rows] == [label for label, _, _ in HELIUM_TABLE_STATES]
+        assert [label for label, _ in rows] == list(HELIUM_TABLE_STATES)
 
     @pytest.mark.parametrize("label,printed", [("1s", 79.161), ("3p", 55.792), ("3d", 55.741)])
     def test_printed_values(self, label, printed):
@@ -270,7 +297,7 @@ class TestHeliumTable:
 class TestLithiumTable:
     def test_row_order(self):
         rows = lithium_spectrum(A)
-        assert [label for label, _ in rows] == [label for label, _, _ in LITHIUM_TABLE_STATES]
+        assert [label for label, _ in rows] == list(LITHIUM_TABLE_STATES)
 
     @pytest.mark.parametrize("label,printed", [("2p", -3.558), ("4s", -1.375), ("3d", -1.515)])
     def test_printed_values(self, label, printed):
