@@ -429,7 +429,7 @@ def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule
 
     Refuses a grid whose first breakpoint (r_first) is so small that the
     weighted 1/r^2 integrand of the centrifugal band is not finite at some
-    node.
+    node, or whose r_max is so large that r^2 overflows at some node.
     """
     if nodes_per_interval < 1:
         raise ValueError("nodes_per_interval must be >= 1")
@@ -440,12 +440,15 @@ def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule
     nodes = mid[:, None] + half[:, None] * x[None, :]
     weights = half[:, None] * w[None, :]
     with np.errstate(divide="ignore", over="ignore"):
-        inverse_square = weights / (nodes * nodes)
+        square = nodes * nodes
+        inverse_square = weights / square
     if not np.isfinite(inverse_square).all():
         raise ValueError(
             f"first breakpoint {bp[1]:g} too small (r_first on an exp-linear grid):"
             " 1/r^2 overflows at the first quadrature nodes"
         )
+    if not np.isfinite(square).all():
+        raise ValueError(f"r_max {bp[-1]:g} too large: r^2 overflows at the last quadrature nodes")
     return QuadratureRule(nodes=nodes, weights=weights)
 
 

@@ -52,8 +52,10 @@ long-double copy of both bands.
    (k + 1)-th seed, must find exactly k eigenvalues below sigma. The count
    runs a banded Cholesky (dpbtrf) from the top and one from the bottom
    over the runs where H - sigma S is positive definite, and a block
-   LDL^T over the blocks between them: on the paper grid a median 12 of
-   its 67 blocks. If that count, or any guard, fails on supplied seeds,
+   LDL^T from the last block of the one run to the first block of the
+   other, each of these two end blocks entering by the same rule, as the
+   Gram of its block of the run's factor: on the paper grid a median 13
+   of its 67 blocks. If that count, or any guard, fails on supplied seeds,
    the solve is redone from dsbgvx seeds of (H, S).
 
 scipy exports ``dsbgvx`` only through ``scipy.linalg.cython_lapack``; it is
@@ -131,7 +133,12 @@ class EigenSolution:
 
 
 def _bind_dsbgvx():
-    """ctypes binding of the dsbgvx pointer exported by scipy's cython_lapack."""
+    """ctypes binding of the dsbgvx pointer exported by scipy's cython_lapack.
+
+    The prototype lets ctypes convert the arguments: each array argument is
+    checked for its dtype and Fortran order and passed by its data pointer,
+    a ``c_int`` or ``c_double`` object by reference, and a flag as bytes.
+    """
     capsule = cython_lapack.__pyx_capi__["dsbgvx"]
     api = ctypes.pythonapi
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
@@ -139,14 +146,15 @@ def _bind_dsbgvx():
         ("PyCapsule_GetPointer", api)
     )
     char, int_, real = (ctypes.POINTER(t) for t in (ctypes.c_char, ctypes.c_int, ctypes.c_double))
+    reals, ints = (np.ctypeslib.ndpointer(t, flags="F_CONTIGUOUS") for t in (np.float64, np.intc))
     signature = ctypes.CFUNCTYPE(
         None,
         char, char, char,  # jobz, range, uplo
         int_, int_, int_,  # n, ka, kb
-        real, int_, real, int_, real, int_,  # ab, ldab, bb, ldbb, q, ldq
+        reals, int_, reals, int_, reals, int_,  # ab, ldab, bb, ldbb, q, ldq
         real, real, int_, int_, real,  # vl, vu, il, iu, abstol
-        int_, real, real, int_,  # m, w, z, ldz
-        real, int_, int_, int_,  # work, iwork, ifail, info
+        int_, reals, reals, int_,  # m, w, z, ldz
+        reals, ints, ints, int_,  # work, iwork, ifail, info
     )
     return signature(get_pointer(capsule, get_name(capsule)))
 
@@ -170,27 +178,12 @@ def _sturm_seeds(pair: OperatorPair, count: int) -> np.ndarray:
     ifail = np.zeros(n, dtype=np.intc)
     unused = np.zeros(1)  # Q and Z, not referenced when only eigenvalues are wanted
     m, info = ctypes.c_int(0), ctypes.c_int(0)
-
-    def ptr(array):
-        return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-    def flag(value):
-        return ctypes.byref(ctypes.c_char(value))
-
-    def integer(value):
-        return ctypes.byref(ctypes.c_int(value))
-
-    def real(value):
-        return ctypes.byref(ctypes.c_double(value))
-
+    integer, real = ctypes.c_int, ctypes.c_double
     _dsbgvx(
-        flag(b"N"), flag(b"I"), flag(b"U"),
-        integer(n), integer(bw), integer(bw),
-        ptr(ab), integer(bw + 1), ptr(bb), integer(bw + 1), ptr(unused), integer(1),
+        b"N", b"I", b"U", integer(n), integer(bw), integer(bw),
+        ab, integer(bw + 1), bb, integer(bw + 1), unused, integer(1),
         real(0.0), real(0.0), integer(1), integer(count), real(2 * np.finfo(np.float64).tiny),
-        ctypes.byref(m), ptr(w), ptr(unused), integer(1),
-        ptr(work), iwork.ctypes.data_as(ctypes.POINTER(ctypes.c_int)),
-        ifail.ctypes.data_as(ctypes.POINTER(ctypes.c_int)), ctypes.byref(info),
+        m, w, unused, integer(1), work, iwork, ifail, info,
     )
     if info.value > n:
         raise EigensolverError(
@@ -262,13 +255,15 @@ def _inverse_iteration(
     return x, sx
 
 
-def _factor_block(factor: np.ndarray, bw: int, p: int) -> np.ndarray:
-    """Diagonal block p (rows and columns p bw to p bw + bw - 1) of the upper
-    Cholesky factor U that dpbtrf leaves in upper band storage,
-    ``factor[bw + i - j, j] = U[i, j]`` for i <= j."""
+def _gram(factor: np.ndarray, bw: int, p: int) -> np.ndarray:
+    """U^T U, with U the diagonal block p (rows and columns p bw to
+    p bw + bw - 1) of the upper Cholesky factor that dpbtrf leaves in upper
+    band storage, ``factor[bw + i - j, j] = U[i, j]`` for i <= j: the Schur
+    complement of block p once the blocks before it are eliminated."""
     offsets = np.arange(bw)
     lag = offsets[:, None] - offsets[None, :]
-    return np.where(lag <= 0, factor[np.minimum(bw + lag, bw), p * bw + offsets], 0.0)
+    block = np.where(lag <= 0, factor[np.minimum(bw + lag, bw), p * bw + offsets], 0.0)
+    return np.einsum("ia,ib->ab", block, block)
 
 
 def _count_below(pair: OperatorPair, sigma: float) -> int | None:
@@ -285,17 +280,18 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
       all of A, the count is 0. Otherwise the whole blocks that either run
       has factored add no negative eigenvalue and need no pivoting.
     * Middle. An unpivoted block LDL^T runs from the head's last Cholesky
-      block, whose Schur complement pivot is U^T U with U its diagonal
-      block of the factor, to the block before the tail, from whose pivot
-      the tail's Schur update C T^-1 C^T is subtracted, where C couples the
-      two blocks and T = R^T R is the tail's pivot at its first block. The
-      count is the sum of the inertias of these pivots, each factored by
-      Bunch-Kaufman (dsysv), whose 2 x 2 blocks always have one negative
-      eigenvalue.
+      block to the tail's first one (over two blocks at least, where A has
+      two). Eliminating the blocks before and after these two ends leaves
+      each end block a Schur complement pivot, the Gram of its block of
+      the factor: U^T U from the head, and R^T R with rows and columns
+      reversed from the tail (Haynsworth's inertia additivity holds in
+      either order of elimination). The count is the sum of the inertias
+      of the pivots, each factored by Bunch-Kaufman (dsysv), whose 2 x 2
+      blocks always have one negative eigenvalue.
 
-    A non-finite entry, a singular pivot, or a Schur update (the head's and
-    the tail's at the junctions included) that grows past
-    _PIVOT_GROWTH_LIMIT times its block makes the count untrusted.
+    A non-finite entry, a singular pivot, or a Schur update (an end block's
+    pivot minus its Gram included) that grows past _PIVOT_GROWTH_LIMIT
+    times its block makes the count untrusted.
     """
     bw, n = pair.bandwidth, pair.dimension
     n_blocks = -(-n // bw)
@@ -315,36 +311,29 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
     head_blocks = (info - 1) // bw
     tail_blocks = n_blocks if tail_info == 0 else (tail_info - 1) // bw
     first = max(head_blocks - 1, 0)
-    last = max(n_blocks - tail_blocks - 1, first)
+    last = min(max(n_blocks - tail_blocks, first + 1), n_blocks - 1)
 
     offsets = np.arange(bw)
     lag = offsets[:, None] - offsets[None, :]
-    columns = bw * np.arange(first, min(last + 2, n_blocks))[:, None, None] + offsets
+    columns = bw * np.arange(first, last + 1)[:, None, None] + offsets
     size = last - first + 1
-    pivots = general[bw + lag, columns[:size]]  # [i, a, e] = A[p bw + a, p bw + e], p = first + i
+    pivots = general[bw + lag, columns]  # [i, a, e] = A[p bw + a, p bw + e], p = first + i
     couplings = np.zeros_like(pivots)  # [i, a, e] = A[p bw + a, (p + 1) bw + e]
-    couplings[: len(columns) - 1] = np.where(lag >= 0, general[lag.clip(0), columns[1:]], 0.0)
+    couplings[:-1] = np.where(lag >= 0, general[lag.clip(0), columns[1:]], 0.0)
     limits = _PIVOT_GROWTH_LIMIT * np.abs(pivots).max(axis=(1, 2))
-    # updates[i] is pivot i's Schur update (the head's at i = 0); the extra
-    # last slot holds the tail's, held to the last block's limit
+    # updates[i] is pivot i's Schur update, the head's pivot minus its Gram
+    # at i = 0; the extra last slot holds the tail's, held to the last
+    # block's limit
     updates = np.zeros((size + 1, bw, bw))
     limits = np.append(limits, limits[-1])
     if head_blocks:
-        factor = _factor_block(head, bw, first)
-        gram = np.einsum("ia,ib->ab", factor, factor)  # U^T U
+        gram = _gram(head, bw, first)
         updates[0] = pivots[0] - gram
         pivots[0] = gram
-    if last < n_blocks - 1:
-        factor = _factor_block(tail, bw, n_blocks - 2 - last)
-        # T is R^T R with R's rows and columns reversed, so C T^-1 C^T = X^T X
-        # with X = R^-T (the reversed rows of C^T); not a dtrtrs solve, which
-        # OpenBLAS hands to its thread pool at milliseconds a call
-        inverse, solve_info = lapack.dtrtri(factor)
-        if solve_info != 0:
-            return None
-        scaled = np.einsum("ia,ei->ae", inverse, couplings[-1][:, ::-1])
-        updates[-1] = np.einsum("ia,ib->ab", scaled, scaled)
-        pivots[-1] -= updates[-1]
+    if last >= n_blocks - tail_blocks:
+        gram = _gram(tail, bw, n_blocks - 1 - last)[::-1, ::-1]
+        updates[-1] = pivots[-1] - gram
+        pivots[-1] = gram
 
     diagonals = np.empty((size, bw))
     interchanges = np.empty((size, bw), dtype=np.int64)

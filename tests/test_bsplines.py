@@ -268,6 +268,20 @@ class TestQuadrature:
         quad = make_quadrature(basis, 20)
         assert np.isfinite(quad.weights / quad.nodes**2).all()
 
+    @pytest.mark.parametrize("kind", ["exp-linear", "linear"])
+    def test_rejects_r_max_whose_square_overflows(self, kind):
+        # r^2 is inf past ~1.3e154, and w / r^2 would be 0.0 there
+        basis = make_knots(1e160, 600, 10, kind)
+        with pytest.raises(ValueError, match=r"r_max 1e\+160 too large"):
+            make_quadrature(basis, 10)
+        with pytest.raises(ValueError, match="r_max"):
+            build_workspace(GridSpec(r_max=1e160, knot_kind=kind))
+
+    @pytest.mark.parametrize("kind", ["exp-linear", "linear"])
+    def test_accepts_r_max_while_its_square_is_finite(self, kind):
+        ws = build_workspace(GridSpec(r_max=1e150, knot_kind=kind))
+        assert np.isfinite(ws.r2_band).all()
+
 
 class TestDesignTables:
     def test_partition_of_unity_at_nodes(self, paper_basis):

@@ -456,12 +456,16 @@ class TestGridConfig:
         ({"r_max": float("nan")}, "r_max must be finite"),
         ({"r_max": float("inf")}, "r_max must be finite"),
         ({"r_first": 200.0}, "r_first must lie in (0, r_max)"),
+        ({"r_max": 1e160}, "r_max 1e+160 too large: r^2 overflows at the last quadrature nodes"),
+        ({"r_max": 1e160, "knot_kind": "linear"},
+         "r_max 1e+160 too large: r^2 overflows at the last quadrature nodes"),
         ({"nodes_per_interval": 0}, "nodes_per_interval must be >= order_k"),
         ({"nodes_per_interval": 9}, "nodes_per_interval must be >= order_k"),
         ({"order_k": 1}, "order_k must lie in [2, 15]"),
         ({"order_k": 25}, "order_k must lie in [2, 15]"),
-    ], ids=["splines", "rmax", "rmax-nan", "rmax-inf", "rfirst", "quad-nodes",
-            "quad-nodes-below-order", "order", "order-past-the-nodes"])
+    ], ids=["splines", "rmax", "rmax-nan", "rmax-inf", "rfirst", "rmax-square",
+            "rmax-square-linear", "quad-nodes", "quad-nodes-below-order", "order",
+            "order-past-the-nodes"])
     def test_bad_grid_is_config_error(self, change, message):
         # the builder's own message, which names the GridSpec field
         with pytest.raises(ConfigError) as info:

@@ -332,7 +332,10 @@ class TestBandedPath:
 class TestInertiaCount:
     def test_matches_dense_eigenvalues_on_random_pairs(self):
         rng = np.random.default_rng(31)
-        for dim, bandwidth in ((8, 2), (17, 4), (30, 6), (30, 1), (25, 3)):
+        # the last five are one-block pencils (n <= bw): A padded to one
+        # block, which is the whole middle once A is indefinite
+        for dim, bandwidth in ((8, 2), (17, 4), (30, 6), (30, 1), (25, 3),
+                               (1, 1), (2, 2), (3, 5), (6, 6), (4, 9)):
             pair = random_banded_pair(rng, dim, bandwidth)
             values = sla.eigh(band_to_dense(pair.h_band), band_to_dense(pair.s_band),
                               eigvals_only=True)
@@ -375,6 +378,34 @@ class TestInertiaCount:
                 expected = int(np.count_nonzero(values < sigma))
                 assert eigensolve._count_below(pair, sigma) == expected, sigma
 
+    @pytest.mark.parametrize("bw", [1, 2, 3])
+    @pytest.mark.parametrize("junction", [1, 2, 3])
+    def test_matches_dense_count_where_head_and_tail_meet(self, bw, junction):
+        # four blocks of bw rows, positive definite but for the 2 x 2
+        # [[d, 2], [2, d']] across the first row of block ``junction``: the
+        # head factors ``junction`` whole blocks and the tail the other
+        # 4 - junction, so the middle is the two blocks that meet there,
+        # each pivot the Gram of its run's factor
+        n, row = 4 * bw, junction * bw
+        rng = np.random.default_rng(10 * junction + bw)
+        h = np.diag(rng.uniform(1.0, 1.5, n))
+        for d in range(1, bw + 1):
+            h += np.diag(rng.uniform(-0.05, 0.05, n - d) / bw, d)
+        h[row - 1, row] = 2.0
+        h = np.triu(h) + np.triu(h, 1).T
+        pair = OperatorPair(h_band=dense_to_band(h, bw), s_band=dense_to_band(np.eye(n), bw))
+        values = np.linalg.eigvalsh(h)
+
+        def lowest(block):
+            return np.linalg.eigvalsh(block)[0]
+
+        for sigma in (-0.25, 0.0, 0.5):
+            a = h - sigma * np.eye(n)
+            assert lowest(a[:row, :row]) > 0 > lowest(a[:row + 1, :row + 1])  # the head's run
+            assert lowest(a[row:, row:]) > 0 > lowest(a[row - 1:, row - 1:])  # the tail's
+            expected = int(np.count_nonzero(values < sigma))
+            assert eigensolve._count_below(pair, sigma) == expected, sigma
+
     def test_positive_definite_pencil_counts_from_the_head_alone(self, monkeypatch):
         pair = random_banded_pair(np.random.default_rng(8), 23, 4)
         lowest = sla.eigh(band_to_dense(pair.h_band), band_to_dense(pair.s_band),
@@ -384,22 +415,25 @@ class TestInertiaCount:
         assert eigensolve._count_below(pair, lowest - 0.5) == 0
         assert counting.calls == {"dpbtrf": 1}
 
-    def test_tail_update_inverts_the_tail_block(self, monkeypatch):
-        # C T^-1 C^T takes one dtrtri and a product: OpenBLAS hands a
-        # multi-right-hand-side dtrtrs to its thread pool, at milliseconds a
-        # call. Rows 0-1 are the head, rows 3-4 the tail, row 2 the middle.
+    def test_tail_block_enters_the_middle_with_its_gram_pivot(self, monkeypatch):
+        # blocks of one row: rows 0-1 are the head, rows 3-4 the tail. The
+        # middle runs from the head's last block 1 to the tail's first block
+        # 3, whose pivot is its Gram from the tail's factor: one dsysv per
+        # block, and no other LAPACK call (no triangular inverse or solve)
         h = np.diag([2.0, 2.0, -1e-9, 1.0, 1.0]) + np.diag([0.5, 0.0, 1.0, 0.0], 1)
         pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
                             s_band=dense_to_band(np.eye(5), 1))
         counting = _CountingLapack(eigensolve.lapack)
         monkeypatch.setattr(eigensolve, "lapack", counting)
         assert eigensolve._count_below(pair, 0.5) == 1
-        assert counting.calls == {"dpbtrf": 2, "dtrtri": 1, "dsysv": 2}
+        assert counting.calls == {"dpbtrf": 2, "dsysv": 3}
+        assert eigensolve._count_below(pair, 0.0) is None
 
     def test_tail_update_outgrowing_its_junction_block_is_refused(self):
         # blocks of one row: rows 0-1 are the head, rows 3-4 the tail, and
-        # the middle row 2 of H - sigma S meets the tail's update 1 / (1 - sigma):
-        # 2 against a row of 0.5 at sigma = 0.5, 1 against 1e-9 at sigma = 0
+        # the middle row 2 of H - sigma S, -1e-9 - sigma, sends the tail's
+        # first block 3 the update 1 / (-1e-9 - sigma): -2 against a row of
+        # 0.5 at sigma = 0.5, -1e9 against a row of 1 at sigma = 0
         h = np.diag([2.0, 2.0, -1e-9, 1.0, 1.0]) + np.diag([0.5, 0.0, 1.0, 0.0], 1)
         pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
                             s_band=dense_to_band(np.eye(5), 1))
