@@ -55,8 +55,12 @@ long-double copy of both bands.
    LDL^T from the last block of the one run to the first block of the
    other, each of these two end blocks entering by the same rule, as the
    Gram of its block of the run's factor: on the paper grid a median 13
-   of its 67 blocks. If that count, or any guard, fails on supplied seeds,
-   the solve is redone from dsbgvx seeds of (H, S).
+   of its 67 blocks. Only the middle's Schur updates are held to a growth
+   limit: an end block's update, its pivot minus that Gram, comes from a
+   positive definite elimination, so it is positive semidefinite and at
+   most the pivot, and no entry of it exceeds the block's largest. If
+   that count, or any guard, fails on supplied seeds, the solve is redone
+   from dsbgvx seeds of (H, S).
 
 scipy exports ``dsbgvx`` only through ``scipy.linalg.cython_lapack``; it is
 bound once, with ctypes, from the function pointer in that module's capsule
@@ -100,10 +104,12 @@ _MAX_STEPS = 8
 #: Inverse iteration stops once ||H c - rho S c|| / ||H||_1 falls below this,
 #: about 50 eps: the rounding floor of a double-precision residual.
 _STEP_TOL = 1e-14
-#: An inertia count is refused once a Schur complement update outgrows its
-#: block of H - sigma S by this factor: the elimination would then amplify
-#: rounding enough to flip a pivot's sign. Over 400 channel-scan draws on
-#: the paper grid the largest growth was 4e2, the median 1.9.
+#: An inertia count is refused once a Schur complement update of its middle
+#: outgrows its block of H - sigma S by this factor: the elimination would
+#: then amplify rounding enough to flip a pivot's sign. It guards only the
+#: middle, as the end blocks' updates cannot outgrow their blocks
+#: (_count_below). Over 400 channel-scan draws on the paper grid the
+#: middle's largest growth was 4e2, the median 1.9.
 _PIVOT_GROWTH_LIMIT = 1e6
 
 
@@ -289,9 +295,15 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
       of the pivots, each factored by Bunch-Kaufman (dsysv), whose 2 x 2
       blocks always have one negative eigenvalue.
 
-    A non-finite entry, a singular pivot, or a Schur update (an end block's
-    pivot minus its Gram included) that grows past _PIVOT_GROWTH_LIMIT
-    times its block makes the count untrusted.
+    A non-finite entry, a singular pivot, or a Schur update of the middle
+    that grows past _PIVOT_GROWTH_LIMIT times its block makes the count
+    untrusted. An end block's own update, its pivot minus its Gram, needs
+    no such check: it is the Schur update of a positive definite
+    elimination, C^T P^-1 C with P positive definite, so it is positive
+    semidefinite, and its pivot minus it is the Gram, also positive
+    semidefinite. With 0 <= update <= pivot (Loewner order) each entry
+    of the update is at most its largest diagonal entry, which is at most
+    the pivot's: no entry exceeds the block's largest.
     """
     bw, n = pair.bandwidth, pair.dimension
     n_blocks = -(-n // bw)
@@ -321,20 +333,12 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
     couplings = np.zeros_like(pivots)  # [i, a, e] = A[p bw + a, (p + 1) bw + e]
     couplings[:-1] = np.where(lag >= 0, general[lag.clip(0), columns[1:]], 0.0)
     limits = _PIVOT_GROWTH_LIMIT * np.abs(pivots).max(axis=(1, 2))
-    # updates[i] is pivot i's Schur update, the head's pivot minus its Gram
-    # at i = 0; the extra last slot holds the tail's, held to the last
-    # block's limit
-    updates = np.zeros((size + 1, bw, bw))
-    limits = np.append(limits, limits[-1])
     if head_blocks:
-        gram = _gram(head, bw, first)
-        updates[0] = pivots[0] - gram
-        pivots[0] = gram
+        pivots[0] = _gram(head, bw, first)
     if last >= n_blocks - tail_blocks:
-        gram = _gram(tail, bw, n_blocks - 1 - last)[::-1, ::-1]
-        updates[-1] = pivots[-1] - gram
-        pivots[-1] = gram
+        pivots[-1] = _gram(tail, bw, n_blocks - 1 - last)[::-1, ::-1]
 
+    updates = np.zeros((size, bw, bw))  # updates[i] is pivot i's Schur update in the middle
     diagonals = np.empty((size, bw))
     interchanges = np.empty((size, bw), dtype=np.int64)
     schur = pivots[0]

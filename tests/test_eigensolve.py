@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CountingSeeds, band_to_dense, dense_to_band, random_banded_pair
 
-from atomscreen import eigensolve, operators
+from atomscreen import eigensolve, operators, spectra
 from atomscreen.bsplines import PAPER_GRID, GridSpec, build_workspace
 from atomscreen.cli import _resolve_solve_atom
 from atomscreen.eigensolve import (
@@ -90,6 +90,36 @@ class _CountingLapack:
     def factorizations(self):
         """Band LUs (dgbtrf); the inertia count's dpbtrf is a Cholesky."""
         return self.calls["dgbtrf"]
+
+
+def largest_end_update(pair, sigma):
+    """Largest |pivot - Gram| / max |pivot| over every whole block that the
+    inertia count's head or tail Cholesky run factors on H - sigma S, padded
+    with identity rows to whole blocks as the count pads it; the Gram is
+    U^T U from the head and R^T R reversed from the tail. Asserts first that
+    0 <= pivot - Gram <= pivot (Loewner order) from the eigenvalues of both
+    differences, each to rounding."""
+    bw, n = pair.bandwidth, pair.dimension
+    n_blocks = -(-n // bw)
+    general = np.zeros((2 * bw + 1, n_blocks * bw))
+    general[:, :n] = pair.h_band - sigma * pair.s_band
+    general[bw, n:] = 1.0
+    dense = band_to_dense(general)
+    head = eigensolve.lapack.dpbtrf(general[: bw + 1])
+    tail = eigensolve.lapack.dpbtrf(general[::-1, ::-1][: bw + 1])
+    largest = 0.0
+    for (factor, info), reverse in ((head, False), (tail, True)):
+        for q in range(n_blocks if info == 0 else (info - 1) // bw):
+            p = n_blocks - 1 - q if reverse else q
+            gram = eigensolve._gram(factor, bw, q)
+            pivot = dense[p * bw:(p + 1) * bw, p * bw:(p + 1) * bw]
+            update = pivot - (gram[::-1, ::-1] if reverse else gram)
+            scale = np.abs(pivot).max()
+            rounding = 4 * bw * (bw + 2) * np.finfo(np.float64).eps * scale
+            assert np.linalg.eigvalsh(update)[0] >= -rounding  # 0 <= update
+            assert np.linalg.eigvalsh(pivot - update)[0] >= -rounding  # update <= pivot
+            largest = max(largest, np.abs(update).max() / scale)
+    return largest
 
 
 @pytest.fixture(scope="module")
@@ -456,6 +486,40 @@ class TestInertiaCount:
                             s_band=dense_to_band(np.eye(4), 1))
         assert eigensolve._count_below(pair, 0.5) == 1
         assert eigensolve._count_below(pair, 1.0) is None
+
+    def test_end_block_updates_lie_between_zero_and_their_pivot_on_random_runs(self):
+        # the count holds no end block's update (pivot - Gram) to a growth
+        # limit: as the Schur update of a positive definite run it is
+        # positive semidefinite and at most the pivot, so no entry of it
+        # exceeds the block's largest
+        rng = np.random.default_rng(36)
+        largest = 0.0
+        for dim, bandwidth in ((8, 2), (17, 4), (30, 6), (30, 1), (25, 3), (40, 5)):
+            pair = random_banded_pair(rng, dim, bandwidth)
+            values = sla.eigh(band_to_dense(pair.h_band), band_to_dense(pair.s_band),
+                              eigvals_only=True)
+            # below the spectrum both runs are all of A; above its lowest
+            # eigenvalue each stops where its minors turn indefinite
+            for sigma in (values[0] - 1.0, *(0.5 * (values[1:] + values[:-1]))):
+                largest = max(largest, largest_end_update(pair, sigma))
+        assert 0.0 < largest <= 1.0
+
+    def test_end_block_updates_lie_between_zero_and_their_pivot_on_channel_scan(self):
+        # at the shift that certifies each solve: halfway from the k-th
+        # level to the (k + 1)-th seed (module docstring, step 5)
+        ws = build_workspace(PAPER_GRID)
+        largest = 0.0
+        for request in islice(channel_requests(7), 8):
+            l, k = request["l"], request["k"]
+            atom = _resolve_solve_atom(request["Z"], request["n"], l, 3)[0]
+            model = Pseudopotential(request["model"])
+            pair = assemble(ws, atom, l, model)
+            seeds = spectra._seeds(ws, atom, model, l, k)
+            if seeds is None:
+                seeds = eigensolve._sturm_seeds(pair, k + 1)
+            last = solve_lowest(pair, k, seeds).eigenvalues[-1]
+            largest = max(largest, largest_end_update(pair, last + 0.5 * (seeds[-1] - last)))
+        assert 0.0 < largest <= 1.0
 
     def test_nan_on_the_diagonal_is_refused(self):
         # a Cholesky run would take the NaN pivot as positive, so the count
