@@ -56,11 +56,12 @@ long-double copy of both bands.
    other, each of these two end blocks entering by the same rule, as the
    Gram of its block of the run's factor: on the paper grid a median 13
    of its 67 blocks. Only the middle's Schur updates are held to a growth
-   limit: an end block's update, its pivot minus that Gram, comes from a
-   positive definite elimination, so it is positive semidefinite and at
-   most the pivot, and no entry of it exceeds the block's largest. If
-   that count, or any guard, fails on supplied seeds, the solve is redone
-   from dsbgvx seeds of (H, S).
+   limit, each as it is formed, and the count stops at the first that
+   outgrows it. An end block's update, its pivot minus that Gram, comes
+   from a positive definite elimination, so it is positive semidefinite
+   and at most the pivot, and no entry of it exceeds the block's largest.
+   If that count, or any guard, fails on supplied seeds, the solve is
+   redone from dsbgvx seeds of (H, S).
 
 scipy exports ``dsbgvx`` only through ``scipy.linalg.cython_lapack``; it is
 bound once, with ctypes, from the function pointer in that module's capsule
@@ -297,13 +298,15 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
 
     A non-finite entry, a singular pivot, or a Schur update of the middle
     that grows past _PIVOT_GROWTH_LIMIT times its block makes the count
-    untrusted. An end block's own update, its pivot minus its Gram, needs
-    no such check: it is the Schur update of a positive definite
-    elimination, C^T P^-1 C with P positive definite, so it is positive
-    semidefinite, and its pivot minus it is the Gram, also positive
-    semidefinite. With 0 <= update <= pivot (Loewner order) each entry
-    of the update is at most its largest diagonal entry, which is at most
-    the pivot's: no entry exceeds the block's largest.
+    untrusted. The middle checks each update as it forms it and refuses
+    there, before it factors that block or any later one. An end block's
+    own update, its pivot minus its Gram, needs no such check: it is the
+    Schur update of a positive definite elimination, C^T P^-1 C with P
+    positive definite, so it is positive semidefinite, and its pivot minus
+    it is the Gram, also positive semidefinite. With 0 <= update <= pivot
+    (Loewner order) each entry of the update is at most its largest
+    diagonal entry, which is at most the pivot's: no entry exceeds the
+    block's largest.
     """
     bw, n = pair.bandwidth, pair.dimension
     n_blocks = -(-n // bw)
@@ -328,7 +331,6 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
     offsets = np.arange(bw)
     lag = offsets[:, None] - offsets[None, :]
     columns = bw * np.arange(first, last + 1)[:, None, None] + offsets
-    size = last - first + 1
     pivots = general[bw + lag, columns]  # [i, a, e] = A[p bw + a, p bw + e], p = first + i
     couplings = np.zeros_like(pivots)  # [i, a, e] = A[p bw + a, (p + 1) bw + e]
     couplings[:-1] = np.where(lag >= 0, general[lag.clip(0), columns[1:]], 0.0)
@@ -338,23 +340,22 @@ def _count_below(pair: OperatorPair, sigma: float) -> int | None:
     if last >= n_blocks - tail_blocks:
         pivots[-1] = _gram(tail, bw, n_blocks - 1 - last)[::-1, ::-1]
 
-    updates = np.zeros((size, bw, bw))  # updates[i] is pivot i's Schur update in the middle
-    diagonals = np.empty((size, bw))
-    interchanges = np.empty((size, bw), dtype=np.int64)
+    negatives = 0
     schur = pivots[0]
-    for i in range(size):
+    for i in range(len(pivots)):
         if i:
-            updates[i] = np.einsum("ia,ib->ab", couplings[i - 1], solved)
-            schur = pivots[i] - updates[i]
-        factor, interchanges[i], solved, info = lapack.dsysv(schur, couplings[i])
+            update = np.einsum("ia,ib->ab", couplings[i - 1], solved)
+            if not np.abs(update).max() <= limits[i]:  # also refuses NaN
+                return None
+            schur = pivots[i] - update
+        factor, interchanges, solved, info = lapack.dsysv(schur, couplings[i])
         if info != 0:
             return None
-        diagonals[i] = factor.diagonal()
-    if not np.all(np.abs(updates).max(axis=(1, 2)) <= limits):  # also refuses NaN
-        return None
-    # dsysv marks each 2 x 2 block by two negative interchange entries
-    ones = interchanges > 0
-    return int(np.count_nonzero(ones & (diagonals < 0)) + np.count_nonzero(~ones) // 2)
+        # dsysv marks each 2 x 2 block by two negative interchange entries
+        ones = interchanges > 0
+        negatives += np.count_nonzero(ones & (factor.diagonal() < 0))
+        negatives += np.count_nonzero(~ones) // 2
+    return int(negatives)
 
 
 def _require_simple(values: np.ndarray, gap: str) -> None:
@@ -385,7 +386,7 @@ def _refined_pairs(pair: OperatorPair, k_states: int, seeds: np.ndarray) -> Eige
     s_ritz = np.einsum("in,jn->ij", vectors, s_vectors)
     try:
         _, rotation = sla.eigh(0.5 * (h_ritz + h_ritz.T), 0.5 * (s_ritz + s_ritz.T))
-    except np.linalg.LinAlgError as exc:
+    except ValueError as exc:  # LinAlgError, or scipy's refusal of a non-finite pencil
         raise EigensolverError(f"Rayleigh-Ritz step failed: {exc}") from exc
     vectors = np.einsum("ji,jn->in", rotation, vectors)
 

@@ -9,8 +9,9 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from conftest import CountingSeeds
 
-from atomscreen import bsplines, cli
+from atomscreen import bsplines, cli, eigensolve
 from atomscreen.bsplines import PAPER_GRID, GridSpec
 from atomscreen.cli import (
     _OPTIONS,
@@ -23,7 +24,7 @@ from atomscreen.cli import (
     parse_config_file,
     resolve_config,
 )
-from atomscreen.model import effective_charge, hydrogenic_energy
+from atomscreen.model import atom_catalog, effective_charge, hydrogenic_energy
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -43,27 +44,85 @@ EXIT_CONTRACT_DRAWS = {
 }
 #: Requests drawn from each range.
 EXIT_CONTRACT_DRAW_COUNT = 150
+#: The seed of each range's ``converge`` and table draws, over the same grids.
+COMMAND_DRAW_SEEDS = {"wide": 5, "realistic": 6}
+#: ``converge`` and then table requests drawn from each range.
+CONVERGE_DRAW_COUNT, TABLE_DRAW_COUNT = 40, 12
+MODELS = ["bare", "symmetry", "central"]
+
+
+def grid_options(rng, r_max, r_first):
+    """The grid flags of one seeded draw, by flag: its --quad-nodes is absent
+    when the draw takes the default rule."""
+
+    def log_uniform(low, high):
+        return 10.0 ** rng.uniform(math.log10(low), math.log10(high))
+
+    options = {"--splines": str(rng.randint(3, 900)),
+               "--order": str(rng.randint(1, 16)),
+               "--knots": rng.choice(["exp-linear", "linear"]),
+               "--rmax": repr(log_uniform(*r_max)),
+               "--rfirst": repr(log_uniform(*r_first))}
+    nodes = rng.choice([None, *range(1, 31)])
+    if nodes is not None:
+        options["--quad-nodes"] = str(nodes)
+    return options
+
+
+def flags(options):
+    return [word for flag in options.items() for word in flag]
 
 
 def solve_requests(seed, r_max, r_first):
     """The seeded ``solve`` argument lists of one EXIT_CONTRACT_DRAWS range."""
     rng = random.Random(seed)
-
-    def log_uniform(low, high):
-        return 10.0 ** rng.uniform(math.log10(low), math.log10(high))
-
     for _ in range(EXIT_CONTRACT_DRAW_COUNT):
         z = rng.randint(1, 40)
         args = ["solve", str(z), str(rng.randint(1, z)), str(rng.randint(0, 5)),
-                "--model", rng.choice(["bare", "symmetry", "central"]),
-                "--kstates", str(rng.randint(1, 14)),
-                "--splines", str(rng.randint(3, 900)),
-                "--order", str(rng.randint(1, 16)),
-                "--knots", rng.choice(["exp-linear", "linear"]),
-                "--rmax", repr(log_uniform(*r_max)),
-                "--rfirst", repr(log_uniform(*r_first))]
-        nodes = rng.choice([None, *range(1, 31)])
-        yield args if nodes is None else [*args, "--quad-nodes", str(nodes)]
+                "--model", rng.choice(MODELS), "--kstates", str(rng.randint(1, 14))]
+        yield [*args, *flags(grid_options(rng, r_max, r_first))]
+
+
+def command_requests(seed, r_max, r_first):
+    """The seeded ``converge`` and then table argument lists of one range:
+    a catalog atom's state of l <= 3 and nu <= l + 6 in any model, swept
+    over two spline or node counts of grid_options' ranges (the swept
+    option's own flag left out), and a table in text format."""
+    rng = random.Random(seed)
+    atoms = [atom.name for atom in atom_catalog()]
+    for _ in range(CONVERGE_DRAW_COUNT):
+        l = rng.randint(0, 3)
+        args = ["converge", "--atom", rng.choice(atoms),
+                "--state", f"{rng.randint(l + 1, l + 6)}{'spdf'[l]}",
+                "--model", rng.choice(MODELS)]
+        options = grid_options(rng, r_max, r_first)
+        if rng.random() < 0.5:
+            options.pop("--splines")
+            sweep = ["--sweep-splines", f"{rng.randint(3, 900)},{rng.randint(3, 900)}"]
+        else:
+            options.pop("--quad-nodes", None)
+            sweep = ["--sweep-nodes", f"{rng.randint(1, 30)},{rng.randint(1, 30)}"]
+        yield [*args, *sweep, *flags(options)]
+    for _ in range(TABLE_DRAW_COUNT):
+        table = rng.choice(sorted(cli._TABLE_BUILDERS))
+        yield [table, *flags(grid_options(rng, r_max, r_first))]
+
+
+def assert_exit_contract(args, capsys):
+    """Exit 0 with the answer, 1 for a numerical refusal or 2 for a usage
+    error, never a traceback or a warning, and nothing on stdout on a
+    refusal, but for a table that computed its rows and failed model A's
+    gate, which it says."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(args)
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), args
+    assert not caught, (args, [str(w.message) for w in caught])
+    if code == 1 and args[0] in cli._TABLE_BUILDERS and out:
+        assert "model A gate: FAIL" in out, args
+    else:
+        assert code == 0 or out == "", args
 
 
 def run_cli(args, tmp_path, out_name="out.txt"):
@@ -649,18 +708,37 @@ class TestExitContract:
         assert "out must name a file" in captured.err
         assert list(tmp_path.iterdir()) == [config]
 
+    def test_non_finite_ritz_pencil_falls_back_then_exits_one(self, capsys, monkeypatch):
+        # a wide-range draw whose Ritz pencil is not finite: scipy's plain
+        # ValueError fails the seeded attempt, the solve is redone from dsbgvx
+        # seeds of (H, S), fails the same way and exits 1 in the solver's terms
+        counting = CountingSeeds(eigensolve._sturm_seeds)
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "35", "33", "5", "--model", "central", "--kstates", "1",
+                         "--splines", "636", "--order", "10", "--knots", "linear",
+                         "--rmax", "3.3861089968922215e+135", "--quad-nodes", "29"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: Rayleigh-Ritz step failed: array must not contain"
+                                " infs or NaNs\n")
+        assert not caught, [str(w.message) for w in caught]
+        # the seed pencil's seeds, then the fallback's on the full pencil
+        assert len(counting.dimensions) == 2
+        assert counting.dimensions[0] < counting.dimensions[1]
+
     @pytest.mark.parametrize("draws", EXIT_CONTRACT_DRAWS)
     def test_seeded_solve_requests_keep_the_exit_contract(self, draws, capsys):
-        # exit 0 with the answer, 1 for a numerical refusal or 2 for a usage
-        # error, with nothing on stdout: never a traceback or a warning
         for args in solve_requests(**EXIT_CONTRACT_DRAWS[draws]):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(args)
-            out = capsys.readouterr().out
-            assert code in (0, 1, 2), args
-            assert not caught, (args, [str(w.message) for w in caught])
-            assert code == 0 or out == "", args
+            assert_exit_contract(args, capsys)
+
+    @pytest.mark.parametrize("draws", COMMAND_DRAW_SEEDS)
+    def test_seeded_converge_and_table_requests_keep_the_exit_contract(self, draws, capsys):
+        ranges = {**EXIT_CONTRACT_DRAWS[draws], "seed": COMMAND_DRAW_SEEDS[draws]}
+        for args in command_requests(**ranges):
+            assert_exit_contract(args, capsys)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: no state is checked against "
                        "the grid's resolution, so these wrong levels exit 0")

@@ -459,16 +459,20 @@ class TestInertiaCount:
         assert counting.calls == {"dpbtrf": 2, "dsysv": 3}
         assert eigensolve._count_below(pair, 0.0) is None
 
-    def test_tail_update_outgrowing_its_junction_block_is_refused(self):
+    def test_tail_update_outgrowing_its_junction_block_is_refused(self, monkeypatch):
         # blocks of one row: rows 0-1 are the head, rows 3-4 the tail, and
         # the middle row 2 of H - sigma S, -1e-9 - sigma, sends the tail's
         # first block 3 the update 1 / (-1e-9 - sigma): -2 against a row of
-        # 0.5 at sigma = 0.5, -1e9 against a row of 1 at sigma = 0
+        # 0.5 at sigma = 0.5, -1e9 against a row of 1 at sigma = 0, where the
+        # count refuses before it factors block 3
         h = np.diag([2.0, 2.0, -1e-9, 1.0, 1.0]) + np.diag([0.5, 0.0, 1.0, 0.0], 1)
         pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
                             s_band=dense_to_band(np.eye(5), 1))
         assert eigensolve._count_below(pair, 0.5) == 1
+        counting = _CountingLapack(eigensolve.lapack)
+        monkeypatch.setattr(eigensolve, "lapack", counting)
         assert eigensolve._count_below(pair, 0.0) is None
+        assert counting.calls["dsysv"] == 2
 
     def test_singular_pivot_is_refused(self):
         n = 8
@@ -478,14 +482,18 @@ class TestInertiaCount:
         # H - 1 S has a zero first pivot
         assert eigensolve._count_below(pair, 1.0) is None
 
-    def test_growing_pivot_update_is_refused(self):
+    def test_growing_pivot_update_is_refused(self, monkeypatch):
         # blocks of one row: a first pivot of 1e-9 makes the second block's
-        # update 1e9, past _PIVOT_GROWTH_LIMIT times that block's scale of 1
+        # update 1e9, past _PIVOT_GROWTH_LIMIT times that block's scale of 1,
+        # so the count refuses there, having factored the first block alone
         h = np.diag([1.0 + 1e-9, 2.0, 3.0, 4.0]) + np.diag([1.0, 0.0, 0.0], 1)
         pair = OperatorPair(h_band=dense_to_band(h + np.triu(h, 1).T, 1),
                             s_band=dense_to_band(np.eye(4), 1))
         assert eigensolve._count_below(pair, 0.5) == 1
+        counting = _CountingLapack(eigensolve.lapack)
+        monkeypatch.setattr(eigensolve, "lapack", counting)
         assert eigensolve._count_below(pair, 1.0) is None
+        assert counting.calls == {"dpbtrf": 2, "dsysv": 1}
 
     def test_end_block_updates_lie_between_zero_and_their_pivot_on_random_runs(self):
         # the count holds no end block's update (pivot - Gram) to a growth
@@ -594,6 +602,36 @@ class TestCoarseSeeds:
         # as on fine seeds, one LU per state: the inertia count factors no band LU
         assert factoring.factorizations == k
         assert np.max(np.abs(seeded - solve_lowest(pair, k).eigenvalues)) <= 1e-13
+
+    def test_failed_ritz_step_on_seeds_falls_back(self, monkeypatch):
+        # scipy refuses a non-finite Ritz pencil with a plain ValueError, not a
+        # LinAlgError: on supplied seeds it is one more failed check, and the
+        # solve is redone from dsbgvx seeds of (H, S)
+        model = Pseudopotential.BARE_COULOMB
+        ws = build_workspace(PAPER_GRID)
+        pair = assemble(ws, HYDROGEN, 0, model)
+        seeds = eigensolve._sturm_seeds(_channel_pair(ws.seed, HYDROGEN, 0, model), 4)
+
+        class FailingOnce:
+            failed = False
+
+            def __getattr__(self, name):
+                return getattr(sla, name)
+
+            def eigh(self, *args, **kwargs):
+                if not self.failed:
+                    self.failed = True
+                    raise ValueError("array must not contain infs or NaNs")
+                return sla.eigh(*args, **kwargs)
+
+        counting = CountingSeeds(eigensolve._sturm_seeds)
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
+        monkeypatch.setattr(eigensolve, "sla", FailingOnce())
+        seeded = solve_lowest(pair, 3, seeds=seeds)
+        assert counting.dimensions == [pair.dimension]
+        plain = solve_lowest(pair, 3)
+        for field in ("eigenvalues", "vectors", "residual_norms"):
+            assert np.array_equal(getattr(seeded, field), getattr(plain, field)), field
 
     def test_too_small_coarse_pair_is_not_used(self, monkeypatch):
         # its 4 seeds leave no (k + 1)-th seed to place the count's shift:

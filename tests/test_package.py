@@ -103,3 +103,27 @@ def test_table_commands_page_in_only_scipys_openblas():
     scipy_before, scipy_after = resident["scipy"]
     assert scipy_after > scipy_before  # the probe sees the library that does run
     assert numpy_after <= numpy_before
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_matches_the_benchmark(path):
+    """Each committed bench record names its PR as its file does, and gives
+    every workload and end-to-end metric of BENCHMARK.json, in its unit and
+    direction, with ordered quartiles on both sides, pairs won out of its
+    seeds, and the operations each side attempted and failed."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert path.name == f"BENCH_{record['pr']}.json"
+    for workload in benchmark["workloads"]:
+        entry = record["workloads"][workload["name"]]
+        for metric in benchmark["end_to_end"]:
+            measured = entry["metrics"][metric["name"]]
+            assert (measured["unit"], measured["better"]) == (metric["unit"], metric["better"])
+            for side in ("parent", "change"):
+                quartiles = measured[side]
+                assert quartiles["q1"] <= quartiles["median"] <= quartiles["q3"], (metric, side)
+            assert 0 <= measured["pairs_won_by_change"] <= len(record["seeds"])
+        for side in ("parent", "change"):
+            operations = entry["operations"][side]
+            assert 0 <= operations["failed"] <= operations["attempted"], side
+            assert isinstance(operations["all_correct"], bool), side
