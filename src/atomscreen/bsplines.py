@@ -10,7 +10,9 @@ the eigenvalues of a matrix, and every band is an elementwise contraction
 (``_grid_band``), so building a workspace calls no BLAS or LAPACK routine.
 One Cox-de Boor routine (``_values_and_derivs``) evaluates the splines
 everywhere: the design tables of both workspaces, the leading intervals of
-each screening band and ``eval_bspline``.
+each screening band and ``eval_bspline``. Its derivatives are differences of
+the quotients of the order k - 1 splines by their knot widths (de Boor); each
+width contains the span it is read on, so none is 0.
 
 A workspace (``Workspace``) holds every band of its grid, and this module
 builds all of them (``_grid_band``), in LAPACK's general band layout. One
@@ -323,6 +325,13 @@ def _values_and_derivs(
     is formed where order j reads it, and the top order is written straight
     into the values table, so the only (n, m) arrays held besides the two
     tables are the splines of two adjacent orders.
+
+    The derivatives follow de Boor's formula from the k - 1 splines of order
+    k - 1 left in ``lower``: on span s, with q[i] = lower[i] / (t[s + 1 + i]
+    - t[s + 2 + i - k]) for i = 0 .. k - 2 and q[-1] = q[k - 1] = 0, column
+    a is (k - 1) (q[a - 1] - q[a]). Each width contains the span [t[s],
+    t[s + 1]], so it is never 0; it is the width the recursion's last step
+    divides by.
     """
     values, derivs = np.empty(x.shape + (k,)), np.empty(x.shape + (k,))
     columns = np.moveaxis(values, -1, 0)  # columns[a] is values[..., a]
@@ -339,21 +348,11 @@ def _values_and_derivs(
         upper[j] = carry
         if j < k - 1:
             lower = upper
-    for a in range(k):  # from the order k - 1 splines left in lower
-        p = spans - k + 1 + a
-        acc = 0.0
-        if a >= 1:
-            acc += _divide_where_wide(lower[a - 1], t[p + k - 1] - t[p])
-        if a <= k - 2:
-            acc -= _divide_where_wide(lower[a], t[p + k] - t[p + 1])
-        derivs[..., a] = (k - 1) * acc
+    quotients = [0.0, *(lower[i] / (t[spans + 1 + i] - t[spans + 2 + i - k])[:, None]
+                        for i in range(k - 1)), 0.0]
+    for a in range(k):
+        derivs[..., a] = (k - 1) * (quotients[a] - quotients[a + 1])
     return values, derivs
-
-
-def _divide_where_wide(column: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """column / width per span, and 0 on spans whose knot width is 0."""
-    widths = widths[:, None]
-    return np.divide(column, widths, out=np.zeros_like(column), where=widths > 0)
 
 
 def _find_interval(basis: KnotBasis, r: np.ndarray) -> np.ndarray:
@@ -380,11 +379,8 @@ def eval_bspline(basis: KnotBasis, index: int, r, derivative_order: int = 0):
     spans = k - 1 + _find_interval(basis, points)
     position = index - (spans - k + 1)  # among the k splines nonzero on the span
     inside = (position >= 0) & (position < k)
-    values = np.zeros(points.shape)
-    if inside.any():
-        spans, x = spans[inside], points[inside, None]
-        rows = _values_and_derivs(basis.knots, k, spans, x)[derivative_order]
-        values[inside] = rows[np.arange(len(spans)), 0, position[inside]]
+    rows = _values_and_derivs(basis.knots, k, spans, points[:, None])[derivative_order][:, 0]
+    values = np.where(inside, rows[np.arange(points.size), position.clip(0, k - 1)], 0.0)
     if radii.ndim == 0:
         return float(values[0])
     return values.reshape(radii.shape)
@@ -439,7 +435,7 @@ def make_quadrature(basis: KnotBasis, nodes_per_interval: int) -> QuadratureRule
     half = 0.5 * (bp[1:] - bp[:-1])
     nodes = mid[:, None] + half[:, None] * x[None, :]
     weights = half[:, None] * w[None, :]
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         square = nodes * nodes
         inverse_square = weights / square
     if not np.isfinite(inverse_square).all():

@@ -11,9 +11,10 @@ then the keys for other commands are skipped, so one file serves them all.
 A grid is checked when a command first builds it (``converge`` builds only
 the grids it sweeps); a grid the builder refuses is a usage error whose
 message names the ``GridSpec`` field. The same check holds the one capacity
-rule of ``solve --kstates`` and ``converge --state``: 1 to n_splines - 2
-states. Each table command is declared once, in ``_TABLE_BUILDERS``, and
-each command declares its output columns once for one column-driven renderer.
+rule of ``solve --kstates``, ``converge --state`` and the table commands
+(the states of their deepest row): 1 to n_splines - 2 states. Each table
+command is declared once, in ``_TABLE_BUILDERS``, and each command declares
+its output columns once for one column-driven renderer.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .model import (
     partition_alpha,
 )
 from .spectra import (
+    HELIUM_TABLE_STATES,
+    LITHIUM_TABLE_STATES,
     _quantum_numbers,
     bound_count,
     compare,
@@ -85,19 +88,23 @@ class _Table(NamedTuple):
     title: str
     tolerance: float  # model-A gate tolerance (eV)
     build: Callable  # (model, config) -> one model column
+    states: tuple  # the (nu, l) of each row's channel state, a solve of nu - l states
 
 
 #: The table commands by name: the parser, the options and run_table read each here.
 _TABLE_BUILDERS = {
     "table1": _Table("reproduce the ionization-potential table", "I", "atom",
                      "ground-state ionization potentials (eV)", 0.01,
-                     lambda model, c: ionization_table(model, c.unit_system(), c.grid, c.mg_mn)),
+                     lambda model, c: ionization_table(model, c.unit_system(), c.grid, c.mg_mn),
+                     tuple((atom.valence_nu, atom.valence_l) for atom in atom_catalog())),
     "table2": _Table("reproduce the helium binding-energy table", "II", "state",
                      "helium binding energies (eV)", 0.005,
-                     lambda model, c: helium_binding_table(model, c.unit_system(), c.grid)),
+                     lambda model, c: helium_binding_table(model, c.unit_system(), c.grid),
+                     tuple(map(_quantum_numbers, HELIUM_TABLE_STATES))),
     "table3": _Table("reproduce the excited-lithium table", "III", "state",
                      "excited lithium eigenvalues (eV)", 0.002,
-                     lambda model, c: lithium_spectrum(model, c.unit_system(), c.grid)),
+                     lambda model, c: lithium_spectrum(model, c.unit_system(), c.grid),
+                     tuple(map(_quantum_numbers, LITHIUM_TABLE_STATES))),
 }
 _TABLES = frozenset(_TABLE_BUILDERS)
 #: Model-A gate tolerances per table command (eV).
@@ -307,8 +314,8 @@ _TABLE_TEXT_COLUMNS = [
 
 def run_table(command: str, config: RunConfig) -> tuple[int, str]:
     """Compute both model columns of one table and compare against golden."""
-    _checked_grid(config.grid)
     table = _TABLE_BUILDERS[command]
+    _checked_grid(config.grid, max(nu - l for nu, l in table.states))
     rows_a = table.build(Pseudopotential.SYMMETRY_DEPENDENT, config)
     rows_b = table.build(Pseudopotential.CENTRAL_SCREENING, config)
 

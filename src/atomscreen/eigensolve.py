@@ -244,13 +244,16 @@ def _inverse_iteration(
     The start vector is all ones, whose S-product ``s_ones`` every state
     shares. With (H - seed S) y = S x and y^T S y = 1, the Rayleigh quotient
     is seed + y^T S x and the residual is S x - (rho - seed) S y, so a step
-    costs one banded solve and one product with S.
+    costs one banded solve and one product with S. A y^T S y that underflows
+    to 0.0 leaves no vector to normalise: EigensolverError.
     """
     sx = s_ones
     for _ in range(_MAX_STEPS):
         y = _band_solve(pair, factors, sx)
         sy = general_matvec(pair.s_band, y)
         norm = np.sqrt(np.einsum("i,i->", y, sy))
+        if norm == 0.0:
+            raise EigensolverError("inverse iteration failed: y^T S y underflows to 0")
         y /= norm
         sy /= norm
         image = sx / norm  # (H - seed S) y

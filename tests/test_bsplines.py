@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import band_to_dense
 
@@ -173,6 +174,34 @@ class TestEvalBspline:
             analytic = eval_bspline(paper_basis, index, r, derivative_order=1)
             assert abs(analytic - numeric) <= 1e-6
             samples += 1
+
+    @pytest.mark.parametrize("derivative_order", [0, 1])
+    @pytest.mark.parametrize("index", [0, 1, 7, 11, 21, 22])
+    def test_points_outside_the_support_read_zero_among_inside_ones(self, small_basis,
+                                                                    index, derivative_order):
+        # every breakpoint, every interval's midpoint and r_max again, in a 2-D
+        # array: each point inside the support reads the per-span recursion's
+        # bits on its own span, every other point 0.0
+        bp, k = small_basis.breakpoints, small_basis.order_k
+        radii = np.concatenate([bp, 0.5 * (bp[1:] + bp[:-1]), [bp[-1]]]).reshape(4, -1)
+        values = eval_bspline(small_basis, index, radii, derivative_order)
+        assert values.shape == radii.shape
+        for r, value in zip(radii.ravel(), values.ravel()):
+            span = k - 1 + min(np.searchsorted(bp, r, side="right") - 1, len(bp) - 2)
+            position = index - (span - k + 1)
+            if 0 <= position < k:
+                table = _span_values_and_derivs(small_basis.knots, k, span, np.array([r]))
+                assert value == table[derivative_order][0, position]
+            else:
+                assert value == 0.0
+        inside = values != 0.0
+        assert inside.any() and not inside.all()
+
+    @pytest.mark.parametrize("derivative_order", [0, 1])
+    def test_empty_array_gives_empty_values(self, small_basis, derivative_order):
+        values = eval_bspline(small_basis, 3, np.array([]), derivative_order)
+        assert values.shape == (0,) and values.dtype == np.float64
+        assert eval_bspline(small_basis, 3, np.empty((0, 2)), derivative_order).shape == (0, 2)
 
     def test_rejects_out_of_range(self, paper_basis):
         with pytest.raises(ValueError):
@@ -513,6 +542,32 @@ def _span_values_and_derivs(t, k, span, x):
             acc -= lower[:, a] / width
         derivs[:, a] = (k - 1) * acc
     return values, derivs
+
+
+class TestDerivativeWidths:
+    """The derivatives divide each order k - 1 spline by its knot width
+    t[s + 1 + i] - t[s + 2 + i - k] unguarded: every such width on span s
+    contains [t[s], t[s + 1]], so it is at least that span's width, and a
+    basis of make_knots has no empty span."""
+
+    @pytest.mark.parametrize("kind", ["linear", "exp-linear"])
+    @pytest.mark.parametrize("order_k", range(2, 16))
+    @settings(deadline=None, max_examples=10)
+    @given(extra=st.integers(1, 80), log_r_max=st.floats(-100.0, 100.0),
+           log_fraction=st.floats(-12.0, -2.0))
+    def test_every_width_is_at_least_its_span(self, kind, order_k, extra, log_r_max,
+                                              log_fraction):
+        r_max = 10.0**log_r_max
+        basis = make_knots(r_max, 2 * order_k + extra, order_k, kind, r_max * 10.0**log_fraction)
+        seed = _workspace(basis, make_quadrature(basis, order_k)).seed.basis
+        for b in (basis, seed):
+            t, k = b.knots, b.order_k
+            spans = k - 1 + np.arange(b.n_intervals)
+            own = t[spans + 1] - t[spans]
+            i = np.arange(k - 1)
+            widths = t[spans[:, None] + 1 + i] - t[spans[:, None] + 2 + i - k]
+            assert np.all(own > 0)
+            assert np.all(widths >= own[:, None])
 
 
 class TestVectorisedTables:

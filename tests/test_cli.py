@@ -34,18 +34,20 @@ EXPECTED = ROOT / "perfbench" / "expected"
 RECORDED = ROOT / "tests" / "data"
 
 
-#: ROADMAP direction 19's two ranges of ``solve`` requests, each drawn from
+#: ROADMAP direction 19's three ranges of ``solve`` requests, each drawn from
 #: its own seed: Z 1-40, n 1-Z, l 0-5, every model, 1-14 states, 3-900
 #: splines of order 1-16 on either knot layout, 1-30 nodes per interval or
-#: the default, and r_max and r_first log-uniform over these bounds (bohr).
+#: the default, and r_max and r_first log-uniform over these bounds (bohr);
+#: "edge" reaches down to the smallest subnormal float.
 EXIT_CONTRACT_DRAWS = {
     "wide": dict(seed=1, r_max=(1e-3, 1e200), r_first=(1e-320, 100.0)),
     "realistic": dict(seed=3, r_max=(1.0, 1e4), r_first=(1e-8, 0.1)),
+    "edge": dict(seed=7, r_max=(5e-324, 1e-3), r_first=(5e-324, 1e-3)),
 }
 #: Requests drawn from each range.
 EXIT_CONTRACT_DRAW_COUNT = 150
 #: The seed of each range's ``converge`` and table draws, over the same grids.
-COMMAND_DRAW_SEEDS = {"wide": 5, "realistic": 6}
+COMMAND_DRAW_SEEDS = {"wide": 5, "realistic": 6, "edge": 8}
 #: ``converge`` and then table requests drawn from each range.
 CONVERGE_DRAW_COUNT, TABLE_DRAW_COUNT = 40, 12
 MODELS = ["bare", "symmetry", "central"]
@@ -619,12 +621,20 @@ class TestExitContract:
         ["solve", "3", "3", "0", "--rfirst", "100", "--splines", "30", "--order", "4"],
         ["solve", "3", "3", "1", "--rfirst", "1e-160"],
         ["solve", "3", "3", "0", "--rfirst", "1e-300"],
+        # a node whose square underflows to 0.0 gives 0/0 in 1/r^2
+        ["solve", "1", "1", "0", "--model", "bare", "--kstates", "1", "--rmax", "1e-320",
+         "--knots", "linear"],
+        ["solve", "3", "1", "2", "--model", "symmetry", "--kstates", "14", "--splines", "98",
+         "--order", "14", "--knots", "exp-linear", "--rmax", "3.830181314456914e-32",
+         "--rfirst", "5e-324", "--quad-nodes", "21"],
+        ["table3", "--splines", "5", "--order", "2"],
     ], ids=["order-1", "order-16", "sweep-nodes-0", "sweep-splines-10", "unknown-atom",
             "kstates-1000", "kstates-0", "quad-nodes-3", "rmax-0", "rmax-negative", "rmax-nan",
             "rmax-inf", "rmax-overflow", "rmax-inf-linear",
             "converge-state-past-grid", "converge-state-past-smallest-grid",
             "rfirst-degenerate-grid", "rfirst-degenerate-small-grid",
-            "rfirst-1e-160-p", "rfirst-1e-300-s"])
+            "rfirst-1e-160-p", "rfirst-1e-300-s", "rmax-1e-320-linear",
+            "rfirst-5e-324-order-14", "table3-past-grid"])
     def test_bad_option_values_exit_two(self, args, capsys):
         assert main(args) == 2
         assert capsys.readouterr().out == ""
@@ -636,7 +646,13 @@ class TestExitContract:
          "0 states requested, not in [1, 598]: a 600-spline grid holds 598"),
         (["converge", "--state", "500s", "--sweep-splines", "600,400"],
          "500 states requested, not in [1, 398]: a 400-spline grid holds 398"),
-    ], ids=["solve-kstates-1000", "solve-kstates-0", "converge-500s"])
+        # table3's deepest row, lithium 4s, is a solve of 4 states
+        (["table3", "--splines", "5", "--order", "2"],
+         "4 states requested, not in [1, 3]: a 5-spline grid holds 3"),
+        (["converge", "--atom", "Li", "--state", "4s", "--sweep-splines", "5,6", "--order", "2"],
+         "4 states requested, not in [1, 3]: a 5-spline grid holds 3"),
+    ], ids=["solve-kstates-1000", "solve-kstates-0", "converge-500s", "table3-5-splines",
+            "converge-Li-4s-5-splines"])
     def test_solve_and_converge_share_the_capacity_message(self, args, message, capsys):
         assert main(args) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
@@ -728,6 +744,26 @@ class TestExitContract:
         # the seed pencil's seeds, then the fallback's on the full pencil
         assert len(counting.dimensions) == 2
         assert counting.dimensions[0] < counting.dimensions[1]
+
+    def test_vanishing_inverse_iteration_vector_falls_back_then_exits_one(self, capsys,
+                                                                          monkeypatch):
+        # a float-edge box where y^T S y underflows to 0.0 in the inverse
+        # iteration from helium's closed-form seeds: the seeded attempt fails
+        # without a warning, and the fallback's dsbgvx on the full pencil
+        # (521 active splines) refuses
+        counting = CountingSeeds(eigensolve._sturm_seeds)
+        monkeypatch.setattr(eigensolve, "_sturm_seeds", counting)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["table1", "--splines", "523", "--order", "14", "--knots", "linear",
+                         "--rmax", "5.656917319894521e-99", "--rfirst", "1.9018280854932836e-262",
+                         "--quad-nodes", "20"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: banded eigenvalue bisection failed (dsbgvx info=4, m=0)\n"
+        assert not caught, [str(w.message) for w in caught]
+        assert counting.dimensions == [521]
 
     @pytest.mark.parametrize("draws", EXIT_CONTRACT_DRAWS)
     def test_seeded_solve_requests_keep_the_exit_contract(self, draws, capsys):
